@@ -14,7 +14,13 @@ import numpy as np
 
 from .control import enumerate_stationary, value_function
 from .errors import MfgLabError
-from .experiments import ScenarioConfig, build_grid, build_spec, replay_row, run_scenario
+from .experiments import (
+    ScenarioConfig,
+    build_grid,
+    parse_config_text,
+    replay_row,
+    run_scenario,
+)
 from .field import (
     export_field_csv_slice,
     load_field_binary,
@@ -26,12 +32,8 @@ from .field import (
 EXIT_OK, EXIT_ERROR, EXIT_VERDICT = 0, 1, 2
 
 
-def _add_common(p):
+def _add_seed(p):
     p.add_argument("--seed", type=int, default=None, help="override run.seed")
-    p.add_argument("--out-dir", default=".", help="directory for CSV/plot artifacts")
-    p.add_argument("--plots", action="store_true", help="emit SVG plots (needs matplotlib)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; results are independent of this")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,16 +43,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a scenario config (E1-E6)")
     p.add_argument("config")
-    _add_common(p)
+    _add_seed(p)
+    p.add_argument("--out-dir", default=".", help="directory for CSV/plot artifacts")
+    p.add_argument("--plots", action="store_true", help="emit SVG plots (needs matplotlib)")
 
     p = sub.add_parser("oc-enumerate", help="multi-start shooting on a config's model")
     p.add_argument("config")
-    _add_common(p)
+    _add_seed(p)
 
     p = sub.add_parser("oc-value", help="value of the limit control problem at nu0")
     p.add_argument("config")
     p.add_argument("--nu0", type=float, default=None)
-    _add_common(p)
+    _add_seed(p)
 
     p = sub.add_parser("field", help="decoupling-field operations")
     fsub = p.add_subparsers(dest="field_command", required=True)
@@ -59,29 +63,27 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--N", type=int, default=None)
     ps.add_argument("--eps", type=float, default=None)
     ps.add_argument("--out", required=True)
-    _add_common(ps)
+    _add_seed(ps)
     pe = fsub.add_parser("export", help="CSV slice of a saved field")
     pe.add_argument("binary")
     pe.add_argument("--time-index", type=int, default=0)
     pe.add_argument("--out", required=True)
-    _add_common(pe)
 
     p = sub.add_parser("replay", help="re-run one report row and compare")
     p.add_argument("config")
     p.add_argument("report_csv")
     p.add_argument("--row", type=int, default=0)
-    _add_common(p)
+    _add_seed(p)
     return ap
 
 
 def _load_config(path: str, seed_override) -> ScenarioConfig:
-    cfg = ScenarioConfig.from_file(path)
-    if seed_override is not None:
-        raw = dict(cfg.raw)
-        raw["run.seed"] = str(seed_override)
-        return ScenarioConfig.from_text(
-            "".join(f"{k} = {v}\n" for k, v in raw.items()))
-    return cfg
+    if seed_override is None:
+        return ScenarioConfig.from_file(path)
+    with open(path) as fh:
+        raw = parse_config_text(fh.read())
+    raw["run.seed"] = str(seed_override)
+    return ScenarioConfig.from_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
 
 
 def _maybe_plot(rep, out_dir):
@@ -135,8 +137,8 @@ def _dispatch(args) -> int:
 
     if args.command == "oc-enumerate":
         cfg = _load_config(args.config, args.seed)
-        spec = build_spec(cfg)
-        sset = enumerate_stationary(spec, 0.0, spec.nu0, threads=args.threads)
+        spec = cfg.spec
+        sset = enumerate_stationary(spec, 0.0, spec.nu0)
         print(f"{len(sset.solutions)} stationary solution(s), "
               f"min cost {sset.min_cost:.8g}, multiplicity {sset.multiplicity}")
         for s in sset.solutions:
@@ -147,7 +149,7 @@ def _dispatch(args) -> int:
 
     if args.command == "oc-value":
         cfg = _load_config(args.config, args.seed)
-        spec = build_spec(cfg)
+        spec = cfg.spec
         nu0 = spec.nu0 if args.nu0 is None else np.full(spec.dim, args.nu0)
         v = value_function(spec, 0.0, nu0)
         print(f"v(0, {np.array2string(nu0, precision=6)}) = {v:.10g}")
@@ -159,7 +161,7 @@ def _dispatch(args) -> int:
                 print("error: pass exactly one of --N / --eps", file=sys.stderr)
                 return EXIT_ERROR
             cfg = _load_config(args.config, args.seed)
-            spec = build_spec(cfg)
+            spec = cfg.spec
             grid = build_grid(cfg, spec)
             tgrid = stable_time_grid(spec, grid, N=args.N, eps=args.eps)
             fld = solve_field(spec, grid, tgrid, N=args.N, eps=args.eps)

@@ -11,7 +11,6 @@ the stationary points whose cost ties the minimum.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +89,7 @@ def _integrate_pontryagin(spec: ModelSpec, t0, nu0, eta0, steps):
 def trajectory_cost(spec: ModelSpec, grid: TimeGrid, m, beta) -> float:
     """Trapezoid quadrature of the running cost plus the terminal cost."""
     running = 0.5 * np.sum(beta**2, axis=1) + 0.5 * np.sum(m**2, axis=1)
-    running = running + np.array([spec.f.value(x) for x in m])
+    running = running + spec.f.value(m)
     terminal = 0.5 * float(m[-1] @ m[-1]) + spec.g.value(m[-1])
     return float(np.trapezoid(running, grid.nodes) + terminal)
 
@@ -165,7 +164,7 @@ def default_start_grid(spec: ModelSpec, nu0, points_per_axis: int = 21):
 
 def enumerate_stationary(spec: ModelSpec, t0, nu0, start_grid=None,
                          steps_per_unit: int = 1000, dedup_tol: float = 1e-5,
-                         cost_tie_rel: float = 1e-7, threads: int = 1) -> StationarySet:
+                         cost_tie_rel: float = 1e-7) -> StationarySet:
     """Multi-start shooting, deduplicated by initial adjoint and sorted by cost."""
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     if start_grid is None:
@@ -173,18 +172,14 @@ def enumerate_stationary(spec: ModelSpec, t0, nu0, start_grid=None,
     start_grid = np.atleast_2d(np.asarray(start_grid, dtype=float))
     if start_grid.size == 0:
         raise InvalidParameter("start grid must be nonempty")
-
-    def run(guess):
-        return shoot(spec, t0, nu0, guess, steps_per_unit=steps_per_unit)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, start_grid))
-    else:
-        results = [run(g) for g in start_grid]
+    # each cluster keeps its first converged start; shooting the guesses in
+    # lexicographic order (that of default_start_grid) makes the kept eta0
+    # independent of the order the guesses came in
+    start_grid = start_grid[np.lexsort(start_grid.T[::-1])]
 
     found = []
-    for sol in results:
+    for guess in start_grid:
+        sol = shoot(spec, t0, nu0, guess, steps_per_unit=steps_per_unit)
         if sol is None:
             continue
         if any(np.linalg.norm(sol.eta0 - s.eta0) < dedup_tol for s in found):
@@ -224,12 +219,10 @@ def discrete_cost_and_gradient(spec: ModelSpec, t0, nu0, beta):
     m[0] = nu0
     for k in range(K):
         m[k + 1] = m[k] + dt * (b @ m[k] + beta[k])
-    run = 0.0
-    grad_f_vals = np.empty((K, d))
-    for k in range(K):
-        grad_f_vals[k] = spec.f.gradient(m[k])
-        run += dt * (0.5 * beta[k] @ beta[k] + 0.5 * m[k] @ m[k] + spec.f.value(m[k]))
-    cost = run + 0.5 * float(m[-1] @ m[-1]) + spec.g.value(m[-1])
+    grad_f_vals = spec.f.gradient(m[:-1])
+    run = dt * (0.5 * np.sum(beta**2, axis=1) + 0.5 * np.sum(m[:-1]**2, axis=1)
+                + spec.f.value(m[:-1]))
+    cost = float(np.sum(run)) + 0.5 * float(m[-1] @ m[-1]) + spec.g.value(m[-1])
 
     lam = m[-1] + spec.g.gradient(m[-1])
     grad = np.empty_like(beta)
@@ -338,14 +331,18 @@ def _require_static(spec: ModelSpec):
             "(running potential quadratic(c=-1))")
 
 
-def static_U(spec: ModelSpec, t0, nu0, a) -> float:
-    """U(t0, nu0, a) = (T-t0)|a|^2/2 + G(nu0 + (T-t0) a), G(y) = |y|^2/2 + g(y)."""
+def static_U(spec: ModelSpec, t0, nu0, a):
+    """U(t0, nu0, a) = (T-t0)|a|^2/2 + G(nu0 + (T-t0) a), G(y) = |y|^2/2 + g(y).
+
+    a is one control of shape (d,) or a batch of shape (..., d).
+    """
     _require_static(spec)
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     a = np.atleast_1d(np.asarray(a, dtype=float))
     tau = spec.T - t0
     y = nu0 + tau * a
-    return float(0.5 * tau * a @ a + 0.5 * y @ y + spec.g.value(y))
+    return (np.sum(0.5 * tau * a * a, axis=-1) + np.sum(0.5 * y * y, axis=-1)
+            + spec.g.value(y))
 
 
 def static_U_minimize(spec: ModelSpec, t0, nu0, scan_radius=None, scan_points: int = 801):
@@ -373,7 +370,7 @@ def static_U_minimize(spec: ModelSpec, t0, nu0, scan_radius=None, scan_points: i
         return static_U(spec, t0, nu0, s * direction)
 
     ss = np.linspace(-scan_radius, scan_radius, scan_points)
-    vals = np.array([U1(s) for s in ss])
+    vals = static_U(spec, t0, nu0, ss[:, None] * direction)
     minima = []
     for i in range(1, len(ss) - 1):
         if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:

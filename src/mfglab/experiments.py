@@ -8,7 +8,6 @@ report always yields the same pass/fail outcome.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +18,7 @@ from .control import (
     value_function,
     differentiability_probe,
 )
-from .errors import ConfigError
+from .errors import ConfigError, InvalidParameter
 from .field import (
     riccati_field_oracle,
     simulate_ensemble,
@@ -89,6 +88,8 @@ class ScenarioConfig:
     scenario: str
     raw: dict
     config_hash: str
+    # the model, built once by validate()
+    spec: ModelSpec = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def from_text(text: str) -> "ScenarioConfig":
@@ -132,50 +133,53 @@ class ScenarioConfig:
         return list(default) if v is None else _floats(v)
 
     def validate(self):
-        dim = self.getint("model.dim", 2 if self.scenario == "E4" else 1)
-        if dim not in (1, 2):
-            raise ConfigError(f"model.dim must be 1 or 2, got {dim}")
         Ns = self.getlist_int("run.N", [25, 100, 400])
         if any(b <= a for a, b in zip(Ns, Ns[1:])):
             raise ConfigError("run.N must be strictly increasing")
         M = self.getint("run.M", 2000)
         if self.scenario in ("E2", "E4", "E5") and M < 100:
             raise ConfigError("statistical scenarios need run.M >= 100")
-        gname = self.get("model.g", _DEFAULT_G[self.scenario])
-        try:
-            from_name(gname, dim, kappa=self.getfloat("model.kappa", 4.0),
-                      c=self.getfloat("model.c", 1.0),
-                      T=self.getfloat("model.T", 1.0),
-                      delta=self.getfloat("model.delta", 0.1),
-                      b=self.getfloat("model.b", 0.0))
-        except Exception as exc:
-            raise ConfigError(f"unknown model.g {gname!r}: {exc}")
+        object.__setattr__(self, "spec", build_spec(self))
 
 
 _DEFAULT_G = {"E1": "quadratic", "E2": "logcosh", "E3": "delarue",
               "E4": "radial_logcosh", "E5": "logcosh", "E6": "logcosh"}
 
 
+def _catalogue(key: str, name: str, dim: int, **params):
+    try:
+        return from_name(name, dim, **params)
+    except InvalidParameter as exc:
+        raise ConfigError(f"{key} = {name}: {exc}")
+
+
 def build_spec(cfg: ScenarioConfig) -> ModelSpec:
     """Model of the run: terminal g from the catalogue, running f either the
     zero potential or the canceller -|m|^2/2 (which turns off the running
-    state cost entirely), linear drift coefficient b, horizon T."""
+    state cost entirely), linear drift coefficient b, horizon T.  An invalid
+    model raises ConfigError with its cause."""
     dim = cfg.getint("model.dim", 2 if cfg.scenario == "E4" else 1)
+    if dim not in (1, 2):
+        raise ConfigError(f"model.dim must be 1 or 2, got {dim}")
     T = cfg.getfloat("model.T", 1.0)
     bcoef = cfg.getfloat("model.b", 0.0)
-    kappa = cfg.getfloat("model.kappa", 4.0)
+    params = {"kappa": cfg.getfloat("model.kappa", 4.0), "T": T, "b": bcoef,
+              "delta": cfg.getfloat("model.delta", 0.1)}
     gname = cfg.get("model.g", _DEFAULT_G[cfg.scenario])
-    g = from_name(gname, dim, kappa=kappa, c=cfg.getfloat("model.c", 1.0),
-                  T=T, delta=cfg.getfloat("model.delta", 0.1), b=bcoef,
-                  linear=cfg.get("model.linear") and cfg.getfloat("model.linear", 0.0))
+    g = _catalogue("model.g", gname, dim, c=cfg.getfloat("model.c", 1.0),
+                   linear=cfg.get("model.linear") and cfg.getfloat("model.linear", 0.0),
+                   **params)
     fname = cfg.get("model.f", "zero" if cfg.scenario in ("E1", "E3") else "cancel")
     if fname == "cancel":
         f = make_quadratic(-1.0, dim)
     else:
-        f = from_name(fname, dim, c=cfg.getfloat("model.f_c", -1.0), kappa=kappa)
+        f = _catalogue("model.f", fname, dim, c=cfg.getfloat("model.f_c", -1.0), **params)
     nu0 = np.full(dim, cfg.getfloat("model.nu0", 0.0))
-    return ModelSpec(dim=dim, b=bcoef * np.eye(dim), sigma=cfg.getfloat("model.sigma", 1.0),
-                     T=T, f=f, g=g, nu0=nu0)
+    try:
+        return ModelSpec(dim=dim, b=bcoef * np.eye(dim),
+                         sigma=cfg.getfloat("model.sigma", 1.0), T=T, f=f, g=g, nu0=nu0)
+    except InvalidParameter as exc:
+        raise ConfigError(str(exc))
 
 
 def build_grid(cfg: ScenarioConfig, spec: ModelSpec) -> SpaceGrid:
@@ -255,7 +259,7 @@ def _field_for(spec, grid, cfg, N=None, eps=None):
 
 def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
     """Convergence of the ensemble-mean trajectory to the unique minimizer."""
-    spec = build_spec(cfg)
+    spec = cfg.spec
     if spec.g.quad_coeffs is None:
         raise ConfigError("E1 needs a convex quadratic terminal potential")
     rep = ScenarioReport("E1", cfg.config_hash,
@@ -317,7 +321,7 @@ def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
 
 def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
     """Half-half selection between the two symmetric minimizers."""
-    spec = build_spec(cfg)
+    spec = cfg.spec
     if not spec.even_data or np.any(spec.nu0 != 0.0):
         raise ConfigError("E2 needs even potentials and nu0 = 0")
     kappa = cfg.getfloat("model.kappa", 4.0)
@@ -356,10 +360,9 @@ def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
 
 def run_E3_delarue(cfg: ScenarioConfig) -> ScenarioReport:
     """Two selected trajectories plus the non-selected middle equilibrium."""
-    T = cfg.getfloat("model.T", 1.0)
+    spec = cfg.spec
+    T, bcoef = spec.T, float(spec.b[0, 0])
     delta = cfg.getfloat("model.delta", 0.1)
-    bcoef = cfg.getfloat("model.b", 0.0)
-    spec = build_spec(cfg)
     rep = ScenarioReport("E3", cfg.config_hash,
                          ["branch", "seed", "config", "max_traj_error", "m_T",
                           "cost", "classification"])
@@ -417,7 +420,7 @@ def run_E3_delarue(cfg: ScenarioConfig) -> ScenarioReport:
 
 def run_E4_sphere(cfg: ScenarioConfig) -> ScenarioReport:
     """Uniform-on-the-sphere selection of the terminal direction in d = 2."""
-    spec = build_spec(cfg)
+    spec = cfg.spec
     if spec.dim != 2 or np.any(spec.nu0 != 0.0):
         raise ConfigError("E4 needs the two-dimensional radial model at nu0 = 0")
     kappa = cfg.getfloat("model.kappa", 4.0)
@@ -458,7 +461,7 @@ def run_E5_common_noise(cfg: ScenarioConfig) -> ScenarioReport:
     eps_list = cfg.getlist_float("run.eps", [0.5, 0.25, 0.1, 0.05])
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ConfigError("run.eps must be strictly decreasing")
-    spec = build_spec(cfg)
+    spec = cfg.spec
     symmetric = spec.even_data and not np.any(spec.nu0 != 0.0)
     rep = ScenarioReport("E5", cfg.config_hash,
                          ["eps", "seed", "config", "freq_pos", "w1", "mean_T",
@@ -497,7 +500,7 @@ def run_E5_common_noise(cfg: ScenarioConfig) -> ScenarioReport:
 
 def run_E6_field_convergence(cfg: ScenarioConfig) -> ScenarioReport:
     """Field values converge to the value-function gradient where it exists."""
-    spec = build_spec(cfg)
+    spec = cfg.spec
     rep = ScenarioReport("E6", cfg.config_hash,
                          ["N", "seed", "config", "probe", "field_value",
                           "gradient_estimate", "gap"])

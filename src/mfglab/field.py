@@ -37,8 +37,9 @@ class DecouplingField:
     def evaluate_batch(self, t: float, points: np.ndarray) -> np.ndarray:
         """Multilinear in space, linear in time, at query points (n, d)."""
         tg = self.tgrid
-        s = (t - tg.t0) / tg.dt
-        k = int(np.clip(np.floor(s), 0, tg.steps - 1))
+        # times outside [t0, T] take the nearest end level, never extrapolate
+        s = min(max((t - tg.t0) / tg.dt, 0.0), tg.steps)
+        k = min(int(s), tg.steps - 1)
         w = s - k
         level = (1.0 - w) * self.values[k] + w * self.values[k + 1]
         return _interp_space(self.grid, level, points)
@@ -66,13 +67,6 @@ def _interp_space(grid: SpaceGrid, level: np.ndarray, points: np.ndarray) -> np.
             + wx * (1.0 - wy) * level[i + 1, j]
             + (1.0 - wx) * wy * level[i, j + 1]
             + wx * wy * level[i + 1, j + 1])
-
-
-def _eval_on_grid(grid: SpaceGrid, fn, d: int) -> np.ndarray:
-    coords = grid.meshgrid()
-    pts = np.stack([c.ravel() for c in coords], axis=-1)
-    out = np.array([fn(p) for p in pts])
-    return out.reshape(grid.shape + (d,))
 
 
 def _laplacian(u: np.ndarray, spacings) -> np.ndarray:
@@ -154,6 +148,32 @@ def _implicit_diffusion_matrix(grid: SpaceGrid, coef: float):
     return sp.csc_matrix(sp.identity(n_total) - coef * L_full)
 
 
+def _variant(spec: ModelSpec, N, eps):
+    """Diffusion, cost gradient and metadata of the N-player or common-noise field.
+
+    The cost gradient maps a potential p and points m of shape (..., d) to the
+    corrected gradient (I + hess p / N)(m + grad p) for N players and to the
+    reminder-free m + grad p for common noise; the field's source is its value
+    for f and its terminal layer the value for g.
+    """
+    if (N is None) == (eps is None):
+        raise InvalidParameter("pass exactly one of N or eps")
+    if N is not None:
+        if spec.sigma <= 0:
+            raise InvalidParameter("the N-player field needs sigma > 0")
+        nu = spec.sigma**2 / (2.0 * N)
+        cost_gradient = lambda p, m: corrected_gradient(p, N, m)
+        meta = {"kind": "nplayer", "N": N, "noise_scale": spec.sigma / np.sqrt(N)}
+    else:
+        if eps <= 0:
+            raise InvalidParameter("eps must be positive")
+        nu = eps**2 / 2.0
+        cost_gradient = lambda p, m: m + p.gradient(m)
+        meta = {"kind": "common-noise", "eps": eps, "noise_scale": eps}
+    meta.update({"diffusion": nu, "model": f"f={spec.f.name}, g={spec.g.name}"})
+    return nu, cost_gradient, meta
+
+
 def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
                 N: int = None, eps: float = None,
                 cfl_diff: float = 0.25, cfl_adv: float = 0.5) -> DecouplingField:
@@ -163,26 +183,10 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
     variant.  Stability of the explicit scheme is checked before and during
     stepping; violations raise CflViolation.
     """
-    if (N is None) == (eps is None):
-        raise InvalidParameter("pass exactly one of N or eps")
+    nu, cost_gradient, meta = _variant(spec, N, eps)
     if grid.dim != spec.dim:
         raise InvalidParameter("space grid dimension must match the model")
     d = spec.dim
-    if N is not None:
-        if spec.sigma <= 0:
-            raise InvalidParameter("the N-player field needs sigma > 0")
-        nu = spec.sigma**2 / (2.0 * N)
-        source_fn = lambda m: corrected_gradient(spec.f, N, m)
-        terminal_fn = lambda m: corrected_gradient(spec.g, N, m)
-        meta = {"kind": "nplayer", "N": N, "noise_scale": spec.sigma / np.sqrt(N)}
-    else:
-        if eps <= 0:
-            raise InvalidParameter("eps must be positive")
-        nu = eps**2 / 2.0
-        source_fn = lambda m: m + spec.f.gradient(m)
-        terminal_fn = lambda m: m + spec.g.gradient(m)
-        meta = {"kind": "common-noise", "eps": eps, "noise_scale": eps}
-    meta.update({"diffusion": nu, "model": f"f={spec.f.name}, g={spec.g.name}"})
 
     spacings = grid.spacings
     dt = tgrid.dt
@@ -191,10 +195,9 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
         if ratio > cfl_diff + 1e-12:
             raise CflViolation("diffusion", ratio, cfl_diff)
 
-    coords = grid.meshgrid()
-    mgrid = np.stack(coords, axis=-1)                       # (*shape, d)
+    mgrid = np.stack(grid.meshgrid(), axis=-1)              # (*shape, d)
     bm = np.einsum("ij,...j->...i", spec.b, mgrid)
-    source = _eval_on_grid(grid, source_fn, d)
+    source = cost_gradient(spec.f, mgrid)
     symmetric = spec.even_data and grid.is_symmetric()
 
     def check_advection(c):
@@ -216,7 +219,7 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
     values = np.empty((steps + 1,) + grid.shape + (d,))
     # the terminal layer stays exactly the corrected gradient at the nodes;
     # the odd projection (which could move it by an ulp) starts one level in
-    u = _eval_on_grid(grid, terminal_fn, d)
+    u = cost_gradient(spec.g, mgrid)
     values[steps] = u
 
     # first backward level: implicit diffusion, explicit transport and source
@@ -255,16 +258,9 @@ def stable_time_grid(spec: ModelSpec, grid: SpaceGrid, N: int = None, eps: float
     The advection speed is estimated from the terminal layer, inflated by
     `velocity_margin` because the field can steepen backward in time.
     """
-    d = spec.dim
-    if N is not None:
-        nu = spec.sigma**2 / (2.0 * N)
-        terminal_fn = lambda m: corrected_gradient(spec.g, N, m)
-    else:
-        nu = eps**2 / 2.0
-        terminal_fn = lambda m: m + spec.g.gradient(m)
-    uT = _eval_on_grid(grid, terminal_fn, d)
-    coords = grid.meshgrid()
-    mgrid = np.stack(coords, axis=-1)
+    nu, cost_gradient, _ = _variant(spec, N, eps)
+    mgrid = np.stack(grid.meshgrid(), axis=-1)
+    uT = cost_gradient(spec.g, mgrid)
     bm = np.einsum("ij,...j->...i", spec.b, mgrid)
     cmax = velocity_margin * float(np.max(np.abs(bm - uT))) + 1e-12
     dt_bound = np.inf
@@ -422,22 +418,6 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
                         exit_fraction=exit_fraction, metadata=meta_out)
 
 
-def _batch_value(p, pts):
-    if p.quad_coeffs is not None:
-        C, k = p.quad_coeffs
-        return 0.5 * np.einsum("ni,ij,nj->n", pts, C, pts) + pts @ k
-    return np.array([p.value(x) for x in pts])
-
-
-def _batch_reminder(p, pts):
-    if p.quad_coeffs is not None:
-        C, k = p.quad_coeffs
-        g = pts @ C.T + k
-        return (0.5 * np.sum(g * g, axis=1) + np.sum(pts * g, axis=1)
-                - _batch_value(p, pts))
-    return np.array([reminder(p, x) for x in pts])
-
-
 def eval_cost_ensemble(ens: PathEnsemble, spec: ModelSpec) -> np.ndarray:
     """Per-path cost of the mean control problem along simulated paths.
 
@@ -445,24 +425,18 @@ def eval_cost_ensemble(ens: PathEnsemble, spec: ModelSpec) -> np.ndarray:
     the 1/N reminder corrections are included for the N-player variant and
     absent for the common-noise one.
     """
-    kind = ens.metadata.get("kind", "nplayer")
+    nplayer = ens.metadata.get("kind", "nplayer") == "nplayer"
     N = ens.metadata.get("N")
-    M, K1, d = ens.paths.shape
-    nodes = ens.tgrid.nodes
-    costs = np.empty(M)
-    for p in range(M):
-        m = ens.paths[p]
-        eta = ens.controls[p]
-        run = 0.5 * np.sum(eta**2, axis=1) + 0.5 * np.sum(m**2, axis=1)
-        run = run + _batch_value(spec.f, m)
-        if kind == "nplayer":
-            run = run + _batch_reminder(spec.f, m) / N
-        total = float(np.trapezoid(run, nodes))
-        mT = m[-1]
-        total += 0.5 * float(mT @ mT) + spec.g.value(mT)
-        if kind == "nplayer":
-            total += reminder(spec.g, mT) / N
-        costs[p] = total
+    m, eta = ens.paths, ens.controls
+    run = 0.5 * np.sum(eta**2, axis=-1) + 0.5 * np.sum(m**2, axis=-1)
+    run = run + spec.f.value(m)
+    if nplayer:
+        run = run + reminder(spec.f, m) / N
+    mT = m[:, -1]
+    costs = np.trapezoid(run, ens.tgrid.nodes, axis=-1)
+    costs += 0.5 * np.sum(mT**2, axis=-1) + spec.g.value(mT)
+    if nplayer:
+        costs += reminder(spec.g, mT) / N
     return costs
 
 
@@ -491,18 +465,24 @@ def save_field_binary(fld: DecouplingField, path: str):
 
 def load_field_binary(path: str) -> DecouplingField:
     with open(path, "rb") as fh:
+        def read(n):
+            buf = fh.read(n)
+            if len(buf) != n:
+                raise InvalidInput(f"{path} is truncated: expected {n} more bytes, got {len(buf)}")
+            return buf
+
         if fh.read(5) != _MAGIC:
             raise InvalidInput(f"{path} is not a field file")
-        (dim,) = struct.unpack("<i", fh.read(4))
-        axes = tuple(struct.unpack("<ddi", fh.read(20)) for _ in range(dim))
-        t0, T, steps = struct.unpack("<ddi", fh.read(20))
-        kind_flag, param = struct.unpack("<bd", fh.read(9))
-        (mlen,) = struct.unpack("<i", fh.read(4))
-        model = fh.read(mlen).decode()
+        (dim,) = struct.unpack("<i", read(4))
+        axes = tuple(struct.unpack("<ddi", read(20)) for _ in range(dim))
+        t0, T, steps = struct.unpack("<ddi", read(20))
+        kind_flag, param = struct.unpack("<bd", read(9))
+        (mlen,) = struct.unpack("<i", read(4))
+        model = read(mlen).decode()
         grid = SpaceGrid(axes)
         tgrid = TimeGrid(t0, T, steps)
         shape = (steps + 1,) + grid.shape + (dim,)
-        values = np.frombuffer(fh.read(), dtype="<f8").reshape(shape).copy()
+        values = np.frombuffer(read(8 * int(np.prod(shape))), dtype="<f8").reshape(shape).copy()
     meta = {"kind": "nplayer" if kind_flag == 0 else "common-noise", "model": model}
     if kind_flag == 0:
         meta["N"] = int(param)

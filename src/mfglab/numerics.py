@@ -112,15 +112,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.seed, self.index)))
 
-    def child(self, index: int) -> "RngStream":
-        return RngStream(self.seed, index)
-
-
-def gaussian_increments(stream: RngStream, dim: int, steps: int, dt: float) -> np.ndarray:
-    """I.i.d. N(0, dt) Brownian increments, shape (steps, dim)."""
-    gen = stream.generator()
-    return gen.normal(0.0, math.sqrt(dt), size=(steps, dim))
-
 
 def integrate_ode(rhs, x0, grid: TimeGrid, direction: str = "forward") -> np.ndarray:
     """Classical RK4 on a uniform grid.

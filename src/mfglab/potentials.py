@@ -1,10 +1,14 @@
 """Catalogue of potential pairs, their N-corrected costs, and model assembly.
 
-A potential is a scalar function of the mean together with explicit gradient
-and Hessian callables.  The corrected cost of the N-player mean problem is
+A potential is a scalar function of the mean together with its gradient and
+Hessian.  All three take points as an array of shape (..., d) and return
+arrays of shape (...), (..., d) and (..., d, d); a single point of shape (d,)
+is the case with no batch axis, and a last axis of another length raises
+InvalidParameter.  The corrected cost of the N-player mean problem is
 F_N(m) = |m|^2/2 + f(m) + R_f(m)/N  with the reminder
 R_f(m) = |grad f|^2/2 + m . grad f - f, and its gradient factorises as
-(I + hess f / N)(m + grad f).
+(I + hess f / N)(m + grad f); reminder, corrected_cost and corrected_gradient
+follow the same (..., d) contract.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidParameter, KinkQuery
 from .numerics import TimeGrid, delarue_riccati
@@ -24,9 +27,9 @@ from .numerics import TimeGrid, delarue_riccati
 class Potential:
     name: str
     dim: int
-    value: Callable
-    gradient: Callable
-    hessian: Callable
+    value: Callable          # (..., d) -> (...)
+    gradient: Callable       # (..., d) -> (..., d)
+    hessian: Callable        # (..., d) -> (..., d, d)
     bounds: dict
     probe_radius: float
     even: bool = False
@@ -34,11 +37,17 @@ class Potential:
     quad_coeffs: Optional[tuple] = None
 
 
-def _vec(m, dim):
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    if m.shape != (dim,):
-        raise InvalidParameter(f"expected point of dimension {dim}, got shape {m.shape}")
+def _points(m, dim):
+    """m as float points of shape (..., dim)."""
+    m = np.asarray(m, dtype=float)
+    if m.shape[-1:] != (dim,):
+        raise InvalidParameter(f"expected points of dimension {dim}, got shape {m.shape}")
     return m
+
+
+def _dot(a, b):
+    """Inner product over the last axis."""
+    return np.einsum("...i,...i->...", a, b)
 
 
 def _scan_bounds(dim, gradient, hessian, radius, n=4001):
@@ -50,8 +59,8 @@ def _scan_bounds(dim, gradient, hessian, radius, n=4001):
         ax = np.linspace(-radius, radius, side)
         xx, yy = np.meshgrid(ax, ax, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-    grads = np.array([gradient(p) for p in pts])
-    hesss = np.array([hessian(p) for p in pts])
+    grads = gradient(pts)
+    hesss = hessian(pts)
     hessm = np.einsum("nij,nj->ni", hesss, pts)
 
     def sup(a):
@@ -75,6 +84,11 @@ def _scan_bounds(dim, gradient, hessian, radius, n=4001):
 
 
 def _build(name, dim, value, gradient, hessian, probe_radius, even, quad_coeffs=None):
+    """Potential from array functions of (..., dim) points, with its bounds scan."""
+    def on_points(fn):
+        return lambda m: fn(_points(m, dim))
+
+    value, gradient, hessian = on_points(value), on_points(gradient), on_points(hessian)
     bounds = _scan_bounds(dim, gradient, hessian, probe_radius)
     return Potential(
         name=name,
@@ -89,26 +103,25 @@ def _build(name, dim, value, gradient, hessian, probe_radius, even, quad_coeffs=
     )
 
 
-def reminder(p: Potential, m) -> float:
+def reminder(p: Potential, m):
     """R_p(m) = |grad p(m)|^2 / 2 + m . grad p(m) - p(m)."""
-    m = _vec(m, p.dim)
+    m = _points(m, p.dim)
     g = p.gradient(m)
-    return float(0.5 * g @ g + m @ g - p.value(m))
+    return _dot(0.5 * g, g) + _dot(m, g) - p.value(m)
 
 
-def corrected_cost(p: Potential, N: int, m) -> float:
+def corrected_cost(p: Potential, N: int, m):
     """F_N-style cost |m|^2/2 + p(m) + R_p(m)/N."""
-    m = _vec(m, p.dim)
-    return float(0.5 * m @ m + p.value(m) + reminder(p, m) / N)
+    m = _points(m, p.dim)
+    return _dot(0.5 * m, m) + p.value(m) + reminder(p, m) / N
 
 
 def corrected_gradient(p: Potential, N: int, m) -> np.ndarray:
     """(I + hess p / N)(m + grad p), the gradient of corrected_cost."""
     if N < 1:
         raise InvalidParameter("N must be at least 1")
-    m = _vec(m, p.dim)
-    I = np.eye(p.dim)
-    return (I + p.hessian(m) / N) @ (m + p.gradient(m))
+    m = _points(m, p.dim)
+    return np.einsum("...ij,...j->...i", np.eye(p.dim) + p.hessian(m) / N, m + p.gradient(m))
 
 
 # --- catalogue -------------------------------------------------------------
@@ -119,9 +132,9 @@ def make_zero(dim: int = 1) -> Potential:
     Z = np.zeros((dim, dim))
     return _build(
         "zero", dim,
-        value=lambda m: 0.0,
-        gradient=lambda m: z.copy(),
-        hessian=lambda m: Z.copy(),
+        value=lambda m: np.zeros(m.shape[:-1])[()],
+        gradient=lambda m: np.zeros(m.shape),
+        hessian=lambda m: np.zeros(m.shape + (dim,)),
         probe_radius=10.0, even=True, quad_coeffs=(Z, z),
     )
 
@@ -141,9 +154,9 @@ def make_quadratic(c: float, dim: int = 1, kappa=None) -> Potential:
     name = f"quadratic(c={c})" if even else f"quadratic(c={c},kappa={k.tolist()})"
     return _build(
         name, dim,
-        value=lambda m: float(0.5 * c * m @ m + k @ m),
+        value=lambda m: _dot(0.5 * c * m, m) + _dot(k, m),
         gradient=lambda m: c * m + k,
-        hessian=lambda m: C.copy(),
+        hessian=lambda m: np.broadcast_to(C, m.shape + (dim,)).copy(),
         probe_radius=10.0, even=even, quad_coeffs=(C, k),
     )
 
@@ -151,6 +164,24 @@ def make_quadratic(c: float, dim: int = 1, kappa=None) -> Potential:
 def logcosh_threshold(kappa: float) -> float:
     """Largest C with kappa sech^2(m) > 2 on [0, C): solves kappa sech^2 = 2."""
     return math.acosh(math.sqrt(kappa / 2.0))
+
+
+def _logcosh_profile(kappa):
+    """x -> -kappa log cosh x and its first two derivatives, elementwise."""
+    def value(x):
+        # log cosh x = |x| + log((1 + exp(-2|x|)) / 2), overflow-safe
+        ax = np.abs(x)
+        return -kappa * (ax + np.log1p(np.exp(-2 * ax)) - math.log(2.0))
+
+    def first(x):
+        return -kappa * np.tanh(x)
+
+    def second(x):
+        # cosh^2 overflows near |x| = 355, where sech^2 is 0 in double precision
+        ax = np.abs(x)
+        return np.where(ax < 350, -kappa / np.cosh(np.minimum(ax, 350.0)) ** 2, 0.0)
+
+    return value, first, second
 
 
 def make_logcosh_terminal(kappa: float) -> Potential:
@@ -161,20 +192,11 @@ def make_logcosh_terminal(kappa: float) -> Potential:
     """
     if kappa <= 2:
         raise InvalidParameter(f"logcosh needs kappa > 2, got {kappa}")
-
-    def value(m):
-        x = float(np.atleast_1d(m)[0])
-        # log cosh x = |x| + log((1 + exp(-2|x|)) / 2), overflow-safe
-        return -kappa * (abs(x) + math.log1p(math.exp(-2 * abs(x))) - math.log(2.0))
-
-    def gradient(m):
-        return -kappa * np.tanh(np.atleast_1d(m))
-
-    def hessian(m):
-        x = float(np.atleast_1d(m)[0])
-        return np.array([[-kappa / math.cosh(x) ** 2]]) if abs(x) < 350 else np.zeros((1, 1))
-
-    return _build(f"logcosh(kappa={kappa})", 1, value, gradient, hessian,
+    value, first, second = _logcosh_profile(kappa)
+    return _build(f"logcosh(kappa={kappa})", 1,
+                  value=lambda m: value(m[..., 0]),
+                  gradient=first,
+                  hessian=lambda m: second(m)[..., None],
                   probe_radius=8.0, even=True)
 
 
@@ -203,6 +225,10 @@ def _relu_smooth_deriv(x, rho):
     return out
 
 
+# Gauss-Legendre rule with 4 nodes: exact for polynomials of degree <= 7
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+
+
 def make_delarue_terminal(b: float, T: float, delta: float, rho: Optional[float] = None,
                           riccati_steps: int = 4000) -> Potential:
     """Terminal potential whose gradient is the saturated-linear coupling.
@@ -223,38 +249,36 @@ def make_delarue_terminal(b: float, T: float, delta: float, rho: Optional[float]
         raise InvalidParameter("mollification width must be below r_delta")
 
     def gradient(m):
-        x = np.atleast_1d(np.asarray(m, dtype=float))
         if rho == 0.0:
-            g = np.where(np.abs(x) <= r, -x / r, -np.sign(x))
-        else:
-            g = -x / r + (_relu_smooth(x - r, rho) - _relu_smooth(-x - r, rho)) / r
-        return g
+            return np.where(np.abs(m) <= r, -m / r, -np.sign(m))
+        return -m / r + (_relu_smooth(m - r, rho) - _relu_smooth(-m - r, rho)) / r
 
     def hessian(m):
-        x = float(np.atleast_1d(m)[0])
         if rho == 0.0:
-            if abs(abs(x) - r) < 1e-14:
+            if np.any(np.abs(np.abs(m) - r) < 1e-14):
                 raise KinkQuery(f"Hessian undefined at the kink |m| = r = {r:.6g}")
-            return np.array([[-1.0 / r if abs(x) < r else 0.0]])
-        h = (-1.0 + _relu_smooth_deriv(x - r, rho) + _relu_smooth_deriv(-x - r, rho)) / r
-        return np.array([[float(h)]])
-
-    def _value_pos(x):
-        # exact antiderivative of the unmollified gradient from 0
-        if x <= r:
-            exact = -x * x / (2.0 * r)
+            h = np.where(np.abs(m) < r, -1.0 / r, 0.0)
         else:
-            exact = -r / 2.0 - (x - r)
-        if rho == 0.0 or x <= r - rho:
-            return exact
-        # the mollified and exact gradients differ only on [r - rho, r + rho]
-        corr, _ = quad(lambda y: float(gradient(np.array([y]))[0] + (1.0 if y > r else y / r)),
-                       r - rho, min(x, r + rho), limit=200)
-        return exact + corr
+            h = (-1.0 + _relu_smooth_deriv(m - r, rho) + _relu_smooth_deriv(-m - r, rho)) / r
+        return h[..., None]
+
+    def gauss(lo, hi):
+        # mollified minus exact gradient, integrated over [lo, hi] on one side of r
+        half = 0.5 * (hi - lo)
+        y = (lo + half)[..., None] + half[..., None] * _GL_NODES
+        return half * ((gradient(y) + np.where(y > r, 1.0, y / r)) @ _GL_WEIGHTS)
 
     def value(m):
-        x = abs(float(np.atleast_1d(m)[0]))
-        return float(_value_pos(x))
+        x = np.abs(m[..., 0])
+        # exact antiderivative of the unmollified gradient from 0
+        exact = np.where(x <= r, -x * x / (2.0 * r), -r / 2.0 - (x - r))[()]
+        if rho == 0.0:
+            return exact
+        # the mollified and exact gradients differ only on [r - rho, r + rho],
+        # by a polynomial of degree 6 on each side of r; the clip makes the
+        # correction 0 below the band and the full-band integral above it
+        y = np.clip(x, r - rho, r + rho)
+        return exact + gauss(r - rho, np.minimum(y, r)) + gauss(r, np.maximum(y, r))
 
     p = _build(f"delarue(delta={delta},rho={rho:.6g})", 1, value, gradient, hessian,
                probe_radius=4.0, even=True)
@@ -265,33 +289,34 @@ def make_delarue_terminal(b: float, T: float, delta: float, rho: Optional[float]
 
 def make_radial_terminal(gt, gt_p, gt_pp, dim: int, name: str = "radial",
                          probe_radius: float = 6.0) -> Potential:
-    """g(m) = gt(|m|) for a scalar profile gt with gt'(0) = 0.
+    """g(m) = gt(|m|) for an elementwise array profile gt with gt'(0) = 0.
 
     The gradient gt'(|m|) m/|m| has a removable singularity at the origin and
     the Hessian limit there is gt''(0) I.
     """
     if abs(gt_p(0.0)) > 1e-12:
         raise InvalidParameter("radial profile needs gt'(0) = 0 for a continuous gradient")
+    I = np.eye(dim)
+
+    def norm(m):
+        return np.sqrt(_dot(m, m))
 
     def value(m):
-        m = _vec(m, dim)
-        return float(gt(float(np.linalg.norm(m))))
+        return gt(norm(m))
 
     def gradient(m):
-        m = _vec(m, dim)
-        rr = float(np.linalg.norm(m))
-        if rr == 0.0:
-            return np.zeros(dim)
-        return gt_p(rr) * m / rr
+        rr = norm(m)[..., None]
+        origin = rr == 0.0
+        return np.where(origin, 0.0, gt_p(rr) * m / np.where(origin, 1.0, rr))
 
     def hessian(m):
-        m = _vec(m, dim)
-        rr = float(np.linalg.norm(m))
-        if rr < 1e-9:
-            return gt_pp(0.0) * np.eye(dim)
-        e = m / rr
-        P = np.outer(e, e)
-        return gt_pp(rr) * P + (gt_p(rr) / rr) * (np.eye(dim) - P)
+        rr = norm(m)[..., None, None]
+        near = rr < 1e-9
+        rr = np.where(near, 1.0, rr)
+        e = m[..., None] / rr
+        P = e * np.swapaxes(e, -1, -2)
+        H = gt_pp(rr) * P + (gt_p(rr) / rr) * (I - P)
+        return np.where(near, gt_pp(0.0) * I, H)
 
     return _build(name, dim, value, gradient, hessian, probe_radius, even=True)
 
@@ -299,10 +324,7 @@ def make_radial_terminal(gt, gt_p, gt_pp, dim: int, name: str = "radial",
 def make_radial_logcosh(kappa: float, dim: int) -> Potential:
     if kappa <= 2:
         raise InvalidParameter(f"radial logcosh needs kappa > 2, got {kappa}")
-    gt = lambda rr: -kappa * (abs(rr) + math.log1p(math.exp(-2 * abs(rr))) - math.log(2.0))
-    gt_p = lambda rr: -kappa * math.tanh(rr)
-    gt_pp = lambda rr: -kappa / math.cosh(rr) ** 2 if abs(rr) < 350 else 0.0
-    return make_radial_terminal(gt, gt_p, gt_pp, dim,
+    return make_radial_terminal(*_logcosh_profile(kappa), dim,
                                 name=f"radial_logcosh(kappa={kappa},d={dim})")
 
 
@@ -377,11 +399,3 @@ class ModelSpec:
             return False
         C, k = qc
         return bool(np.allclose(C, -np.eye(self.dim)) and np.allclose(k, 0.0))
-
-
-def grad_FN(spec: ModelSpec, N: int, m) -> np.ndarray:
-    return corrected_gradient(spec.f, N, m)
-
-
-def grad_GN(spec: ModelSpec, N: int, m) -> np.ndarray:
-    return corrected_gradient(spec.g, N, m)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mfglab.control import (
+    default_start_grid,
     descend_discrete,
     differentiability_probe,
     discrete_cost_and_gradient,
@@ -122,12 +123,15 @@ class TestEnumerate:
         costs = [s.cost for s in sset.solutions]
         assert costs == sorted(costs)
 
-    def test_thread_count_irrelevant(self):
-        s1 = enumerate_stationary(logcosh_model(), 0.0, [0.0], threads=1)
-        s4 = enumerate_stationary(logcosh_model(), 0.0, [0.0], threads=4)
-        e1 = sorted(float(s.eta0[0]) for s in s1.solutions)
-        e4 = sorted(float(s.eta0[0]) for s in s4.solutions)
-        assert e1 == pytest.approx(e4, abs=1e-12)
+    def test_start_order_irrelevant(self):
+        spec = logcosh_model()
+        grid = default_start_grid(spec, [0.0])
+        shuffled = grid[np.random.default_rng(4).permutation(len(grid))]
+        etas = [sorted(float(s.eta0[0]) for s in enumerate_stationary(
+                    spec, 0.0, [0.0], start_grid=g, steps_per_unit=250).solutions)
+                for g in (grid, grid[::-1], shuffled)]
+        assert etas[1] == pytest.approx(etas[0], abs=1e-12)
+        assert etas[2] == pytest.approx(etas[0], abs=1e-12)
 
 
 class TestValueFunction:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfglab.cli import main as cli_main
+from mfglab.cli import build_parser, main as cli_main
 from mfglab.errors import ConfigError
 from mfglab.experiments import (
     ScenarioConfig,
@@ -71,12 +71,26 @@ class TestConfig:
         assert spec.running_state_cost_vanishes
         cfg4 = ScenarioConfig.from_text("scenario = E4\n")
         assert build_spec(cfg4).dim == 2
+        # validation builds the spec once and keeps it out of comparisons
+        assert cfg.spec.g.name == spec.g.name
+        assert cfg == ScenarioConfig.from_text("scenario = E2\n")
 
     def test_build_grid_symmetric(self):
         cfg = ScenarioConfig.from_text(E2_SMALL)
         grid = build_grid(cfg, build_spec(cfg))
         assert grid.is_symmetric()
         assert grid.shape == (201,)
+
+    def test_invalid_model_parameter_reports_cause(self):
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_text("scenario = E2\nmodel.kappa = 1.5\n")
+        assert "unknown" not in str(exc.value)
+        assert "kappa > 2" in str(exc.value)
+
+    def test_unknown_potential_rejected_at_parse(self):
+        for key in ("model.g", "model.f"):
+            with pytest.raises(ConfigError, match="unknown"):
+                ScenarioConfig.from_text(f"scenario = E2\n{key} = nope\n")
 
     def test_dim_three_rejected(self):
         with pytest.raises(ConfigError):
@@ -173,6 +187,23 @@ class TestCli:
         csvp = str(tmp_path / "f.csv")
         assert cli_main(["field", "export", binp, "--out", csvp]) == 0
         assert open(csvp).readline().strip() == "m1,u1"
+
+    def test_field_export_truncated_exit_one(self, tmp_path, capsys):
+        cfg = self.write(tmp_path, E2_SMALL)
+        binp = tmp_path / "f.bin"
+        assert cli_main(["field", "solve", cfg, "--N", "50", "--out", str(binp)]) == 0
+        binp.write_bytes(binp.read_bytes()[:-8])
+        capsys.readouterr()
+        assert cli_main(["field", "export", str(binp), "--out", str(tmp_path / "f.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_flags_only_where_read(self, tmp_path):
+        cfg = self.write(tmp_path, "scenario = E2\n")
+        for argv in (["run", cfg, "--threads", "2"],
+                     ["oc-enumerate", cfg, "--out-dir", "x"],
+                     ["field", "export", "f.bin", "--out", "x", "--seed", "1"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_field_solve_needs_one_variant(self, tmp_path):
         cfg = self.write(tmp_path, E2_SMALL)

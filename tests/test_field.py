@@ -132,6 +132,13 @@ class TestSolveField:
                 got = fld.evaluate(t, [x])[0]
                 assert got == pytest.approx(u(t, [x])[0], abs=2e-3)
 
+    def test_evaluate_clamps_time(self):
+        fld = solve(logcosh_spec(), N=50)
+        t0, T = fld.tgrid.t0, fld.tgrid.T
+        for x in ([0.7], [-1.3]):
+            assert np.array_equal(fld.evaluate(T + 0.5, x), fld.evaluate(T, x))
+            assert np.array_equal(fld.evaluate(t0 - 0.5, x), fld.evaluate(t0, x))
+
 
 class TestOracle:
     def test_stationary(self):
@@ -277,6 +284,17 @@ class TestExport:
         path.write_bytes(b"not a field")
         with pytest.raises(InvalidInput):
             load_field_binary(str(path))
+
+    def test_binary_rejects_truncated(self, tmp_path):
+        fld = solve(logcosh_spec(), N=50)
+        path = tmp_path / "field.bin"
+        save_field_binary(fld, str(path))
+        data = path.read_bytes()
+        # cut inside the header, the axis record and the payload
+        for cut in (7, 20, len(data) - 8):
+            path.write_bytes(data[:cut])
+            with pytest.raises(InvalidInput):
+                load_field_binary(str(path))
 
     def test_csv_slice(self, tmp_path):
         fld = solve(logcosh_spec(), N=50)

@@ -14,7 +14,6 @@ from mfglab.numerics import (
     SpaceGrid,
     TimeGrid,
     delarue_riccati,
-    gaussian_increments,
     integrate_ode,
     kuiper_uniformity,
     riccati_backward,
@@ -152,26 +151,16 @@ class TestDelarueRiccati:
 
 class TestRng:
     def test_reproducible(self):
-        a = gaussian_increments(RngStream(42, 3), 2, 50, 0.01)
-        b = gaussian_increments(RngStream(42, 3), 2, 50, 0.01)
+        a = RngStream(42, 3).generator().normal(size=(50, 2))
+        b = RngStream(42, 3).generator().normal(size=(50, 2))
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = gaussian_increments(RngStream(42, 3), 1, 50, 0.01)
-        b = gaussian_increments(RngStream(42, 4), 1, 50, 0.01)
+        a = RngStream(42, 3).generator().normal(size=50)
+        b = RngStream(42, 4).generator().normal(size=50)
+        c = RngStream(43, 3).generator().normal(size=50)
         assert not np.array_equal(a, b)
-
-    def test_child_indexing(self):
-        a = RngStream(7).child(5).generator().normal(size=4)
-        b = RngStream(7, 5).generator().normal(size=4)
-        assert np.array_equal(a, b)
-
-    def test_moments(self):
-        dt = 0.01
-        inc = gaussian_increments(RngStream(2024, 0), 1, 10**6, dt).ravel()
-        se = math.sqrt(dt / inc.size)
-        assert abs(inc.mean()) < 4 * se
-        assert abs(inc.var() - dt) / dt < 0.01
+        assert not np.array_equal(a, c)
 
 
 class TestWasserstein:
