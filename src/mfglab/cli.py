@@ -18,6 +18,7 @@ from .experiments import (
     ScenarioConfig,
     build_grid,
     parse_config_text,
+    read_config_file,
     replay_row,
     run_scenario,
 )
@@ -80,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str, seed_override) -> ScenarioConfig:
     if seed_override is None:
         return ScenarioConfig.from_file(path)
-    with open(path) as fh:
-        raw = parse_config_text(fh.read())
+    raw = parse_config_text(read_config_file(path))
     raw["run.seed"] = str(seed_override)
     return ScenarioConfig.from_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
 
@@ -122,8 +122,18 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args) -> int:
+    if args.command == "field" and args.field_command == "export":
+        fld = load_field_binary(args.binary)
+        export_field_csv_slice(fld, args.out, time_index=args.time_index)
+        print(f"wrote {args.out}")
+        return EXIT_OK
+    if args.command == "field" and (args.N is None) == (args.eps is None):
+        print("error: pass exactly one of --N / --eps", file=sys.stderr)
+        return EXIT_ERROR
+    cfg = _load_config(args.config, args.seed)
+    spec = cfg.spec
+
     if args.command == "run":
-        cfg = _load_config(args.config, args.seed)
         rep = run_scenario(cfg)
         os.makedirs(args.out_dir, exist_ok=True)
         csv_path = os.path.join(args.out_dir,
@@ -136,8 +146,6 @@ def _dispatch(args) -> int:
         return EXIT_OK if rep.passed else EXIT_VERDICT
 
     if args.command == "oc-enumerate":
-        cfg = _load_config(args.config, args.seed)
-        spec = cfg.spec
         sset = enumerate_stationary(spec, 0.0, spec.nu0)
         print(f"{len(sset.solutions)} stationary solution(s), "
               f"min cost {sset.min_cost:.8g}, multiplicity {sset.multiplicity}")
@@ -148,33 +156,20 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "oc-value":
-        cfg = _load_config(args.config, args.seed)
-        spec = cfg.spec
         nu0 = spec.nu0 if args.nu0 is None else np.full(spec.dim, args.nu0)
         v = value_function(spec, 0.0, nu0)
         print(f"v(0, {np.array2string(nu0, precision=6)}) = {v:.10g}")
         return EXIT_OK
 
     if args.command == "field":
-        if args.field_command == "solve":
-            if (args.N is None) == (args.eps is None):
-                print("error: pass exactly one of --N / --eps", file=sys.stderr)
-                return EXIT_ERROR
-            cfg = _load_config(args.config, args.seed)
-            spec = cfg.spec
-            grid = build_grid(cfg, spec)
-            tgrid = stable_time_grid(spec, grid, N=args.N, eps=args.eps)
-            fld = solve_field(spec, grid, tgrid, N=args.N, eps=args.eps)
-            save_field_binary(fld, args.out)
-            print(f"wrote {args.out} ({tgrid.steps} levels, grid {grid.shape})")
-            return EXIT_OK
-        fld = load_field_binary(args.binary)
-        export_field_csv_slice(fld, args.out, time_index=args.time_index)
-        print(f"wrote {args.out}")
+        grid = build_grid(cfg, spec)
+        tgrid = stable_time_grid(spec, grid, N=args.N, eps=args.eps)
+        fld = solve_field(spec, grid, tgrid, N=args.N, eps=args.eps)
+        save_field_binary(fld, args.out)
+        print(f"wrote {args.out} ({tgrid.steps} levels, grid {grid.shape})")
         return EXIT_OK
 
     if args.command == "replay":
-        cfg = _load_config(args.config, args.seed)
         ok = replay_row(cfg, args.report_csv, args.row)
         print("replay match" if ok else "replay MISMATCH")
         return EXIT_OK if ok else EXIT_VERDICT

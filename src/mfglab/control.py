@@ -16,9 +16,27 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .errors import InvalidParameter, InvalidReduction, NoStationaryPoint
-from .numerics import TimeGrid
+from .errors import IntegrationDiverged, InvalidParameter, InvalidReduction, NoStationaryPoint
+from .numerics import TimeGrid, integrate_ode
 from .potentials import ModelSpec
+
+# Newton shooting: residual tolerance, iteration cap, Jacobian difference step
+NEWTON_TOL = 1e-9
+NEWTON_MAX_ITER = 60
+FD_STEP = 1e-6
+# enumeration: starts per axis, eta0 distance of one solution, relative cost tie
+START_POINTS_PER_AXIS = 21
+DEDUP_TOL = 1e-5
+COST_TIE_REL = 1e-7
+# the descent cross-check of value_function
+DESCENT_MAX_ITER = 600
+DESCENT_GRAD_TOL = 1e-9
+CHECK_CONTROL_STEPS = 200
+CHECK_STARTS = 5
+CHECK_REL_TOL = 1e-4
+CHECK_SEED = 20240
+KINK_GAP_FACTOR = 10.0   # differentiability probe: slope gap of a kink, in units of h
+SCAN_POINTS = 801        # static reduction: points of the line scan
 
 
 @dataclass
@@ -49,43 +67,6 @@ class StationarySet:
         return [s for s in self.solutions if s.classification == "minimizer"]
 
 
-def _pontryagin_rhs(spec: ModelSpec):
-    b = spec.b
-    d = spec.dim
-    grad_f = spec.f.gradient
-
-    def rhs(t, z):
-        m, eta = z[:d], z[d:]
-        dm = b @ m - eta
-        deta = -(b.T @ eta + m + grad_f(m))
-        return np.concatenate([dm, deta])
-
-    return rhs
-
-
-def _integrate_pontryagin(spec: ModelSpec, t0, nu0, eta0, steps):
-    """RK4 on the coupled (m, eta) system; returns node trajectories."""
-    rhs = _pontryagin_rhs(spec)
-    d = spec.dim
-    grid = TimeGrid(t0, spec.T, steps)
-    dt = grid.dt
-    nodes = grid.nodes
-    z = np.concatenate([nu0, eta0]).astype(float)
-    out = np.empty((steps + 1, 2 * d))
-    out[0] = z
-    for k in range(steps):
-        t = nodes[k]
-        k1 = rhs(t, z)
-        k2 = rhs(t + dt / 2, z + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, z + dt / 2 * k2)
-        k4 = rhs(t + dt, z + dt * k3)
-        z = z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(z)):
-            return None, grid
-        out[k + 1] = z
-    return out, grid
-
-
 def trajectory_cost(spec: ModelSpec, grid: TimeGrid, m, beta) -> float:
     """Trapezoid quadrature of the running cost plus the terminal cost."""
     running = 0.5 * np.sum(beta**2, axis=1) + 0.5 * np.sum(m**2, axis=1)
@@ -94,41 +75,48 @@ def trajectory_cost(spec: ModelSpec, grid: TimeGrid, m, beta) -> float:
     return float(np.trapezoid(running, grid.nodes) + terminal)
 
 
-def shoot(spec: ModelSpec, t0, nu0, eta0_guess, steps_per_unit: int = 1000,
-          tol: float = 1e-9, max_iter: int = 60, fd_step: float = 1e-6):
+def shoot(spec: ModelSpec, t0, nu0, eta0_guess, steps_per_unit: int = 1000):
     """Newton shooting on the initial adjoint.
 
-    Returns an OCSolution on success, None when Newton stagnates.  The
-    Jacobian of the terminal residual is assembled by forward differences and
-    the Newton step is damped by halving until the residual decreases.
+    Returns an OCSolution on success, None when Newton stagnates or the
+    integration diverges.  The Jacobian of the terminal residual is assembled
+    by forward differences and the Newton step is damped by halving until the
+    residual decreases.
     """
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     eta0 = np.atleast_1d(np.asarray(eta0_guess, dtype=float)).copy()
     d = spec.dim
-    steps = max(int(round(steps_per_unit * (spec.T - t0))), 16)
+    b = spec.b
+    grad_f = spec.f.gradient
+    grid = TimeGrid(t0, spec.T, max(int(round(steps_per_unit * (spec.T - t0))), 16))
+
+    def rhs(t, z):
+        m, eta = z[:d], z[d:]
+        return np.concatenate([b @ m - eta, -(b.T @ eta + m + grad_f(m))])
 
     def residual(e0):
-        traj, grid = _integrate_pontryagin(spec, t0, nu0, e0, steps)
-        if traj is None:
-            return None, None, None
+        try:
+            traj = integrate_ode(rhs, np.concatenate([nu0, e0]), grid)
+        except IntegrationDiverged:
+            return None, None
         mT, etaT = traj[-1, :d], traj[-1, d:]
-        return etaT - (mT + spec.g.gradient(mT)), traj, grid
+        return etaT - (mT + spec.g.gradient(mT)), traj
 
-    res, traj, grid = residual(eta0)
+    res, traj = residual(eta0)
     if res is None:
         return None
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         nrm = float(np.linalg.norm(res))
-        if nrm < tol:
+        if nrm < NEWTON_TOL:
             break
         jac = np.empty((d, d))
         for j in range(d):
             probe = eta0.copy()
-            probe[j] += fd_step
-            res_j, _, _ = residual(probe)
+            probe[j] += FD_STEP
+            res_j, _ = residual(probe)
             if res_j is None:
                 return None
-            jac[:, j] = (res_j - res) / fd_step
+            jac[:, j] = (res_j - res) / FD_STEP
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
@@ -136,9 +124,9 @@ def shoot(spec: ModelSpec, t0, nu0, eta0_guess, steps_per_unit: int = 1000,
         lam = 1.0
         while lam > 1e-6:
             cand = eta0 + lam * step
-            res_c, traj_c, grid_c = residual(cand)
+            res_c, traj_c = residual(cand)
             if res_c is not None and np.linalg.norm(res_c) < nrm:
-                eta0, res, traj, grid = cand, res_c, traj_c, grid_c
+                eta0, res, traj = cand, res_c, traj_c
                 break
             lam *= 0.5
         else:
@@ -152,19 +140,18 @@ def shoot(spec: ModelSpec, t0, nu0, eta0_guess, steps_per_unit: int = 1000,
                       terminal_residual=float(np.linalg.norm(res)))
 
 
-def default_start_grid(spec: ModelSpec, nu0, points_per_axis: int = 21):
+def default_start_grid(spec: ModelSpec, nu0):
     """Lattice of initial-adjoint guesses sized by the a-priori bounds."""
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     R = (float(np.linalg.norm(nu0)) + spec.g.bounds["grad_sup"] + spec.T)
     R *= float(np.exp(np.linalg.norm(spec.b, 2) * spec.T))
-    axes = [np.linspace(-R, R, points_per_axis) for _ in range(spec.dim)]
+    axes = [np.linspace(-R, R, START_POINTS_PER_AXIS) for _ in range(spec.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([g.ravel() for g in mesh])
 
 
 def enumerate_stationary(spec: ModelSpec, t0, nu0, start_grid=None,
-                         steps_per_unit: int = 1000, dedup_tol: float = 1e-5,
-                         cost_tie_rel: float = 1e-7) -> StationarySet:
+                         steps_per_unit: int = 1000) -> StationarySet:
     """Multi-start shooting, deduplicated by initial adjoint and sorted by cost."""
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     if start_grid is None:
@@ -182,7 +169,7 @@ def enumerate_stationary(spec: ModelSpec, t0, nu0, start_grid=None,
         sol = shoot(spec, t0, nu0, guess, steps_per_unit=steps_per_unit)
         if sol is None:
             continue
-        if any(np.linalg.norm(sol.eta0 - s.eta0) < dedup_tol for s in found):
+        if any(np.linalg.norm(sol.eta0 - s.eta0) < DEDUP_TOL for s in found):
             continue
         found.append(sol)
     if not found:
@@ -190,15 +177,11 @@ def enumerate_stationary(spec: ModelSpec, t0, nu0, start_grid=None,
 
     found.sort(key=lambda s: s.cost)
     min_cost = found[0].cost
-    tie = cost_tie_rel * max(1.0, abs(min_cost))
-    mult = 0
+    tie = COST_TIE_REL * max(1.0, abs(min_cost))
     for s in found:
-        if s.cost - min_cost <= tie:
-            s.classification = "minimizer"
-            mult += 1
-        else:
-            s.classification = "stationary-only"
-    return StationarySet(solutions=found, min_cost=min_cost, multiplicity=mult)
+        s.classification = "minimizer" if s.cost - min_cost <= tie else "stationary-only"
+    minimizers = sum(s.classification == "minimizer" for s in found)
+    return StationarySet(solutions=found, min_cost=min_cost, multiplicity=minimizers)
 
 
 # --- discretized-control descent (independent cross-check) ------------------
@@ -233,15 +216,14 @@ def discrete_cost_and_gradient(spec: ModelSpec, t0, nu0, beta):
     return cost, grad
 
 
-def descend_discrete(spec: ModelSpec, t0, nu0, beta0, max_iter: int = 600,
-                     grad_tol: float = 1e-9):
+def descend_discrete(spec: ModelSpec, t0, nu0, beta0):
     """Backtracking gradient descent on the discretized functional."""
     beta = np.array(beta0, dtype=float)
     cost, grad = discrete_cost_and_gradient(spec, t0, nu0, beta)
     step = 1.0
-    for _ in range(max_iter):
+    for _ in range(DESCENT_MAX_ITER):
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < grad_tol:
+        if gnorm < DESCENT_GRAD_TOL:
             break
         while step > 1e-12:
             cand = beta - step * grad
@@ -257,14 +239,12 @@ def descend_discrete(spec: ModelSpec, t0, nu0, beta0, max_iter: int = 600,
 
 
 def value_function(spec: ModelSpec, t0, nu0, cross_check: bool = True,
-                   control_steps: int = 200, n_starts: int = 5,
-                   check_rel_tol: float = 1e-4, seed: int = 20240,
                    steps_per_unit: int = 1000, start_grid=None) -> float:
     """Minimal cost over the stationary enumeration.
 
-    Cross-checked against projected gradient descent on a discretized control
-    from random starts; disagreement beyond tolerance raises a warning, which
-    guards against basins missed by the start lattice.
+    Cross-checked against gradient descent on a discretized control from
+    CHECK_STARTS random starts; disagreement beyond CHECK_REL_TOL raises a
+    warning, which guards against basins missed by the start lattice.
     """
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     if t0 >= spec.T:
@@ -274,28 +254,27 @@ def value_function(spec: ModelSpec, t0, nu0, cross_check: bool = True,
                                 start_grid=start_grid)
     v = sset.min_cost
     if cross_check:
-        gen = np.random.default_rng(seed)
+        gen = np.random.default_rng(CHECK_SEED)
         scale = float(np.linalg.norm(np.atleast_1d(nu0))) + spec.g.bounds["grad_sup"] + 1.0
         best = np.inf
-        for _ in range(n_starts):
+        for _ in range(CHECK_STARTS):
             beta0 = gen.uniform(-scale, scale, size=(1, spec.dim)) * np.ones(
-                (control_steps, spec.dim))
+                (CHECK_CONTROL_STEPS, spec.dim))
             beta0 += 0.1 * gen.normal(size=beta0.shape)
             _, c, _ = descend_discrete(spec, t0, nu0, beta0)
             best = min(best, c)
-        if abs(best - v) > check_rel_tol * max(1.0, abs(v)) and best < v:
+        if abs(best - v) > CHECK_REL_TOL * max(1.0, abs(v)) and best < v:
             warnings.warn(
                 f"value cross-check disagreement: shooting {v:.6g} vs descent {best:.6g}",
                 stacklevel=2)
     return v
 
 
-def differentiability_probe(spec: ModelSpec, t0, nu0, h: float = 1e-3,
-                            gap_factor: float = 10.0, **vf_kwargs):
+def differentiability_probe(spec: ModelSpec, t0, nu0, h: float = 1e-3, **vf_kwargs):
     """One-sided difference quotients of the value function per axis.
 
     Verdict "kink" when any axis's one-sided quotients differ by more than a
-    heuristic threshold (gap_factor * h, scaled by a local curvature
+    heuristic threshold (KINK_GAP_FACTOR * h, scaled by a local curvature
     estimate); this is a heuristic, not a certificate.
     """
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
@@ -315,7 +294,7 @@ def differentiability_probe(spec: ModelSpec, t0, nu0, h: float = 1e-3,
         lefts.append(left)
         # curvature estimate from the smooth side
         curv = abs(v_pp - 2 * v_p + v0) / h**2
-        threshold = gap_factor * h * max(1.0, 0.3 * curv)
+        threshold = KINK_GAP_FACTOR * h * max(1.0, 0.3 * curv)
         if abs(right - left) > threshold:
             verdict = "kink"
     return {"left": np.array(lefts), "right": np.array(rights), "verdict": verdict}
@@ -345,7 +324,7 @@ def static_U(spec: ModelSpec, t0, nu0, a):
             + spec.g.value(y))
 
 
-def static_U_minimize(spec: ModelSpec, t0, nu0, scan_radius=None, scan_points: int = 801):
+def static_U_minimize(spec: ModelSpec, t0, nu0):
     """All local minimizers of a -> U(t0, nu0, a), exploiting symmetry.
 
     In dimension 1 the line is scanned and each bracket is polished.  In
@@ -356,20 +335,18 @@ def static_U_minimize(spec: ModelSpec, t0, nu0, scan_radius=None, scan_points: i
     _require_static(spec)
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     tau = spec.T - t0
-    if scan_radius is None:
-        scan_radius = (float(np.linalg.norm(nu0)) + spec.g.bounds["grad_sup"] + 2.0) / max(tau, 1e-9)
+    scan_radius = (float(np.linalg.norm(nu0)) + spec.g.bounds["grad_sup"] + 2.0) / max(tau, 1e-9)
 
     on_sphere = spec.dim > 1 and np.all(nu0 == 0.0)
-    direction = np.zeros(spec.dim)
-    if on_sphere or np.all(nu0 == 0.0):
-        direction[0] = 1.0
+    if np.all(nu0 == 0.0):
+        direction = np.eye(spec.dim)[0]
     else:
         direction = nu0 / np.linalg.norm(nu0)
 
     def U1(s):
         return static_U(spec, t0, nu0, s * direction)
 
-    ss = np.linspace(-scan_radius, scan_radius, scan_points)
+    ss = np.linspace(-scan_radius, scan_radius, SCAN_POINTS)
     vals = static_U(spec, t0, nu0, ss[:, None] * direction)
     minima = []
     for i in range(1, len(ss) - 1):

@@ -57,6 +57,15 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def read_config_file(path: str) -> str:
+    """Text of a config file; a file that cannot be read is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}")
+
+
 def canonical_text(cfg: dict) -> str:
     return "".join(f"{k}={cfg[k]}\n" for k in sorted(cfg))
 
@@ -69,18 +78,11 @@ def fnv1a64(text: str) -> str:
     return f"{h:016x}"
 
 
-def _floats(val: str) -> list:
+def _numbers(val: str, kind, what: str) -> list:
     try:
-        return [float(x) for x in val.replace(",", " ").split()]
+        return [kind(x) for x in val.replace(",", " ").split()]
     except ValueError:
-        raise ConfigError(f"expected a list of numbers, got {val!r}")
-
-
-def _ints(val: str) -> list:
-    try:
-        return [int(x) for x in val.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"expected a list of integers, got {val!r}")
+        raise ConfigError(f"expected a list of {what}, got {val!r}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +106,7 @@ class ScenarioConfig:
 
     @staticmethod
     def from_file(path: str) -> "ScenarioConfig":
-        with open(path) as fh:
-            return ScenarioConfig.from_text(fh.read())
+        return ScenarioConfig.from_text(read_config_file(path))
 
     def get(self, key: str, default=None) -> str:
         return self.raw.get(key, default)
@@ -126,11 +127,11 @@ class ScenarioConfig:
 
     def getlist_int(self, key: str, default: list) -> list:
         v = self.raw.get(key)
-        return list(default) if v is None else _ints(v)
+        return list(default) if v is None else _numbers(v, int, "integers")
 
     def getlist_float(self, key: str, default: list) -> list:
         v = self.raw.get(key)
-        return list(default) if v is None else _floats(v)
+        return list(default) if v is None else _numbers(v, float, "numbers")
 
     def validate(self):
         Ns = self.getlist_int("run.N", [25, 100, 400])
@@ -234,9 +235,7 @@ class ScenarioReport:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return str(v)
+    return f"{v:.10g}" if isinstance(v, float) else str(v)
 
 
 SIGN_BAND = 0.034          # 3 binomial sigmas at M = 2000 around 1/2
@@ -246,6 +245,23 @@ def _sign_stats(mT: np.ndarray):
     pos = float(np.mean(mT > 0))
     se = float(np.sqrt(0.25 / mT.size))
     return pos, se
+
+
+def _sign_band(cfg: ScenarioConfig, se: float) -> float:
+    """Half-width of the band around 1/2 that a terminal-sign frequency must
+    stay in: verdict.band if set, else 3 binomial sigmas of the ensemble
+    size, never below SIGN_BAND."""
+    return cfg.getfloat("verdict.band", max(SIGN_BAND, 3.0 * se))
+
+
+def _target_atom(cfg: ScenarioConfig):
+    """Radius a-hat T of the selected minimizers, 2 a-hat = kappa tanh a-hat, or None
+    outside the log-cosh family under the static reduction (b = 0, no running cost)."""
+    spec = cfg.spec
+    if (not spec.g.name.startswith(("logcosh", "radial_logcosh"))
+            or np.any(spec.b != 0.0) or not spec.running_state_cost_vanishes):
+        return None
+    return symmetric_minimizer_root(cfg.getfloat("model.kappa", 4.0)) * spec.T
 
 
 # --- scenarios --------------------------------------------------------------
@@ -324,9 +340,9 @@ def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
     spec = cfg.spec
     if not spec.even_data or np.any(spec.nu0 != 0.0):
         raise ConfigError("E2 needs even potentials and nu0 = 0")
-    kappa = cfg.getfloat("model.kappa", 4.0)
-    ahat = symmetric_minimizer_root(kappa)
-    atom = ahat * spec.T
+    atom = _target_atom(cfg)
+    if atom is None:
+        raise ConfigError("E2 needs the log-cosh terminal with b = 0 and model.f = cancel")
     rep = ScenarioReport("E2", cfg.config_hash,
                          ["N", "seed", "config", "freq_pos", "freq_se", "w1",
                           "mean_T", "var_T", "exit_fraction"])
@@ -348,10 +364,10 @@ def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
                     freq_se=se, w1=w1, mean_T=float(mT.mean()),
                     var_T=float(mT.var()), exit_fraction=ens.exit_fraction)
 
-    band = cfg.getfloat("verdict.band", SIGN_BAND)
+    band = _sign_band(cfg, se)
     in_band = [abs(p - 0.5) <= band for p in freqs]
     rep.verdict("sign frequency in 0.5 band at every N", all(in_band),
-                f"freqs {['%.3f' % p for p in freqs]} band ±{band}")
+                f"freqs {['%.3f' % p for p in freqs]} band ±{band:.3f}")
     rep.verdict("W1 to two-atom target smaller at largest N than smallest",
                 w1s[-1] < w1s[0], f"W1 {w1s[0]:.4g} -> {w1s[-1]:.4g}")
     rep.notes.append(f"target atoms ±{atom:.6f} (root of 2a = kappa tanh a times T)")
@@ -361,6 +377,8 @@ def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
 def run_E3_delarue(cfg: ScenarioConfig) -> ScenarioReport:
     """Two selected trajectories plus the non-selected middle equilibrium."""
     spec = cfg.spec
+    if not spec.g.name.startswith("delarue") or spec.f.name != "zero":
+        raise ConfigError("E3's closed form needs model.g = delarue and model.f = zero")
     T, bcoef = spec.T, float(spec.b[0, 0])
     delta = cfg.getfloat("model.delta", 0.1)
     rep = ScenarioReport("E3", cfg.config_hash,
@@ -410,7 +428,7 @@ def run_E3_delarue(cfg: ScenarioConfig) -> ScenarioReport:
         fld = _field_for(spec, grid, cfg, N=N)
         ens = simulate_ensemble(fld, spec, M=M, seed=seed)
         pos, se = _sign_stats(ens.terminal[:, 0])
-        band = max(SIGN_BAND, 3.0 * se)
+        band = _sign_band(cfg, se)
         rep.verdict("terminal-sign frequency in 0.5 band",
                     abs(pos - 0.5) <= band, f"freq {pos:.3f} band ±{band:.3f}")
         rep.notes.append(f"selection run N={N} M={M} exit={ens.exit_fraction:.3g}")
@@ -423,9 +441,9 @@ def run_E4_sphere(cfg: ScenarioConfig) -> ScenarioReport:
     spec = cfg.spec
     if spec.dim != 2 or np.any(spec.nu0 != 0.0):
         raise ConfigError("E4 needs the two-dimensional radial model at nu0 = 0")
-    kappa = cfg.getfloat("model.kappa", 4.0)
-    ahat = symmetric_minimizer_root(kappa)
-    target = ahat * spec.T
+    target = _target_atom(cfg)
+    if target is None:
+        raise ConfigError("E4 needs the radial log-cosh terminal with b = 0 and model.f = cancel")
     rep = ScenarioReport("E4", cfg.config_hash,
                          ["N", "seed", "config", "kuiper_V", "kuiper_p",
                           "median_radius", "exit_fraction"])
@@ -469,8 +487,7 @@ def run_E5_common_noise(cfg: ScenarioConfig) -> ScenarioReport:
     seed = cfg.getint("run.seed", 1234)
     M = cfg.getint("run.M", 2000)
     grid = build_grid(cfg, spec)
-    kappa = cfg.getfloat("model.kappa", 4.0)
-    atom = symmetric_minimizer_root(kappa) * spec.T if spec.g.name.startswith("logcosh") else None
+    atom = _target_atom(cfg)
 
     freqs, variances = [], []
     for eps in eps_list:
@@ -486,11 +503,11 @@ def run_E5_common_noise(cfg: ScenarioConfig) -> ScenarioReport:
                     w1=w1, mean_T=float(mT.mean()), var_T=variances[-1],
                     exit_fraction=ens.exit_fraction)
 
-    band = cfg.getfloat("verdict.band", SIGN_BAND)
     if symmetric:
+        band = _sign_band(cfg, se)
         rep.verdict("sign frequency in 0.5 band at every eps",
                     all(abs(p - 0.5) <= band for p in freqs),
-                    f"freqs {['%.3f' % p for p in freqs]} band ±{band}")
+                    f"freqs {['%.3f' % p for p in freqs]} band ±{band:.3f}")
     else:
         rep.verdict("terminal variance strictly decreasing in eps",
                     all(b < a for a, b in zip(variances, variances[1:])),

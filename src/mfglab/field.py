@@ -23,8 +23,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import CflViolation, InvalidInput, InvalidOracle, InvalidParameter, PdeDiverged
-from .numerics import RngStream, SpaceGrid, TimeGrid
+from .numerics import RngStream, SpaceGrid, TimeGrid, integrate_ode
 from .potentials import ModelSpec, corrected_gradient, reminder
+
+# stability bounds of the explicit scheme: nu dt / dx^2 and |c| dt / dx
+CFL_DIFF = 0.25
+CFL_ADV = 0.5
+VELOCITY_MARGIN = 2.0    # stable_time_grid's factor on the terminal advection speed
 
 
 @dataclass
@@ -130,9 +135,7 @@ def _odd_project(u: np.ndarray, dim: int) -> np.ndarray:
 def _implicit_diffusion_matrix(grid: SpaceGrid, coef: float):
     """I - coef * L with the boundary rows of L zeroed (extrapolation ghosts)."""
     mats = []
-    for ax in range(grid.dim):
-        lo, hi, n = grid.axes[ax]
-        dx = (hi - lo) / (n - 1)
+    for n, dx in zip(grid.shape, grid.spacings):
         main = np.full(n, -2.0 / dx**2)
         off = np.full(n - 1, 1.0 / dx**2)
         L = sp.diags([off, main, off], [-1, 0, 1], format="lil")
@@ -175,13 +178,12 @@ def _variant(spec: ModelSpec, N, eps):
 
 
 def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
-                N: int = None, eps: float = None,
-                cfl_diff: float = 0.25, cfl_adv: float = 0.5) -> DecouplingField:
+                N: int = None, eps: float = None) -> DecouplingField:
     """Backward finite-difference solve of the decoupling-field system.
 
     Exactly one of N (players) or eps (common-noise intensity) selects the
-    variant.  Stability of the explicit scheme is checked before and during
-    stepping; violations raise CflViolation.
+    variant.  Stability of the explicit scheme (CFL_DIFF, CFL_ADV) is checked
+    before and during stepping; violations raise CflViolation.
     """
     nu, cost_gradient, meta = _variant(spec, N, eps)
     if grid.dim != spec.dim:
@@ -192,8 +194,8 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
     dt = tgrid.dt
     for dx in spacings:
         ratio = nu * dt / dx**2
-        if ratio > cfl_diff + 1e-12:
-            raise CflViolation("diffusion", ratio, cfl_diff)
+        if ratio > CFL_DIFF + 1e-12:
+            raise CflViolation("diffusion", ratio, CFL_DIFF)
 
     mgrid = np.stack(grid.meshgrid(), axis=-1)              # (*shape, d)
     bm = np.einsum("ij,...j->...i", spec.b, mgrid)
@@ -204,8 +206,8 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
         cmax = float(np.max(np.abs(c)))
         for dx in spacings:
             ratio = cmax * dt / dx
-            if ratio > cfl_adv + 1e-12:
-                raise CflViolation("advection", ratio, cfl_adv)
+            if ratio > CFL_ADV + 1e-12:
+                raise CflViolation("advection", ratio, CFL_ADV)
 
     def rhs(u):
         c = bm - u
@@ -222,26 +224,20 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
     u = cost_gradient(spec.g, mgrid)
     values[steps] = u
 
-    # first backward level: implicit diffusion, explicit transport and source
-    A_imp = _implicit_diffusion_matrix(grid, nu * dt)
-    lu = spla.splu(A_imp)
-    c = bm - u
-    check_advection(c)
-    expl = u + dt * (_upwind_transport(u, c, spacings)
-                     + np.einsum("ji,...j->...i", spec.b, u) + source)
-    u = np.stack([lu.solve(expl[..., i].ravel()).reshape(grid.shape)
-                  for i in range(d)], axis=-1)
-    if symmetric:
-        u = _odd_project(u, grid.dim)
-    if not np.all(np.isfinite(u)):
-        raise PdeDiverged(tgrid.nodes[steps - 1])
-    values[steps - 1] = u
-
-    for k in range(steps - 2, -1, -1):
-        k1 = rhs(u)
-        pred = u + dt * k1
-        k2 = rhs(pred)
-        u = u + 0.5 * dt * (k1 + k2)
+    lu = spla.splu(_implicit_diffusion_matrix(grid, nu * dt))
+    for k in range(steps - 1, -1, -1):
+        if k == steps - 1:
+            # first backward level: implicit diffusion, explicit transport and source
+            c = bm - u
+            check_advection(c)
+            expl = u + dt * (_upwind_transport(u, c, spacings)
+                             + np.einsum("ji,...j->...i", spec.b, u) + source)
+            u = np.stack([lu.solve(expl[..., i].ravel()).reshape(grid.shape)
+                          for i in range(d)], axis=-1)
+        else:
+            k1 = rhs(u)
+            k2 = rhs(u + dt * k1)
+            u = u + 0.5 * dt * (k1 + k2)
         if symmetric:
             u = _odd_project(u, grid.dim)
         if not np.all(np.isfinite(u)):
@@ -252,20 +248,20 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
 
 
 def stable_time_grid(spec: ModelSpec, grid: SpaceGrid, N: int = None, eps: float = None,
-                     safety: float = 0.9, velocity_margin: float = 2.0) -> TimeGrid:
+                     safety: float = 0.9) -> TimeGrid:
     """Time grid satisfying the explicit-scheme bounds with a safety factor.
 
     The advection speed is estimated from the terminal layer, inflated by
-    `velocity_margin` because the field can steepen backward in time.
+    VELOCITY_MARGIN because the field can steepen backward in time.
     """
     nu, cost_gradient, _ = _variant(spec, N, eps)
     mgrid = np.stack(grid.meshgrid(), axis=-1)
     uT = cost_gradient(spec.g, mgrid)
     bm = np.einsum("ij,...j->...i", spec.b, mgrid)
-    cmax = velocity_margin * float(np.max(np.abs(bm - uT))) + 1e-12
+    cmax = VELOCITY_MARGIN * float(np.max(np.abs(bm - uT))) + 1e-12
     dt_bound = np.inf
     for dx in grid.spacings:
-        dt_bound = min(dt_bound, 0.25 * dx**2 / max(nu, 1e-300), 0.5 * dx / cmax)
+        dt_bound = min(dt_bound, CFL_DIFF * dx**2 / max(nu, 1e-300), CFL_ADV * dx / cmax)
     steps = int(np.ceil(spec.T / (safety * dt_bound)))
     return TimeGrid(0.0, spec.T, max(steps, 8))
 
@@ -292,27 +288,18 @@ def riccati_field_oracle(spec: ModelSpec, tgrid: TimeGrid, N: int = None, eps: f
         A_f, a_f = I + Cf, kf
         A_g, a_g = I + Cg, kg
 
+    # the state packs [P | r] as one (d, d+1) array; the symmetrized P
+    # right-hand side keeps P exactly symmetric
     b = spec.b
-    nodes = tgrid.nodes
-    h = -tgrid.dt
-    P = np.empty((tgrid.steps + 1, d, d))
-    r = np.empty((tgrid.steps + 1, d))
-    P[-1], r[-1] = A_g, a_g
 
-    def rhs(state):
-        Pm, rm = state
-        return (Pm @ Pm - Pm @ b - b.T @ Pm - A_f, (Pm - b.T) @ rm - a_f)
+    def rhs(t, state):
+        Pm, rm = state[:, :d], state[:, d]
+        dP = Pm @ Pm - Pm @ b - b.T @ Pm - A_f
+        return np.column_stack([0.5 * (dP + dP.T), (Pm - b.T) @ rm - a_f])
 
-    Pm, rm = A_g.copy(), a_g.copy()
-    for k in range(tgrid.steps, 0, -1):
-        s1 = rhs((Pm, rm))
-        s2 = rhs((Pm + h / 2 * s1[0], rm + h / 2 * s1[1]))
-        s3 = rhs((Pm + h / 2 * s2[0], rm + h / 2 * s2[1]))
-        s4 = rhs((Pm + h * s3[0], rm + h * s3[1]))
-        Pm = Pm + h / 6 * (s1[0] + 2 * s2[0] + 2 * s3[0] + s4[0])
-        rm = rm + h / 6 * (s1[1] + 2 * s2[1] + 2 * s3[1] + s4[1])
-        Pm = 0.5 * (Pm + Pm.T)
-        P[k - 1], r[k - 1] = Pm, rm
+    state = integrate_ode(rhs, np.column_stack([0.5 * (A_g + A_g.T), a_g]), tgrid,
+                          direction="backward")
+    P, r = state[:, :, :d], state[:, :, d]
 
     def u(t, m):
         s = np.clip((t - tgrid.t0) / tgrid.dt, 0.0, tgrid.steps - 1e-12)
@@ -358,7 +345,10 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
         raise InvalidParameter("need at least one path")
     meta = fld.metadata
     kind = meta.get("kind", "nplayer")
-    noise_scale = 0.0 if noise_off else meta.get("noise_scale", 0.0)
+    noise_scale = 0.0 if noise_off else meta.get("noise_scale")
+    if noise_scale is None:
+        raise InvalidInput("the field carries no noise scale (a field loaded from a "
+                           "binary file does not); only a noise_off ensemble can use it")
     d = spec.dim
     T, t0 = fld.tgrid.T, fld.tgrid.t0
     if sim_steps is None:
@@ -367,39 +357,31 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
     dt = tg.dt
     sq = np.sqrt(dt)
 
+    draw_m0 = m0_override is None and kind == "nplayer"
     m0 = np.empty((M, d))
+    m0[:] = spec.nu0 if m0_override is None else m0_override
     dW = np.empty((M, sim_steps, d))
     for p in range(M):
         gen = RngStream(seed, p).generator()
-        if m0_override is not None:
-            m0[p] = np.atleast_1d(np.asarray(m0_override, dtype=float))
-        elif kind == "nplayer":
-            draws = spec.xi_sampler(gen, meta["N"])
-            m0[p] = draws.mean(axis=0)
-        else:
-            m0[p] = spec.nu0
+        if draw_m0:
+            m0[p] = spec.xi_sampler(gen, meta["N"]).mean(axis=0)
         dW[p] = sq * gen.normal(size=(sim_steps, d))
     if increments_override is not None:
         dW = np.asarray(increments_override, dtype=float)
         if dW.shape != (M, sim_steps, d):
             raise InvalidInput("increments_override has the wrong shape")
 
-    lows = np.array([ax[0] for ax in fld.grid.axes])
-    highs = np.array([ax[1] for ax in fld.grid.axes])
+    lows, highs = np.array([ax[:2] for ax in fld.grid.axes]).T
 
     paths = np.empty((M, sim_steps + 1, d))
     controls = np.empty((M, sim_steps + 1, d))
     paths[:, 0] = np.clip(m0, lows, highs)
-    exited = np.zeros(M, dtype=bool)
-    exited |= np.any((m0 < lows) | (m0 > highs), axis=1)
+    exited = np.any((m0 < lows) | (m0 > highs), axis=1)
 
     m = paths[:, 0].copy()
+    control = fld.evaluate_batch if control_override is None else control_override
     for k in range(sim_steps):
-        t = tg.nodes[k]
-        if control_override is not None:
-            eta = control_override(t, m)
-        else:
-            eta = fld.evaluate_batch(t, m)
+        eta = control(tg.nodes[k], m)
         controls[:, k] = eta
         drift = m @ spec.b.T - eta
         m = m + dt * drift + noise_scale * dW[:, k]
@@ -407,9 +389,7 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
         exited |= np.any(out, axis=1)
         np.clip(m, lows, highs, out=m)
         paths[:, k + 1] = m
-    tT = tg.nodes[-1]
-    controls[:, -1] = (control_override(tT, m) if control_override is not None
-                       else fld.evaluate_batch(tT, m))
+    controls[:, -1] = control(tg.nodes[-1], m)
 
     exit_fraction = float(np.mean(exited))
     meta_out = dict(meta)

@@ -20,6 +20,11 @@ from .errors import (
     RiccatiEscape,
 )
 
+# mirrored grid nodes may differ by this much relative to the axis extent
+SYMMETRY_REL_TOL = 1e-12
+# a Riccati solution beyond this magnitude has escaped to infinity
+RICCATI_ESCAPE = 1e12
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -84,14 +89,12 @@ class SpaceGrid:
         """Coordinate arrays of shape `self.shape`, indexed axis-by-axis."""
         return np.meshgrid(*(self.axis_nodes(k) for k in range(self.dim)), indexing="ij")
 
-    def is_symmetric(self, tol: float = None) -> bool:
+    def is_symmetric(self) -> bool:
         for k in range(self.dim):
             nodes = self.axis_nodes(k)
             # linspace nodes mirror only up to an ulp; compare at that scale
-            cut = 1e-12 * max(abs(self.axes[k][0]), abs(self.axes[k][1]), 1.0) if tol is None else tol
-            if not np.all(np.abs(nodes + nodes[::-1]) <= cut):
-                return False
-            if nodes.size % 2 == 0:
+            cut = SYMMETRY_REL_TOL * max(abs(self.axes[k][0]), abs(self.axes[k][1]), 1.0)
+            if nodes.size % 2 == 0 or not np.all(np.abs(nodes + nodes[::-1]) <= cut):
                 return False
         return True
 
@@ -114,41 +117,43 @@ class RngStream:
 
 
 def integrate_ode(rhs, x0, grid: TimeGrid, direction: str = "forward") -> np.ndarray:
-    """Classical RK4 on a uniform grid.
+    """Classical RK4 on a uniform grid; the package's only ODE stepper.
 
-    Returns the state at every grid node, indexed in forward time order
-    regardless of direction.  For direction="backward", x0 is the terminal
-    condition at T.
+    The state x0 may be an array of any shape; rhs(t, x) returns the same
+    shape.  Returns the state at every grid node, indexed in forward time
+    order regardless of direction.  For direction="backward", x0 is the
+    terminal condition at T.  A non-finite state raises IntegrationDiverged
+    at the node where it appears.
     """
     if direction not in ("forward", "backward"):
         raise InvalidParameter(f"unknown direction {direction!r}")
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
     nodes = grid.nodes
-    out = np.empty((grid.steps + 1,) + x0.shape)
-    h = grid.dt if direction == "forward" else -grid.dt
-    order = range(grid.steps) if direction == "forward" else range(grid.steps, 0, -1)
-    idx0 = 0 if direction == "forward" else grid.steps
-    out[idx0] = x0
-    x = x0
-    for k in order:
+    out = np.empty((grid.steps + 1,) + x.shape)
+    h, step, k = (grid.dt, 1, 0) if direction == "forward" else (-grid.dt, -1, grid.steps)
+    out[k] = x
+    for _ in range(grid.steps):
         t = nodes[k]
         k1 = np.asarray(rhs(t, x))
         k2 = np.asarray(rhs(t + h / 2, x + h / 2 * k1))
         k3 = np.asarray(rhs(t + h / 2, x + h / 2 * k2))
         k4 = np.asarray(rhs(t + h, x + h * k3))
         x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        tgt = k + 1 if direction == "forward" else k - 1
+        k += step
         if not np.all(np.isfinite(x)):
-            raise IntegrationDiverged(nodes[tgt])
-        out[tgt] = x
+            raise IntegrationDiverged(nodes[k])
+        out[k] = x
     return out
 
 
 def riccati_backward(b, Q_run, Q_term, grid: TimeGrid) -> np.ndarray:
     """Backward matrix Riccati solve of  phidot = phi^2 - phi b - b^T phi - Q_run.
 
-    Terminal condition phi(T) = Q_term.  Output is symmetrized after every
-    step and indexed in forward time order, shape (steps+1, d, d).
+    Terminal condition phi(T) = Q_term.  The right-hand side is symmetrized,
+    so RK4, which combines stages elementwise, keeps phi exactly symmetric.
+    Output is indexed in forward time order, shape (steps+1, d, d).  A
+    solution that grows beyond RICCATI_ESCAPE or overflows raises
+    RiccatiEscape.
     """
     b = np.atleast_2d(np.asarray(b, dtype=float))
     Q_run = np.atleast_2d(np.asarray(Q_run, dtype=float))
@@ -158,25 +163,19 @@ def riccati_backward(b, Q_run, Q_term, grid: TimeGrid) -> np.ndarray:
             raise InvalidParameter(f"{name} must be symmetric")
 
     def rhs(t, phi):
-        return phi @ phi - phi @ b - b.T @ phi - Q_run
+        R = phi @ phi - phi @ b - b.T @ phi - Q_run
+        return 0.5 * (R + R.T)
 
-    nodes = grid.nodes
-    out = np.empty((grid.steps + 1,) + Q_term.shape)
-    out[-1] = Q_term
-    phi = Q_term
-    h = -grid.dt
-    for k in range(grid.steps, 0, -1):
-        t = nodes[k]
-        k1 = rhs(t, phi)
-        k2 = rhs(t + h / 2, phi + h / 2 * k1)
-        k3 = rhs(t + h / 2, phi + h / 2 * k2)
-        k4 = rhs(t + h, phi + h * k3)
-        phi = phi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        phi = 0.5 * (phi + phi.T)
-        if not np.all(np.isfinite(phi)) or np.max(np.abs(phi)) > 1e12:
-            raise RiccatiEscape(nodes[k - 1])
-        out[k - 1] = phi
-    return out
+    # past the escape bound the iterates overflow on their way to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            phi = integrate_ode(rhs, 0.5 * (Q_term + Q_term.T), grid, direction="backward")
+        except IntegrationDiverged as exc:
+            raise RiccatiEscape(exc.t) from None
+    escaped = np.nonzero(np.max(np.abs(phi), axis=(1, 2)) > RICCATI_ESCAPE)[0]
+    if escaped.size:
+        raise RiccatiEscape(grid.nodes[escaped[-1]])
+    return phi
 
 
 def delarue_riccati(b: float, grid: TimeGrid, delta: float):
@@ -189,9 +188,7 @@ def delarue_riccati(b: float, grid: TimeGrid, delta: float):
     """
     if not (grid.t0 < delta < grid.T):
         raise InvalidParameter(f"delta must lie in ({grid.t0}, {grid.T}), got {delta}")
-    eta = riccati_backward(
-        np.array([[b]]), np.array([[1.0]]), np.array([[1.0]]), grid
-    )[:, 0, 0]
+    eta = riccati_backward([[b]], [[1.0]], [[1.0]], grid)[:, 0, 0]
     integrand = -b + eta
     nodes = grid.nodes
     # I(t) = int_t^T integrand ds, via cumulative trapezoid from the right
@@ -199,8 +196,7 @@ def delarue_riccati(b: float, grid: TimeGrid, delta: float):
     tail = np.concatenate([np.cumsum(seg[::-1])[::-1], [0.0]])
     w = np.exp(tail)
     winv2 = w ** (-2.0)
-    mask = nodes >= delta
-    first = np.argmax(mask)
+    first = np.argmax(nodes >= delta)
     r = float(np.trapezoid(winv2[first:], nodes[first:]))
     if first > 0 and nodes[first] > delta:
         # partial cell [delta, nodes[first]] by linear interpolation

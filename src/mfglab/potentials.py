@@ -200,46 +200,40 @@ def make_logcosh_terminal(kappa: float) -> Potential:
                   probe_radius=8.0, even=True)
 
 
+def _bump_cdf(s):
+    """Integral of the quartic bump (15/16)(1 - s^2)^2 from -1 to s."""
+    return 0.5 + (15.0 / 16.0) * (s - 2.0 * s**3 / 3.0 + s**5 / 5.0)
+
+
 def _relu_smooth(x, rho):
     """Quartic-bump mollification of max(x, 0) over width rho (vectorized)."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x >= rho, x, 0.0)
-    inside = np.abs(x) < rho
-    if np.any(inside):
-        s = x[inside] / rho
-        k0 = 0.5 + (15.0 / 16.0) * (s - 2.0 * s**3 / 3.0 + s**5 / 5.0)
-        k1 = -(rho * 15.0 / 96.0) * (1.0 - s**2) ** 3
-        out = np.array(out, dtype=float)
-        out[inside] = x[inside] * k0 - k1
-    return out
+    s = np.clip(x / rho, -1.0, 1.0)
+    inside = x * _bump_cdf(s) + (rho * 15.0 / 96.0) * (1.0 - s**2) ** 3
+    return np.where(x >= rho, x, np.where(x > -rho, inside, 0.0))
 
 
 def _relu_smooth_deriv(x, rho):
-    x = np.asarray(x, dtype=float)
-    out = np.where(x >= rho, 1.0, 0.0)
-    inside = np.abs(x) < rho
-    if np.any(inside):
-        s = x[inside] / rho
-        out = np.array(out, dtype=float)
-        out[inside] = 0.5 + (15.0 / 16.0) * (s - 2.0 * s**3 / 3.0 + s**5 / 5.0)
-    return out
+    inside = _bump_cdf(np.clip(x / rho, -1.0, 1.0))
+    return np.where(x >= rho, 1.0, np.where(x > -rho, inside, 0.0))
 
 
+# time steps of the scalar Riccati solve that gives r_delta
+DELARUE_RICCATI_STEPS = 4000
 # Gauss-Legendre rule with 4 nodes: exact for polynomials of degree <= 7
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 
 
-def make_delarue_terminal(b: float, T: float, delta: float, rho: Optional[float] = None,
-                          riccati_steps: int = 4000) -> Potential:
+def make_delarue_terminal(b: float, T: float, delta: float,
+                          rho: Optional[float] = None) -> Potential:
     """Terminal potential whose gradient is the saturated-linear coupling.
 
     grad g(m) = -m/r on |m| <= r and -sign(m) outside, with r = r_delta from
-    the scalar Riccati data; the kinks at +-r are mollified by convolution
-    with a quartic bump of width rho (default r/50).  The displayed coupling
-    is odd, so g itself is even.  rho = 0 keeps the exact piecewise form and
-    refuses Hessian queries at the kink.
+    the scalar Riccati data on DELARUE_RICCATI_STEPS steps; the kinks at +-r
+    are mollified by convolution with a quartic bump of width rho (default
+    r/50).  The displayed coupling is odd, so g itself is even.  rho = 0 keeps
+    the exact piecewise form and refuses Hessian queries at the kink.
     """
-    grid = TimeGrid(0.0, T, riccati_steps)
+    grid = TimeGrid(0.0, T, DELARUE_RICCATI_STEPS)
     _, _, r = delarue_riccati(b, grid, delta)
     if rho is None:
         rho = r / 50.0

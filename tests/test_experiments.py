@@ -133,6 +133,29 @@ class TestReports:
             run_scenario(ScenarioConfig.from_text(
                 "scenario = E1\nmodel.g = logcosh\n"))
 
+    def test_e3_requires_delarue_terminal(self):
+        # the closed-form trajectories exist only for the Delarue terminal;
+        # refuse before the enumeration runs
+        with pytest.raises(ConfigError):
+            run_scenario(ScenarioConfig.from_text(
+                "scenario = E3\nmodel.g = logcosh\nrun.selection = off\n"))
+
+    def test_e2_requires_logcosh_target(self):
+        # the two-atom target a-hat T belongs to the log-cosh terminal only
+        with pytest.raises(ConfigError):
+            run_scenario(ScenarioConfig.from_text(
+                "scenario = E2\nmodel.g = quadratic\nrun.M = 100\nrun.N = 25\n"
+                "grid.nodes = 41\n"))
+
+    def test_sign_band_calibrated_to_m(self):
+        # at M = 100 three binomial sigmas are 0.15, far wider than the
+        # 0.034 that is 3 sigma only at M = 2000
+        rep = run_scenario(ScenarioConfig.from_text(
+            E2_SMALL.replace("run.M = 400", "run.M = 100")))
+        name, _, detail = rep.verdicts[0]
+        assert name.startswith("sign frequency")
+        assert detail.endswith("band ±0.150")
+
     def test_e5_eps_must_decrease(self):
         with pytest.raises(ConfigError):
             run_scenario(ScenarioConfig.from_text(
@@ -160,6 +183,12 @@ class TestCli:
     def test_bad_config_exit_one(self, tmp_path):
         cfg = self.write(tmp_path, "scenario = E2\nrun.N = oops\n")
         assert cli_main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
+
+    def test_missing_config_exit_one(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cfg")
+        for argv in (["run", missing], ["oc-value", missing, "--seed", "3"]):
+            assert cli_main(argv) == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_seed_flag_overrides(self, tmp_path, capsys):
         cfg = self.write(tmp_path, E2_SMALL)

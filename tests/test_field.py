@@ -166,6 +166,14 @@ class TestOracle:
         P_eps, _, _ = riccati_field_oracle(spec, TimeGrid(0, 1, 100), eps=0.3)
         assert P_eps[-1][0, 0] == pytest.approx(2.0)  # (1 + c), no 1/N factor
 
+    def test_exactly_symmetric_2d(self):
+        spec = ModelSpec(dim=2, b=np.array([[0.1, 0.3], [-0.2, 0.4]]), sigma=1.0, T=1.0,
+                         f=make_quadratic(0.5, 2), g=make_quadratic(1.0, 2, kappa=[0.2, -0.1]),
+                         nu0=np.zeros(2))
+        P, r, u = riccati_field_oracle(spec, TimeGrid(0, 1, 200), N=10)
+        assert np.array_equal(P, np.swapaxes(P, 1, 2))
+        assert np.array_equal(u(0.0, [0.3, -0.2]), P[0] @ [0.3, -0.2] + r[0])
+
     def test_non_quadratic_rejected(self):
         with pytest.raises(InvalidOracle):
             riccati_field_oracle(logcosh_spec(), TimeGrid(0, 1, 100), N=10)
@@ -278,6 +286,17 @@ class TestExport:
         assert back.tgrid == fld.tgrid
         assert back.metadata["kind"] == "nplayer"
         assert back.metadata["N"] == 50
+
+    def test_loaded_field_refuses_noisy_ensemble(self, tmp_path):
+        # the binary format does not store the noise scale, so a loaded
+        # field must not silently simulate without noise
+        spec = logcosh_spec()
+        path = str(tmp_path / "field.bin")
+        save_field_binary(solve(spec, N=50), path)
+        back = load_field_binary(path)
+        with pytest.raises(InvalidInput):
+            simulate_ensemble(back, spec, M=4, seed=1)
+        assert simulate_ensemble(back, spec, M=4, seed=1, noise_off=True).paths.shape[0] == 4
 
     def test_binary_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"

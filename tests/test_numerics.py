@@ -1,8 +1,12 @@
 import math
+import re
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfglab
 from mfglab.errors import (
     IntegrationDiverged,
     InvalidInput,
@@ -89,6 +93,16 @@ class TestIntegrateOde:
             integrate_ode(lambda t, x: x, [1.0], TimeGrid(0, 1, 10), direction="up")
 
 
+class TestSingleStepper:
+    def test_one_rk4_update_in_package(self):
+        # integrate_ode is the package's only RK4 loop: shooting, the Riccati
+        # solves and the field oracle all call it
+        term = r"\w+(?:\[\d+\])?"
+        update = re.compile(rf"{term} \+ 2 \* {term} \+ 2 \* {term} \+ {term}")
+        text = "".join(p.read_text() for p in sorted(Path(mfglab.__file__).parent.glob("*.py")))
+        assert [m.group(0) for m in update.finditer(text)] == ["k1 + 2 * k2 + 2 * k3 + k4"]
+
+
 class TestRiccati:
     def test_scalar_stationary(self):
         phi = riccati_backward([[0.0]], [[1.0]], [[1.0]], TimeGrid(0, 1, 100))
@@ -117,6 +131,13 @@ class TestRiccati:
     def test_escape_raises(self):
         with pytest.raises(RiccatiEscape):
             riccati_backward([[0.0]], [[1.0]], [[-3.0]], TimeGrid(0, 5, 5000))
+
+    def test_escape_without_overflow_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RiccatiEscape):
+                riccati_backward(np.zeros((2, 2)), np.eye(2), -3.0 * np.eye(2),
+                                 TimeGrid(0, 5, 500))
 
     def test_nonsymmetric_data_rejected(self):
         with pytest.raises(InvalidParameter):
