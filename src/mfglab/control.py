@@ -271,16 +271,17 @@ def value_function(spec: ModelSpec, t0, nu0, cross_check: bool = True,
 
 
 def differentiability_probe(spec: ModelSpec, t0, nu0, h: float = 1e-3, **vf_kwargs):
-    """One-sided difference quotients of the value function per axis.
+    """One-sided and central difference quotients of the value function per axis.
 
     Verdict "kink" when any axis's one-sided quotients differ by more than a
     heuristic threshold (KINK_GAP_FACTOR * h, scaled by a local curvature
-    estimate); this is a heuristic, not a certificate.
+    estimate); this is a heuristic, not a certificate.  The central quotients
+    are the gradient estimate where the verdict is "differentiable".
     """
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     vf_kwargs.setdefault("cross_check", False)
     v0 = value_function(spec, t0, nu0, **vf_kwargs)
-    lefts, rights = [], []
+    lefts, rights, centrals = [], [], []
     verdict = "differentiable"
     for k in range(spec.dim):
         e = np.zeros(spec.dim)
@@ -292,12 +293,14 @@ def differentiability_probe(spec: ModelSpec, t0, nu0, h: float = 1e-3, **vf_kwar
         left = (v0 - v_m) / h
         rights.append(right)
         lefts.append(left)
+        centrals.append((v_p - v_m) / (2.0 * h))
         # curvature estimate from the smooth side
         curv = abs(v_pp - 2 * v_p + v0) / h**2
         threshold = KINK_GAP_FACTOR * h * max(1.0, 0.3 * curv)
         if abs(right - left) > threshold:
             verdict = "kink"
-    return {"left": np.array(lefts), "right": np.array(rights), "verdict": verdict}
+    return {"left": np.array(lefts), "right": np.array(rights),
+            "central": np.array(centrals), "verdict": verdict}
 
 
 # --- static reduction for terminal-cost-only models --------------------------

@@ -78,12 +78,9 @@ def _laplacian(u: np.ndarray, spacings) -> np.ndarray:
     """Componentwise Laplacian; linear-extrapolation ghosts zero the boundary rows."""
     out = np.zeros_like(u)
     for ax, dx in enumerate(spacings):
-        sl = [slice(None)] * u.ndim
-        lo, mid, hi = list(sl), list(sl), list(sl)
-        lo[ax], mid[ax], hi[ax] = slice(0, -2), slice(1, -1), slice(2, None)
-        term = np.zeros_like(u)
-        term[tuple(mid)] = (u[tuple(hi)] - 2.0 * u[tuple(mid)] + u[tuple(lo)]) / dx**2
-        out += term
+        # views with the difference axis first; writes go through to out
+        v, o = u.swapaxes(0, ax), out.swapaxes(0, ax)
+        o[1:-1] += (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx**2
     return out
 
 
@@ -98,26 +95,12 @@ def _upwind_transport(u: np.ndarray, c: np.ndarray, spacings) -> np.ndarray:
     for ax, dx in enumerate(spacings):
         fwd = np.empty_like(u)
         bwd = np.empty_like(u)
-        sl = [slice(None)] * u.ndim
-
-        cur, nxt = list(sl), list(sl)
-        cur[ax], nxt[ax] = slice(0, -1), slice(1, None)
-        diff = (u[tuple(nxt)] - u[tuple(cur)]) / dx
-        head, tail = list(sl), list(sl)
-        head[ax], tail[ax] = slice(0, -1), slice(-1, None)
-        fwd[tuple(head)] = diff
-        last = list(sl)
-        last[ax] = slice(-1, None)
-        prev = list(sl)
-        prev[ax] = slice(-2, -1)
-        fwd[tuple(last)] = (u[tuple(last)] - u[tuple(prev)]) / dx
-
-        bwd[tuple(nxt)] = diff
-        first = list(sl)
-        first[ax] = slice(0, 1)
-        second = list(sl)
-        second[ax] = slice(1, 2)
-        bwd[tuple(first)] = (u[tuple(second)] - u[tuple(first)]) / dx
+        v, f, b = u.swapaxes(0, ax), fwd.swapaxes(0, ax), bwd.swapaxes(0, ax)
+        diff = (v[1:] - v[:-1]) / dx
+        f[:-1] = diff
+        f[-1] = (v[-1] - v[-2]) / dx
+        b[1:] = diff
+        b[0] = (v[1] - v[0]) / dx
 
         ca = c[..., ax:ax + 1]
         centered = 0.5 * (fwd + bwd)
@@ -331,8 +314,7 @@ class PathEnsemble:
 
 def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
                       sim_steps: int = None, noise_off: bool = False,
-                      m0_override=None, control_override=None,
-                      increments_override=None) -> PathEnsemble:
+                      m0_override=None, control_override=None) -> PathEnsemble:
     """Euler-Maruyama ensemble of the mean process driven by the field.
 
     Per-path randomness comes from RngStream(seed, path index): for the
@@ -366,10 +348,6 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
         if draw_m0:
             m0[p] = spec.xi_sampler(gen, meta["N"]).mean(axis=0)
         dW[p] = sq * gen.normal(size=(sim_steps, d))
-    if increments_override is not None:
-        dW = np.asarray(increments_override, dtype=float)
-        if dW.shape != (M, sim_steps, d):
-            raise InvalidInput("increments_override has the wrong shape")
 
     lows, highs = np.array([ax[:2] for ax in fld.grid.axes]).T
 

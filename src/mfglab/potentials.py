@@ -103,6 +103,14 @@ def _build(name, dim, value, gradient, hessian, probe_radius, even, quad_coeffs=
     )
 
 
+def _with(p: Potential, **data) -> Potential:
+    """p with reference data of its construction attached as attributes, so
+    scenarios read it from the built potential instead of recomputing it."""
+    for key, val in data.items():
+        object.__setattr__(p, key, val)
+    return p
+
+
 def reminder(p: Potential, m):
     """R_p(m) = |grad p(m)|^2 / 2 + m . grad p(m) - p(m)."""
     m = _points(m, p.dim)
@@ -185,7 +193,7 @@ def _logcosh_profile(kappa):
 
 
 def make_logcosh_terminal(kappa: float) -> Potential:
-    """g(m) = -kappa log cosh m in dimension 1, kappa > 2.
+    """g(m) = -kappa log cosh m in dimension 1, kappa > 2, carrying kappa.
 
     Even and concave with two symmetric cost minimizers; for kappa <= 2 the
     associated static problem has a single minimizer, so reject.
@@ -193,11 +201,11 @@ def make_logcosh_terminal(kappa: float) -> Potential:
     if kappa <= 2:
         raise InvalidParameter(f"logcosh needs kappa > 2, got {kappa}")
     value, first, second = _logcosh_profile(kappa)
-    return _build(f"logcosh(kappa={kappa})", 1,
-                  value=lambda m: value(m[..., 0]),
-                  gradient=first,
-                  hessian=lambda m: second(m)[..., None],
-                  probe_radius=8.0, even=True)
+    return _with(_build(f"logcosh(kappa={kappa})", 1,
+                        value=lambda m: value(m[..., 0]),
+                        gradient=first,
+                        hessian=lambda m: second(m)[..., None],
+                        probe_radius=8.0, even=True), kappa=kappa)
 
 
 def _bump_cdf(s):
@@ -231,10 +239,11 @@ def make_delarue_terminal(b: float, T: float, delta: float,
     the scalar Riccati data on DELARUE_RICCATI_STEPS steps; the kinks at +-r
     are mollified by convolution with a quartic bump of width rho (default
     r/50).  The displayed coupling is odd, so g itself is even.  rho = 0 keeps
-    the exact piecewise form and refuses Hessian queries at the kink.
+    the exact piecewise form and refuses Hessian queries at the kink.  The
+    potential carries r_delta, rho and the Riccati data: riccati_grid and w.
     """
     grid = TimeGrid(0.0, T, DELARUE_RICCATI_STEPS)
-    _, _, r = delarue_riccati(b, grid, delta)
+    _, w, r = delarue_riccati(b, grid, delta)
     if rho is None:
         rho = r / 50.0
     if rho < 0:
@@ -276,9 +285,7 @@ def make_delarue_terminal(b: float, T: float, delta: float,
 
     p = _build(f"delarue(delta={delta},rho={rho:.6g})", 1, value, gradient, hessian,
                probe_radius=4.0, even=True)
-    object.__setattr__(p, "r_delta", r)
-    object.__setattr__(p, "rho", rho)
-    return p
+    return _with(p, r_delta=r, rho=rho, riccati_grid=grid, w=w)
 
 
 def make_radial_terminal(gt, gt_p, gt_pp, dim: int, name: str = "radial",
@@ -318,8 +325,9 @@ def make_radial_terminal(gt, gt_p, gt_pp, dim: int, name: str = "radial",
 def make_radial_logcosh(kappa: float, dim: int) -> Potential:
     if kappa <= 2:
         raise InvalidParameter(f"radial logcosh needs kappa > 2, got {kappa}")
-    return make_radial_terminal(*_logcosh_profile(kappa), dim,
-                                name=f"radial_logcosh(kappa={kappa},d={dim})")
+    return _with(make_radial_terminal(*_logcosh_profile(kappa), dim,
+                                      name=f"radial_logcosh(kappa={kappa},d={dim})"),
+                 kappa=kappa)
 
 
 def from_name(name: str, dim: int = 1, **params) -> Potential:

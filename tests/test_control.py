@@ -207,6 +207,16 @@ class TestDifferentiability:
         probe = differentiability_probe(logcosh_model(nu0=0.5), 0.0, [0.5], **FAST)
         assert probe["verdict"] == "differentiable"
 
+    def test_central_slope_is_the_direct_difference(self):
+        # the probe's central slope is the gradient estimate of E6: it must be
+        # the central difference of two direct value_function calls, bit for bit
+        spec, x, h = logcosh_model(nu0=0.5), 0.5, 1e-3
+        probe = differentiability_probe(spec, 0.0, [x], h=h, **FAST)
+        v_p = value_function(spec, 0.0, [x + h], cross_check=False, **FAST)
+        v_m = value_function(spec, 0.0, [x - h], cross_check=False, **FAST)
+        assert probe["central"].shape == (1,)
+        assert probe["central"][0] == (v_p - v_m) / (2.0 * h)
+
 
 class TestStaticReduction:
     def test_pure_quadratic(self):

@@ -1,9 +1,14 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from mfglab import control, experiments, numerics, potentials
 from mfglab.cli import build_parser, main as cli_main
 from mfglab.errors import ConfigError
 from mfglab.experiments import (
+    CONFIG_KEYS,
     ScenarioConfig,
     build_grid,
     build_spec,
@@ -96,6 +101,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_text("scenario = E2\nmodel.dim = 3\n")
 
+    def test_unknown_key_rejected(self):
+        # a misspelt or unread key used to validate and run on the default
+        # (run.m left M at 2000; model.rho never reached the Delarue terminal)
+        for scenario, key in (("E2", "run.m = 100"), ("E3", "model.rho = 0.01")):
+            with pytest.raises(ConfigError, match=re.escape(key.split()[0])):
+                ScenarioConfig.from_text(f"scenario = {scenario}\n{key}\n")
+
+    def test_config_keys_are_the_keys_read(self):
+        # CONFIG_KEYS is exactly the set of keys that src/ reads from a config
+        src = "".join(p.read_text() for p in Path(experiments.__file__).parent.glob("*.py"))
+        read = set(re.findall(r"\bcfg\.get\w*\(\s*\"([^\"]+)\"", src))
+        read |= set(re.findall(r"\bself\.get\w*\(\s*\"([^\"]+)\"", src))
+        assert read | {"scenario"} == CONFIG_KEYS
+
 
 class TestReports:
     def test_e2_report_shape_and_verdicts(self):
@@ -160,6 +179,54 @@ class TestReports:
         with pytest.raises(ConfigError):
             run_scenario(ScenarioConfig.from_text(
                 "scenario = E5\nrun.eps = 0.1, 0.5\n"))
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Count calls of modules[0].<name> made through any of the modules."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestComputedOnce:
+    def test_e6_reuses_probe_and_last_field(self, monkeypatch):
+        values = count_calls(monkeypatch, "value_function", control, experiments)
+        solves = count_calls(monkeypatch, "solve_field", experiments)
+        rep = run_scenario(ScenarioConfig.from_text(
+            "scenario = E6\nmodel.T = 0.25\nrun.N = 25 100\ngrid.nodes = 61\n"))
+        # v at x, x + h, x - h and x + 2h; one field per N, the u(0, 0) row included
+        assert len(values) == 4
+        assert len(solves) == 2
+        assert [r["probe"] for r in rep.rows] == [0.5, 0.5, 0.0]
+
+    def test_e6_probes_where_it_estimates(self, monkeypatch):
+        seen = []
+
+        def kink(spec, t0, nu0, h=1e-3, **kwargs):
+            seen.append((np.array(nu0, dtype=float), h))
+            return {"verdict": "kink"}
+
+        monkeypatch.setattr(experiments, "differentiability_probe", kink)
+        rep = run_scenario(ScenarioConfig.from_text(
+            "scenario = E6\nmodel.dim = 2\nmodel.g = radial_logcosh\nprobe.h = 0.01\n"))
+        assert not rep.passed
+        # the field is read at (nu0, 0), so the probe runs there, with probe.h
+        (point, h), = seen
+        assert point.tolist() == [0.5, 0.0]
+        assert h == 0.01
+
+    def test_e3_solves_riccati_once(self, monkeypatch):
+        solves = count_calls(monkeypatch, "delarue_riccati", numerics, potentials, experiments)
+        run_scenario(ScenarioConfig.from_text("scenario = E3\nrun.selection = off\n"))
+        assert len(solves) == 1
 
 
 class TestCli:

@@ -230,12 +230,6 @@ class TestSimulate:
         assert ens.exit_fraction == 1.0
         assert np.all(ens.paths[:, 0, 0] == 4.0)  # clamped to the boundary
 
-    def test_increment_override_shape_checked(self):
-        fld = solve(logcosh_spec(), N=50)
-        with pytest.raises(InvalidInput):
-            simulate_ensemble(fld, logcosh_spec(), M=2, seed=0, sim_steps=10,
-                              increments_override=np.zeros((2, 9, 1)))
-
     def test_m_needs_paths(self):
         fld = solve(logcosh_spec(), N=50)
         with pytest.raises(InvalidParameter):
