@@ -147,7 +147,8 @@ def _dispatch(args) -> int:
 
     if args.command == "oc-enumerate":
         sset = enumerate_stationary(spec, 0.0, spec.nu0)
-        print(f"{len(sset.solutions)} stationary solution(s), "
+        print(f"{sset.starts} start(s), {sset.failed} failed, "
+              f"{len(sset.solutions)} distinct stationary solution(s), "
               f"min cost {sset.min_cost:.8g}, multiplicity {sset.multiplicity}")
         for s in sset.solutions:
             print(f"  eta0 {np.array2string(s.eta0, precision=6)}  "

@@ -4,8 +4,8 @@ The first-order system is
     mdot   = b m - eta
     etadot = -(b^T eta + m + grad f(m))
 with terminal condition eta_T = m_T + grad g(m_T).  Stationary points are
-found by multi-start shooting on the unknown initial adjoint; minimizers are
-the stationary points whose cost ties the minimum.
+found by batched multi-start shooting on the unknown initial adjoint;
+minimizers are the stationary points whose cost ties the minimum.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ class StationarySet:
     solutions: list                 # sorted by cost
     min_cost: float
     multiplicity: int               # count of cost-tied minimizers
+    starts: int                     # start guesses shot
+    failed: int                     # starts whose Newton failed
 
     def minimizers(self):
         return [s for s in self.solutions if s.classification == "minimizer"]
@@ -75,69 +77,100 @@ def trajectory_cost(spec: ModelSpec, grid: TimeGrid, m, beta) -> float:
     return float(np.trapezoid(running, grid.nodes) + terminal)
 
 
-def shoot(spec: ModelSpec, t0, nu0, eta0_guess, steps_per_unit: int = 1000):
-    """Newton shooting on the initial adjoint.
+def _solve_each(jac, rhs):
+    """Solution of each system jac[i] x = rhs[i]; NaN where jac[i] is singular."""
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(rhs) == 1:
+            return np.full_like(rhs, np.nan)
+        h = len(rhs) // 2
+        return np.concatenate([_solve_each(jac[:h], rhs[:h]), _solve_each(jac[h:], rhs[h:])])
 
-    Returns an OCSolution on success, None when Newton stagnates or the
-    integration diverges.  The Jacobian of the terminal residual is assembled
-    by forward differences and the Newton step is damped by halving until the
-    residual decreases.
+
+def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
+    """Damped Newton shooting on the initial adjoint from each row of `starts`.
+
+    The starts, and the forward-difference probes of their Jacobians, advance
+    together as one (S, 2d) RK4 state.  Each start keeps its own residual,
+    trajectory and step length, halved until its residual decreases, so its
+    result does not depend on the other starts.  Returns per start an
+    OCSolution, or None when Newton stagnates or the integration diverges.
     """
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
-    eta0 = np.atleast_1d(np.asarray(eta0_guess, dtype=float)).copy()
-    d = spec.dim
+    S, d = starts.shape
     b = spec.b
-    grad_f = spec.f.gradient
     grid = TimeGrid(t0, spec.T, max(int(round(steps_per_unit * (spec.T - t0))), 16))
 
     def rhs(t, z):
-        m, eta = z[:d], z[d:]
-        return np.concatenate([b @ m - eta, -(b.T @ eta + m + grad_f(m))])
+        m, eta = z[:, :d], z[:, d:]
+        return np.concatenate([m @ b.T - eta, -(eta @ b + m + spec.f.gradient(m))], axis=1)
 
     def residual(e0):
+        """Terminal residuals, trajectories and finite-integration flags of the rows of e0."""
+        n = len(e0)
         try:
-            traj = integrate_ode(rhs, np.concatenate([nu0, e0]), grid)
+            traj = integrate_ode(rhs, np.concatenate([np.broadcast_to(nu0, (n, d)), e0], axis=1),
+                                 grid)
         except IntegrationDiverged:
-            return None, None
-        mT, etaT = traj[-1, :d], traj[-1, d:]
-        return etaT - (mT + spec.g.gradient(mT)), traj
+            if n == 1:
+                return (np.full((1, d), np.nan), np.full((grid.steps + 1, 1, 2 * d), np.nan),
+                        np.array([False]))
+            # integrate each half again to keep the rows that stay finite
+            lo, hi = residual(e0[:n // 2]), residual(e0[n // 2:])
+            return tuple(np.concatenate(p, axis=ax) for p, ax in zip(zip(lo, hi), (0, 1, 0)))
+        mT, etaT = traj[-1, :, :d], traj[-1, :, d:]
+        return etaT - (mT + spec.g.gradient(mT)), traj, np.ones(n, dtype=bool)
 
-    res, traj = residual(eta0)
-    if res is None:
-        return None
+    eta0 = starts.copy()
+    res, traj, alive = residual(eta0)
+    converged = np.zeros(S, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
-        nrm = float(np.linalg.norm(res))
-        if nrm < NEWTON_TOL:
+        nrm = np.linalg.norm(res, axis=1)
+        converged |= alive & (nrm < NEWTON_TOL)
+        act = np.flatnonzero(alive & ~converged)
+        if act.size == 0:
             break
-        jac = np.empty((d, d))
-        for j in range(d):
-            probe = eta0.copy()
-            probe[j] += FD_STEP
-            res_j, _ = residual(probe)
-            if res_j is None:
-                return None
-            jac[:, j] = (res_j - res) / FD_STEP
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None
-        lam = 1.0
-        while lam > 1e-6:
-            cand = eta0 + lam * step
-            res_c, traj_c = residual(cand)
-            if res_c is not None and np.linalg.norm(res_c) < nrm:
-                eta0, res, traj = cand, res_c, traj_c
-                break
-            lam *= 0.5
-        else:
-            return None
-    else:
-        return None
+        # probe j of a start moves component j of its eta0 by FD_STEP
+        res_p, _, ok = residual((eta0[act, None] + FD_STEP * np.eye(d)).reshape(-1, d))
+        jac = np.swapaxes(res_p.reshape(-1, d, d) - res[act, None], 1, 2) / FD_STEP
+        step = _solve_each(jac, -res[act])
+        # a diverged probe or a singular Jacobian fails the start, and so does
+        # a non-finite step, which leaves every candidate non-finite
+        ok = ok.reshape(-1, d).all(axis=1) & np.all(np.isfinite(step), axis=1)
+        alive[act[~ok]] = False
+        act, step = act[ok], step[ok]
+        lam, todo = np.ones(act.size), np.arange(act.size)
+        while todo.size:
+            s = act[todo]
+            cand = eta0[s] + lam[todo, None] * step[todo]
+            res_c, traj_c, ok = residual(cand)
+            ok &= np.linalg.norm(res_c, axis=1) < nrm[s]
+            eta0[s[ok]], res[s[ok]], traj[:, s[ok]] = cand[ok], res_c[ok], traj_c[:, ok]
+            lam[todo] *= 0.5
+            todo = todo[~ok]
+            spent = lam[todo] <= 1e-6
+            alive[act[todo[spent]]] = False
+            todo = todo[~spent]
 
-    m, eta = traj[:, :d], traj[:, d:]
-    cost = trajectory_cost(spec, grid, m, -eta)
-    return OCSolution(grid=grid, m=m, eta=eta, cost=cost,
-                      terminal_residual=float(np.linalg.norm(res)))
+    sols = [None] * S
+    for k in np.flatnonzero(converged):
+        path = traj[:, k].copy()
+        m, eta = path[:, :d], path[:, d:]
+        sols[k] = OCSolution(grid=grid, m=m, eta=eta, cost=trajectory_cost(spec, grid, m, -eta),
+                             terminal_residual=float(np.linalg.norm(res[k])))
+    return sols
+
+
+def shoot(spec: ModelSpec, t0, nu0, eta0_guess, steps_per_unit: int = 1000):
+    """Newton shooting on the initial adjoint from one guess.
+
+    Returns an OCSolution on success, None when Newton stagnates or the
+    integration diverges.  It is the one-start case of the Newton that
+    enumerate_stationary runs on all of its starts at once.
+    """
+    guess = np.atleast_1d(np.asarray(eta0_guess, dtype=float))
+    return _newton(spec, t0, nu0, guess[None, :], steps_per_unit)[0]
 
 
 def default_start_grid(spec: ModelSpec, nu0):
@@ -152,7 +185,7 @@ def default_start_grid(spec: ModelSpec, nu0):
 
 def enumerate_stationary(spec: ModelSpec, t0, nu0, start_grid=None,
                          steps_per_unit: int = 1000) -> StationarySet:
-    """Multi-start shooting, deduplicated by initial adjoint and sorted by cost."""
+    """Batched multi-start shooting, deduplicated by initial adjoint and sorted by cost."""
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     if start_grid is None:
         start_grid = default_start_grid(spec, nu0)
@@ -164,16 +197,13 @@ def enumerate_stationary(spec: ModelSpec, t0, nu0, start_grid=None,
     # independent of the order the guesses came in
     start_grid = start_grid[np.lexsort(start_grid.T[::-1])]
 
+    sols = _newton(spec, t0, nu0, start_grid, steps_per_unit)
     found = []
-    for guess in start_grid:
-        sol = shoot(spec, t0, nu0, guess, steps_per_unit=steps_per_unit)
-        if sol is None:
-            continue
-        if any(np.linalg.norm(sol.eta0 - s.eta0) < DEDUP_TOL for s in found):
-            continue
-        found.append(sol)
+    for sol in filter(None, sols):
+        if not any(np.linalg.norm(sol.eta0 - s.eta0) < DEDUP_TOL for s in found):
+            found.append(sol)
     if not found:
-        raise NoStationaryPoint("multi-start shooting found no stationary point")
+        raise NoStationaryPoint(f"all {len(sols)} starts of the multi-start shooting failed")
 
     found.sort(key=lambda s: s.cost)
     min_cost = found[0].cost
@@ -181,7 +211,8 @@ def enumerate_stationary(spec: ModelSpec, t0, nu0, start_grid=None,
     for s in found:
         s.classification = "minimizer" if s.cost - min_cost <= tie else "stationary-only"
     minimizers = sum(s.classification == "minimizer" for s in found)
-    return StationarySet(solutions=found, min_cost=min_cost, multiplicity=minimizers)
+    return StationarySet(solutions=found, min_cost=min_cost, multiplicity=minimizers,
+                         starts=len(sols), failed=sum(sol is None for sol in sols))
 
 
 # --- discretized-control descent (independent cross-check) ------------------

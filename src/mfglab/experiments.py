@@ -138,6 +138,9 @@ class ScenarioConfig:
         unknown = sorted(set(self.raw) - CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        for key in ("run.N", "run.eps"):
+            if key in self.raw and not self.getlist_float(key, []):
+                raise ConfigError(f"{key} must list at least one value")
         Ns = self.getlist_int("run.N", [25, 100, 400])
         if any(b <= a for a, b in zip(Ns, Ns[1:])):
             raise ConfigError("run.N must be strictly increasing")

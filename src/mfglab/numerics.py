@@ -123,7 +123,8 @@ def integrate_ode(rhs, x0, grid: TimeGrid, direction: str = "forward") -> np.nda
     shape.  Returns the state at every grid node, indexed in forward time
     order regardless of direction.  For direction="backward", x0 is the
     terminal condition at T.  A non-finite state raises IntegrationDiverged
-    at the node where it appears.
+    at the first node where it appears, tested once after the loop: a
+    non-finite value stays non-finite under the RK4 update.
     """
     if direction not in ("forward", "backward"):
         raise InvalidParameter(f"unknown direction {direction!r}")
@@ -132,17 +133,21 @@ def integrate_ode(rhs, x0, grid: TimeGrid, direction: str = "forward") -> np.nda
     out = np.empty((grid.steps + 1,) + x.shape)
     h, step, k = (grid.dt, 1, 0) if direction == "forward" else (-grid.dt, -1, grid.steps)
     out[k] = x
-    for _ in range(grid.steps):
-        t = nodes[k]
-        k1 = np.asarray(rhs(t, x))
-        k2 = np.asarray(rhs(t + h / 2, x + h / 2 * k1))
-        k3 = np.asarray(rhs(t + h / 2, x + h / 2 * k2))
-        k4 = np.asarray(rhs(t + h, x + h * k3))
-        x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        k += step
-        if not np.all(np.isfinite(x)):
-            raise IntegrationDiverged(nodes[k])
-        out[k] = x
+    # past an overflow the loop runs on, silently, with non-finite values
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(grid.steps):
+            t = nodes[k]
+            k1 = np.asarray(rhs(t, x))
+            k2 = np.asarray(rhs(t + h / 2, x + h / 2 * k1))
+            k3 = np.asarray(rhs(t + h / 2, x + h / 2 * k2))
+            k4 = np.asarray(rhs(t + h, x + h * k3))
+            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            k += step
+            out[k] = x
+    # the steps in integration order; the start value is not one
+    finite = np.isfinite(out[::step]).all(axis=tuple(range(1, out.ndim)))[1:]
+    if not finite.all():
+        raise IntegrationDiverged(nodes[::step][1 + np.argmin(finite)])
     return out
 
 
@@ -166,12 +171,10 @@ def riccati_backward(b, Q_run, Q_term, grid: TimeGrid) -> np.ndarray:
         R = phi @ phi - phi @ b - b.T @ phi - Q_run
         return 0.5 * (R + R.T)
 
-    # past the escape bound the iterates overflow on their way to inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            phi = integrate_ode(rhs, 0.5 * (Q_term + Q_term.T), grid, direction="backward")
-        except IntegrationDiverged as exc:
-            raise RiccatiEscape(exc.t) from None
+    try:
+        phi = integrate_ode(rhs, 0.5 * (Q_term + Q_term.T), grid, direction="backward")
+    except IntegrationDiverged as exc:
+        raise RiccatiEscape(exc.t) from None
     escaped = np.nonzero(np.max(np.abs(phi), axis=(1, 2)) > RICCATI_ESCAPE)[0]
     if escaped.size:
         raise RiccatiEscape(grid.nodes[escaped[-1]])

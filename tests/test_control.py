@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from mfglab import control
 from mfglab.control import (
+    DEDUP_TOL,
     default_start_grid,
     descend_discrete,
     differentiability_probe,
@@ -15,7 +17,7 @@ from mfglab.control import (
     symmetric_minimizer_root,
     value_function,
 )
-from mfglab.errors import InvalidReduction, NoStationaryPoint
+from mfglab.errors import IntegrationDiverged, InvalidReduction, NoStationaryPoint
 from mfglab.potentials import (
     ModelSpec,
     make_delarue_terminal,
@@ -132,6 +134,84 @@ class TestEnumerate:
                 for g in (grid, grid[::-1], shuffled)]
         assert etas[1] == pytest.approx(etas[0], abs=1e-12)
         assert etas[2] == pytest.approx(etas[0], abs=1e-12)
+
+
+def delarue_model():
+    # the E3 model: Delarue terminal coupling, no running potential
+    return model(make_zero(1), make_delarue_terminal(0.0, 1.0, 0.1))
+
+
+def shoot_each(spec, nu0, starts, steps_per_unit):
+    """The stationary set rebuilt from one shoot per start, deduplicated in
+    lexicographic start order and sorted by cost, as enumerate_stationary does."""
+    found = []
+    for guess in starts[np.lexsort(starts.T[::-1])]:
+        sol = shoot(spec, 0.0, nu0, guess, steps_per_unit=steps_per_unit)
+        if sol is not None and not any(
+                np.linalg.norm(sol.eta0 - s.eta0) < DEDUP_TOL for s in found):
+            found.append(sol)
+    return sorted(found, key=lambda s: s.cost)
+
+
+def assert_same_solutions(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x.eta0, y.eta0)
+        assert x.cost == y.cost
+        assert np.array_equal(x.m, y.m)
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """(rows, diverged) of each integrate_ode call that control makes."""
+    calls = []
+    inner = control.integrate_ode
+
+    def integrate(rhs, x0, grid, *args, **kwargs):
+        try:
+            out = inner(rhs, x0, grid, *args, **kwargs)
+        except IntegrationDiverged:
+            calls.append((len(x0), True))
+            raise
+        calls.append((len(x0), False))
+        return out
+
+    monkeypatch.setattr(control, "integrate_ode", integrate)
+    return calls
+
+
+class TestBatchedShooting:
+    # enumerate_stationary shoots all its starts as one batched state; the
+    # batch must neither mix the starts nor let one start's failure spread
+
+    @pytest.mark.parametrize("spec, nu0", [(logcosh_model(nu0=0.5), 0.5), (delarue_model(), 0.0)])
+    def test_batch_equals_single_starts(self, spec, nu0):
+        starts = default_start_grid(spec, [nu0])
+        sset = enumerate_stationary(spec, 0.0, [nu0], steps_per_unit=250)
+        assert_same_solutions(sset.solutions, shoot_each(spec, [nu0], starts, 250))
+        assert (sset.starts, sset.failed) == (len(starts), 0)
+
+    # the residual norm of the 1e300 start overflows to inf, with numpy's warning
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("spec, nu0", [(logcosh_model(nu0=0.5), 0.5), (delarue_model(), 0.0)])
+    def test_diverging_start_changes_nothing(self, spec, nu0, integrations):
+        starts = default_start_grid(spec, [nu0])
+        base = enumerate_stationary(spec, 0.0, [nu0], start_grid=starts, steps_per_unit=250)
+        assert not any(diverged for _, diverged in integrations)
+        # at 1e300 a probe's FD_STEP vanishes, so the Jacobian is singular;
+        # at 1e308 the RK4 update overflows in its first step
+        grown = np.vstack([starts, [[1e300], [1e308]]])
+        integrations.clear()
+        sset = enumerate_stationary(spec, 0.0, [nu0], start_grid=grown, steps_per_unit=250)
+        assert integrations[0] == (len(grown), True)
+        assert_same_solutions(sset.solutions, base.solutions)
+        assert (sset.starts, sset.failed) == (base.starts + 2, base.failed + 2)
+
+    def test_fewer_integrations_than_starts(self, integrations):
+        sset = enumerate_stationary(logcosh_model(nu0=0.5), 0.0, [0.5])
+        # one start per integration would take 21 integrations before any Newton step
+        assert sset.starts == 21
+        assert len(integrations) < sset.starts
 
 
 class TestValueFunction:

@@ -108,6 +108,11 @@ class TestConfig:
             with pytest.raises(ConfigError, match=re.escape(key.split()[0])):
                 ScenarioConfig.from_text(f"scenario = {scenario}\n{key}\n")
 
+    def test_empty_list_rejected(self):
+        for key in ("run.N", "run.eps"):
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                ScenarioConfig.from_text(f"scenario = E5\n{key} =\n")
+
     def test_config_keys_are_the_keys_read(self):
         # CONFIG_KEYS is exactly the set of keys that src/ reads from a config
         src = "".join(p.read_text() for p in Path(experiments.__file__).parent.glob("*.py"))
@@ -251,6 +256,13 @@ class TestCli:
         cfg = self.write(tmp_path, "scenario = E2\nrun.N = oops\n")
         assert cli_main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
 
+    def test_empty_list_exit_one(self, tmp_path, capsys):
+        # an empty run.N / run.eps used to end in an UnboundLocalError or IndexError
+        for scenario, key in (("E2", "run.N"), ("E5", "run.eps"), ("E6", "run.N")):
+            cfg = self.write(tmp_path, f"scenario = {scenario}\n{key} =\n")
+            assert cli_main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
+            assert "error:" in capsys.readouterr().err
+
     def test_missing_config_exit_one(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")
         for argv in (["run", missing], ["oc-value", missing, "--seed", "3"]):
@@ -270,6 +282,7 @@ class TestCli:
         assert cli_main(["oc-enumerate", cfg]) == 0
         out = capsys.readouterr().out
         assert "minimizer" in out and "stationary-only" in out
+        assert "21 start(s), 0 failed, 3 distinct stationary solution(s)" in out
 
     def test_oc_value(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "scenario = E2\n")

@@ -88,6 +88,18 @@ class TestIntegrateOde:
         with pytest.raises(IntegrationDiverged), np.errstate(over="ignore"):
             integrate_ode(lambda t, x: x**3, [5.0], TimeGrid(0, 2, 200))
 
+    def test_divergence_node(self):
+        # the first non-finite node in integration order, with no overflow warning
+        grid = TimeGrid(0, 2, 200)
+        for direction, rhs, t in (("forward", lambda t, x: x**3, grid.nodes[4]),
+                                  ("backward", lambda t, x: -x**3, grid.nodes[-5])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IntegrationDiverged) as exc:
+                    integrate_ode(rhs, [5.0], grid, direction=direction)
+            assert exc.value.t == t
+        assert grid.nodes[4] == 0.04
+
     def test_bad_direction(self):
         with pytest.raises(InvalidParameter):
             integrate_ode(lambda t, x: x, [1.0], TimeGrid(0, 1, 10), direction="up")
