@@ -31,7 +31,6 @@ from .experiments import ScenarioConfig, ScenarioReport, run_scenario
 from .field import (
     DecouplingField,
     PathEnsemble,
-    eval_cost_ensemble,
     load_field_binary,
     riccati_field_oracle,
     save_field_binary,
@@ -55,7 +54,6 @@ from .potentials import (
     corrected_cost,
     corrected_gradient,
     from_name,
-    logcosh_threshold,
     make_delarue_terminal,
     make_logcosh_terminal,
     make_quadratic,

@@ -49,10 +49,6 @@ class OCSolution:
     classification: str = "stationary-only"
 
     @property
-    def beta(self) -> np.ndarray:
-        return -self.eta
-
-    @property
     def eta0(self) -> np.ndarray:
         return self.eta[0]
 
@@ -64,9 +60,6 @@ class StationarySet:
     multiplicity: int               # count of cost-tied minimizers
     starts: int                     # start guesses shot
     failed: int                     # starts whose Newton failed
-
-    def minimizers(self):
-        return [s for s in self.solutions if s.classification == "minimizer"]
 
 
 def trajectory_cost(spec: ModelSpec, grid: TimeGrid, m, beta) -> float:
@@ -176,7 +169,7 @@ def shoot(spec: ModelSpec, t0, nu0, eta0_guess, steps_per_unit: int = 1000):
 def default_start_grid(spec: ModelSpec, nu0):
     """Lattice of initial-adjoint guesses sized by the a-priori bounds."""
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
-    R = (float(np.linalg.norm(nu0)) + spec.g.bounds["grad_sup"] + spec.T)
+    R = (float(np.linalg.norm(nu0)) + spec.g.grad_sup + spec.T)
     R *= float(np.exp(np.linalg.norm(spec.b, 2) * spec.T))
     axes = [np.linspace(-R, R, START_POINTS_PER_AXIS) for _ in range(spec.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -286,7 +279,7 @@ def value_function(spec: ModelSpec, t0, nu0, cross_check: bool = True,
     v = sset.min_cost
     if cross_check:
         gen = np.random.default_rng(CHECK_SEED)
-        scale = float(np.linalg.norm(np.atleast_1d(nu0))) + spec.g.bounds["grad_sup"] + 1.0
+        scale = float(np.linalg.norm(np.atleast_1d(nu0))) + spec.g.grad_sup + 1.0
         best = np.inf
         for _ in range(CHECK_STARTS):
             beta0 = gen.uniform(-scale, scale, size=(1, spec.dim)) * np.ones(
@@ -309,6 +302,8 @@ def differentiability_probe(spec: ModelSpec, t0, nu0, h: float = 1e-3, **vf_kwar
     estimate); this is a heuristic, not a certificate.  The central quotients
     are the gradient estimate where the verdict is "differentiable".
     """
+    if not h > 0:
+        raise InvalidParameter(f"probe step h must be positive, got {h}")
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     vf_kwargs.setdefault("cross_check", False)
     v0 = value_function(spec, t0, nu0, **vf_kwargs)
@@ -369,7 +364,7 @@ def static_U_minimize(spec: ModelSpec, t0, nu0):
     _require_static(spec)
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     tau = spec.T - t0
-    scan_radius = (float(np.linalg.norm(nu0)) + spec.g.bounds["grad_sup"] + 2.0) / max(tau, 1e-9)
+    scan_radius = (float(np.linalg.norm(nu0)) + spec.g.grad_sup + 2.0) / max(tau, 1e-9)
 
     on_sphere = spec.dim > 1 and np.all(nu0 == 0.0)
     if np.all(nu0 == 0.0):

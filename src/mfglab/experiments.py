@@ -198,7 +198,7 @@ def build_grid(cfg: ScenarioConfig, spec: ModelSpec) -> SpaceGrid:
 
 def default_domain_halfwidth(spec: ModelSpec) -> float:
     """Twice the a-priori trajectory radius (drift growth times gradient sup)."""
-    gsup = spec.g.bounds.get("grad_sup", 1.0)
+    gsup = spec.g.grad_sup
     bnorm = float(np.linalg.norm(spec.b, 2))
     R = (float(np.linalg.norm(spec.nu0)) + spec.T * (gsup + 1.0)) * np.exp(bnorm * spec.T)
     return 2.0 * max(R, 1.0)
@@ -312,8 +312,7 @@ def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
 
     errors = []
     for N in Ns:
-        fld = _field_for(spec, grid, cfg, N=N)
-        ens = simulate_ensemble(fld, spec, M=M, seed=seed)
+        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed)
         ref = limit_flow(ens.tgrid.nodes)
         mean_path = ens.paths.mean(axis=0)
         err = float(np.max(np.abs(mean_path - ref)))
@@ -324,9 +323,8 @@ def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
                     exit_fraction=ens.exit_fraction)
 
     # noise-off deterministic run, the N -> infinity analogue
-    fld_inf = _field_for(spec, grid, cfg, eps=1e-3)
-    ens_inf = simulate_ensemble(fld_inf, spec, M=1, seed=seed, noise_off=True,
-                                m0_override=spec.nu0)
+    ens_inf = simulate_ensemble(_field_for(spec, grid, cfg, eps=1e-3), spec, M=1, seed=seed,
+                                noise_off=True, m0_override=spec.nu0)
     ref = limit_flow(ens_inf.tgrid.nodes)
     err_inf = float(np.max(np.abs(ens_inf.paths[0] - ref)))
     rep.add_row(N="inf", seed=seed, config=cfg.config_hash, sup_mean_error=err_inf,
@@ -361,8 +359,7 @@ def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
 
     freqs, w1s = [], []
     for N in Ns:
-        fld = _field_for(spec, grid, cfg, N=N)
-        ens = simulate_ensemble(fld, spec, M=M, seed=seed)
+        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed)
         mT = ens.terminal[:, 0]
         pos, se = _sign_stats(mT)
         w1 = wasserstein1_1d(mT, [-atom, atom], [0.5, 0.5])
@@ -430,8 +427,7 @@ def run_E3_delarue(cfg: ScenarioConfig) -> ScenarioReport:
         M = cfg.getint("run.M", 500)
         grid = SpaceGrid.symmetric(cfg.getfloat("grid.L", 2.0),
                                    cfg.getint("grid.nodes", 1601), 1)
-        fld = _field_for(spec, grid, cfg, N=N)
-        ens = simulate_ensemble(fld, spec, M=M, seed=seed)
+        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed)
         pos, se = _sign_stats(ens.terminal[:, 0])
         band = _sign_band(cfg, se)
         rep.verdict("terminal-sign frequency in 0.5 band",
@@ -459,8 +455,7 @@ def run_E4_sphere(cfg: ScenarioConfig) -> ScenarioReport:
 
     ps, medians = [], []
     for N in Ns:
-        fld = _field_for(spec, grid, cfg, N=N)
-        ens = simulate_ensemble(fld, spec, M=M, seed=seed)
+        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed)
         mT = ens.terminal
         angles = np.arctan2(mT[:, 1], mT[:, 0])
         V, p = kuiper_uniformity(angles)
@@ -496,8 +491,7 @@ def run_E5_common_noise(cfg: ScenarioConfig) -> ScenarioReport:
 
     freqs, variances = [], []
     for eps in eps_list:
-        fld = _field_for(spec, grid, cfg, eps=eps)
-        ens = simulate_ensemble(fld, spec, M=M, seed=seed)
+        ens = simulate_ensemble(_field_for(spec, grid, cfg, eps=eps), spec, M=M, seed=seed)
         mT = ens.terminal[:, 0]
         pos, se = _sign_stats(mT)
         w1 = (wasserstein1_1d(mT, [-atom, atom], [0.5, 0.5])

@@ -24,7 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import CflViolation, InvalidInput, InvalidOracle, InvalidParameter, PdeDiverged
 from .numerics import RngStream, SpaceGrid, TimeGrid, integrate_ode
-from .potentials import ModelSpec, corrected_gradient, reminder
+from .potentials import ModelSpec, corrected_gradient
 
 # stability bounds of the explicit scheme: nu dt / dx^2 and |c| dt / dx
 CFL_DIFF = 0.25
@@ -87,9 +87,9 @@ def _laplacian(u: np.ndarray, spacings) -> np.ndarray:
 def _upwind_transport(u: np.ndarray, c: np.ndarray, spacings) -> np.ndarray:
     """sum_ax c_ax * D_ax u with the difference direction chosen by sign(c_ax).
 
-    Forward differences where c > 0, backward where c < 0, centered where
-    c == 0; the mirrored choice keeps odd symmetry of the update exact on
-    symmetric grids.  One-sided differences at the truncation boundary.
+    Forward differences where c > 0, backward where c < 0; where c == 0 both
+    terms vanish.  The mirrored choice keeps odd symmetry of the update exact
+    on symmetric grids.  One-sided differences at the truncation boundary.
     """
     out = np.zeros_like(u)
     for ax, dx in enumerate(spacings):
@@ -98,14 +98,12 @@ def _upwind_transport(u: np.ndarray, c: np.ndarray, spacings) -> np.ndarray:
         v, f, b = u.swapaxes(0, ax), fwd.swapaxes(0, ax), bwd.swapaxes(0, ax)
         diff = (v[1:] - v[:-1]) / dx
         f[:-1] = diff
-        f[-1] = (v[-1] - v[-2]) / dx
+        f[-1] = diff[-1]
         b[1:] = diff
-        b[0] = (v[1] - v[0]) / dx
+        b[0] = diff[0]
 
         ca = c[..., ax:ax + 1]
-        centered = 0.5 * (fwd + bwd)
-        Du = np.where(ca > 0, fwd, np.where(ca < 0, bwd, centered))
-        out += ca * Du
+        out += np.maximum(ca, 0) * fwd + np.minimum(ca, 0) * bwd
     return out
 
 
@@ -145,6 +143,8 @@ def _variant(spec: ModelSpec, N, eps):
     if (N is None) == (eps is None):
         raise InvalidParameter("pass exactly one of N or eps")
     if N is not None:
+        if N < 1:
+            raise InvalidParameter(f"N must be at least 1, got {N}")
         if spec.sigma <= 0:
             raise InvalidParameter("the N-player field needs sigma > 0")
         nu = spec.sigma**2 / (2.0 * N)
@@ -237,6 +237,8 @@ def stable_time_grid(spec: ModelSpec, grid: SpaceGrid, N: int = None, eps: float
     The advection speed is estimated from the terminal layer, inflated by
     VELOCITY_MARGIN because the field can steepen backward in time.
     """
+    if not safety > 0:
+        raise InvalidParameter(f"safety factor must be positive, got {safety}")
     nu, cost_gradient, _ = _variant(spec, N, eps)
     mgrid = np.stack(grid.meshgrid(), axis=-1)
     uT = cost_gradient(spec.g, mgrid)
@@ -302,7 +304,6 @@ def riccati_field_oracle(spec: ModelSpec, tgrid: TimeGrid, N: int = None, eps: f
 class PathEnsemble:
     tgrid: TimeGrid
     paths: np.ndarray        # (M, steps+1, d)
-    controls: np.ndarray     # (M, steps+1, d), realized eta = u(t, m)
     seed: int
     exit_fraction: float
     metadata: dict = field(default_factory=dict)
@@ -313,8 +314,7 @@ class PathEnsemble:
 
 
 def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
-                      sim_steps: int = None, noise_off: bool = False,
-                      m0_override=None, control_override=None) -> PathEnsemble:
+                      noise_off: bool = False, m0_override=None) -> PathEnsemble:
     """Euler-Maruyama ensemble of the mean process driven by the field.
 
     Per-path randomness comes from RngStream(seed, path index): for the
@@ -333,8 +333,7 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
                            "binary file does not); only a noise_off ensemble can use it")
     d = spec.dim
     T, t0 = fld.tgrid.T, fld.tgrid.t0
-    if sim_steps is None:
-        sim_steps = max(int(round(1000 * (T - t0))), 16)
+    sim_steps = max(int(round(1000 * (T - t0))), 16)
     tg = TimeGrid(t0, T, sim_steps)
     dt = tg.dt
     sq = np.sqrt(dt)
@@ -352,50 +351,24 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
     lows, highs = np.array([ax[:2] for ax in fld.grid.axes]).T
 
     paths = np.empty((M, sim_steps + 1, d))
-    controls = np.empty((M, sim_steps + 1, d))
     paths[:, 0] = np.clip(m0, lows, highs)
     exited = np.any((m0 < lows) | (m0 > highs), axis=1)
 
     m = paths[:, 0].copy()
-    control = fld.evaluate_batch if control_override is None else control_override
     for k in range(sim_steps):
-        eta = control(tg.nodes[k], m)
-        controls[:, k] = eta
+        eta = fld.evaluate_batch(tg.nodes[k], m)
         drift = m @ spec.b.T - eta
         m = m + dt * drift + noise_scale * dW[:, k]
         out = (m < lows) | (m > highs)
         exited |= np.any(out, axis=1)
         np.clip(m, lows, highs, out=m)
         paths[:, k + 1] = m
-    controls[:, -1] = control(tg.nodes[-1], m)
 
     exit_fraction = float(np.mean(exited))
     meta_out = dict(meta)
     meta_out["domain_too_small"] = exit_fraction > 0.01
-    return PathEnsemble(tgrid=tg, paths=paths, controls=controls, seed=seed,
+    return PathEnsemble(tgrid=tg, paths=paths, seed=seed,
                         exit_fraction=exit_fraction, metadata=meta_out)
-
-
-def eval_cost_ensemble(ens: PathEnsemble, spec: ModelSpec) -> np.ndarray:
-    """Per-path cost of the mean control problem along simulated paths.
-
-    The control is beta = -eta with the realized eta stored in the ensemble;
-    the 1/N reminder corrections are included for the N-player variant and
-    absent for the common-noise one.
-    """
-    nplayer = ens.metadata.get("kind", "nplayer") == "nplayer"
-    N = ens.metadata.get("N")
-    m, eta = ens.paths, ens.controls
-    run = 0.5 * np.sum(eta**2, axis=-1) + 0.5 * np.sum(m**2, axis=-1)
-    run = run + spec.f.value(m)
-    if nplayer:
-        run = run + reminder(spec.f, m) / N
-    mT = m[:, -1]
-    costs = np.trapezoid(run, ens.tgrid.nodes, axis=-1)
-    costs += 0.5 * np.sum(mT**2, axis=-1) + spec.g.value(mT)
-    if nplayer:
-        costs += reminder(spec.g, mT) / N
-    return costs
 
 
 # --- export -----------------------------------------------------------------
@@ -450,21 +423,11 @@ def load_field_binary(path: str) -> DecouplingField:
 
 
 def export_field_csv_slice(fld: DecouplingField, path: str, time_index: int = 0):
+    if not 0 <= time_index <= fld.tgrid.steps:
+        raise InvalidInput(f"time index {time_index} outside 0..{fld.tgrid.steps}")
     d = fld.grid.dim
     coords = fld.grid.meshgrid()
     pts = np.stack([c.ravel() for c in coords], axis=-1)
     level = fld.values[time_index].reshape(-1, d)
     header = ",".join([f"m{i+1}" for i in range(d)] + [f"u{i+1}" for i in range(d)])
     np.savetxt(path, np.hstack([pts, level]), delimiter=",", header=header, comments="")
-
-
-def export_ensemble_csv(ens: PathEnsemble, path: str):
-    M, K1, d = ens.paths.shape
-    nodes = ens.tgrid.nodes
-    cols = (["path", "t"] + [f"m{i+1}" for i in range(d)] + [f"eta{i+1}" for i in range(d)])
-    rows = np.empty((M * K1, 2 + 2 * d))
-    rows[:, 0] = np.repeat(np.arange(M), K1)
-    rows[:, 1] = np.tile(nodes, M)
-    rows[:, 2:2 + d] = ens.paths.reshape(-1, d)
-    rows[:, 2 + d:] = ens.controls.reshape(-1, d)
-    np.savetxt(path, rows, delimiter=",", header=",".join(cols), comments="")

@@ -30,7 +30,7 @@ class Potential:
     value: Callable          # (..., d) -> (...)
     gradient: Callable       # (..., d) -> (..., d)
     hessian: Callable        # (..., d) -> (..., d, d)
-    bounds: dict
+    grad_sup: float          # a-priori bound on |grad| over the probe box
     probe_radius: float
     even: bool = False
     # (C, k) when value(m) = m.C m / 2 + k.m; enables the Riccati oracle
@@ -50,8 +50,8 @@ def _dot(a, b):
     return np.einsum("...i,...i->...", a, b)
 
 
-def _scan_bounds(dim, gradient, hessian, radius, n=4001):
-    """Sup and Lipschitz bounds of grad, hess and hess.m on a dense probe."""
+def _scan_grad_sup(dim, gradient, radius, n=4001):
+    """Sup of |grad| on a dense probe of [-radius, radius]^dim, padded by 5%."""
     if dim == 1:
         pts = np.linspace(-radius, radius, n)[:, None]
     else:
@@ -59,44 +59,22 @@ def _scan_bounds(dim, gradient, hessian, radius, n=4001):
         ax = np.linspace(-radius, radius, side)
         xx, yy = np.meshgrid(ax, ax, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
-    grads = gradient(pts)
-    hesss = hessian(pts)
-    hessm = np.einsum("nij,nj->ni", hesss, pts)
-
-    def sup(a):
-        return float(np.max(np.linalg.norm(a.reshape(len(pts), -1), axis=1)))
-
-    def lip(a):
-        d = np.linalg.norm(np.diff(a.reshape(len(pts), -1), axis=0), axis=1)
-        step = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-        ok = step > 0
-        return float(np.max(d[ok] / step[ok]))
-
-    pad = 1.05
-    return {
-        "grad_sup": pad * sup(grads),
-        "grad_lip": pad * lip(grads),
-        "hess_sup": pad * sup(hesss),
-        "hess_lip": pad * lip(hesss),
-        "hessm_sup": pad * sup(hessm),
-        "hessm_lip": pad * lip(hessm),
-    }
+    return 1.05 * float(np.max(np.linalg.norm(gradient(pts), axis=1)))
 
 
 def _build(name, dim, value, gradient, hessian, probe_radius, even, quad_coeffs=None):
-    """Potential from array functions of (..., dim) points, with its bounds scan."""
+    """Potential from array functions of (..., dim) points, with its gradient bound."""
     def on_points(fn):
         return lambda m: fn(_points(m, dim))
 
     value, gradient, hessian = on_points(value), on_points(gradient), on_points(hessian)
-    bounds = _scan_bounds(dim, gradient, hessian, probe_radius)
     return Potential(
         name=name,
         dim=dim,
         value=value,
         gradient=gradient,
         hessian=hessian,
-        bounds=bounds,
+        grad_sup=_scan_grad_sup(dim, gradient, probe_radius),
         probe_radius=probe_radius,
         even=even,
         quad_coeffs=quad_coeffs,
@@ -167,11 +145,6 @@ def make_quadratic(c: float, dim: int = 1, kappa=None) -> Potential:
         hessian=lambda m: np.broadcast_to(C, m.shape + (dim,)).copy(),
         probe_radius=10.0, even=even, quad_coeffs=(C, k),
     )
-
-
-def logcosh_threshold(kappa: float) -> float:
-    """Largest C with kappa sech^2(m) > 2 on [0, C): solves kappa sech^2 = 2."""
-    return math.acosh(math.sqrt(kappa / 2.0))
 
 
 def _logcosh_profile(kappa):

@@ -65,15 +65,11 @@ class TestShoot:
         assert AHAT == pytest.approx(1.9150, abs=1e-4)
         assert 2 * AHAT == pytest.approx(4.0 * math.tanh(AHAT), abs=1e-10)
 
-    def test_beta_is_minus_eta(self):
-        sol = shoot(logcosh_model(), 0.0, [0.3], [1.0])
-        assert np.array_equal(sol.beta, -sol.eta)
-
     def test_dynamics_residual(self):
         sol = shoot(logcosh_model(nu0=0.5), 0.0, [0.5], [-2.0])
         dt = sol.grid.dt
         mdot = np.diff(sol.m, axis=0) / dt
-        beta_mid = 0.5 * (sol.beta[1:] + sol.beta[:-1])
+        beta_mid = -0.5 * (sol.eta[1:] + sol.eta[:-1])
         assert np.max(np.abs(mdot - beta_mid)) < 1e-6  # b = 0
 
     def test_delarue_closed_form(self):
@@ -114,7 +110,7 @@ class TestEnumerate:
 
     def test_tilted_start_unique_minimizer(self):
         sset = enumerate_stationary(logcosh_model(nu0=0.5), 0.0, [0.5])
-        mins = sset.minimizers()
+        mins = [s for s in sset.solutions if s.classification == "minimizer"]
         assert len(mins) == 1
         assert mins[0].m[-1, 0] > 0
         others = [s for s in sset.solutions if s.classification != "minimizer"]
@@ -264,7 +260,7 @@ class TestDiscreteDescent:
         # the sampled continuous optimum
         spec = logcosh_model(nu0=0.5)
         sol = shoot(spec, 0.0, [0.5], [-2.0], steps_per_unit=200)
-        beta0 = sol.beta[:-1]
+        beta0 = -sol.eta[:-1]
         _, cost, grad = descend_discrete(spec, 0.0, [0.5], beta0)
         assert float(np.linalg.norm(grad)) < 1e-6
         assert cost == pytest.approx(sol.cost, abs=1e-3)

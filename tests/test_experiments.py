@@ -18,6 +18,8 @@ from mfglab.experiments import (
     replay_row,
     run_scenario,
 )
+from mfglab.field import DecouplingField, save_field_binary
+from mfglab.numerics import SpaceGrid, TimeGrid
 
 E2_SMALL = """
 scenario = E2
@@ -305,6 +307,28 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["field", "export", str(binp), "--out", str(tmp_path / "f.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, argv", [
+        ("scenario = E2\nrun.N = 0 25\n", ["run", "{cfg}", "--out-dir", "{dir}"]),
+        ("scenario = E2\n", ["field", "solve", "{cfg}", "--N", "0", "--out", "{dir}/f.bin"]),
+        ("scenario = E6\nprobe.h = 0\n", ["run", "{cfg}", "--out-dir", "{dir}"]),
+        ("scenario = E2\ngrid.safety = 0\n", ["run", "{cfg}", "--out-dir", "{dir}"]),
+        ("scenario = E2\n", ["field", "export", "{bin}", "--time-index", "100000",
+                             "--out", "{dir}/f.csv"]),
+        ("scenario = E2\n", ["field", "export", "{bin}", "--time-index", "-1",
+                             "--out", "{dir}/f.csv"]),
+    ], ids=["run-N-0", "solve-N-0", "probe-h-0", "safety-0", "index-past-end",
+            "index-negative"])
+    def test_bad_numbers_exit_one(self, tmp_path, capsys, config, argv):
+        binp = str(tmp_path / "tiny.bin")
+        save_field_binary(DecouplingField(SpaceGrid.symmetric(1.0, 3, 1), TimeGrid(0.0, 1.0, 2),
+                                          np.zeros((3, 3, 1)), {"kind": "nplayer", "N": 10}),
+                          binp)
+        cfg = self.write(tmp_path, config)
+        args = [a.format(cfg=cfg, dir=tmp_path, bin=binp) for a in argv]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_flags_only_where_read(self, tmp_path):
         cfg = self.write(tmp_path, "scenario = E2\n")

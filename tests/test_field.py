@@ -7,8 +7,6 @@ from mfglab.control import shoot
 from mfglab.errors import CflViolation, InvalidInput, InvalidOracle, InvalidParameter
 from mfglab.field import (
     DecouplingField,
-    eval_cost_ensemble,
-    export_ensemble_csv,
     export_field_csv_slice,
     load_field_binary,
     riccati_field_oracle,
@@ -25,6 +23,7 @@ from mfglab.potentials import (
     make_quadratic,
     make_radial_logcosh,
     make_zero,
+    reminder,
 )
 
 
@@ -236,24 +235,48 @@ class TestSimulate:
             simulate_ensemble(fld, logcosh_spec(), M=0, seed=0)
 
 
+def path_costs(fld, ens, spec):
+    """Per-path cost of the mean control problem along an ensemble's paths.
+
+    The control eta = u(t, m) is re-evaluated from the field that drove the
+    paths; the 1/N reminder corrections enter for the N-player variant only.
+    """
+    m = ens.paths
+    eta = np.stack([fld.evaluate_batch(t, m[:, k]) for k, t in enumerate(ens.tgrid.nodes)],
+                   axis=1)
+    nplayer = ens.metadata.get("kind", "nplayer") == "nplayer"
+    N = ens.metadata.get("N")
+    run = 0.5 * np.sum(eta**2, axis=-1) + 0.5 * np.sum(m**2, axis=-1)
+    run = run + spec.f.value(m)
+    if nplayer:
+        run = run + reminder(spec.f, m) / N
+    mT = m[:, -1]
+    costs = np.trapezoid(run, ens.tgrid.nodes, axis=-1)
+    costs += 0.5 * np.sum(mT**2, axis=-1) + spec.g.value(mT)
+    if nplayer:
+        costs += reminder(spec.g, mT) / N
+    return costs
+
+
 class TestCost:
     def test_zero_everything(self):
         spec = model(make_zero(1), make_zero(1))
         fld = solve(spec, N=10)
         ens = simulate_ensemble(fld, spec, M=2, seed=0, noise_off=True,
                                 m0_override=[0.0])
-        costs = eval_cost_ensemble(ens, spec)
+        costs = path_costs(fld, ens, spec)
         assert np.allclose(costs, 0.0, atol=1e-12)
 
     def test_optimal_beats_zero_control(self):
         spec = logcosh_spec()
         N, M = 100, 400
         fld = solve(spec, N=N)
+        zero = DecouplingField(grid=fld.grid, tgrid=fld.tgrid, values=np.zeros_like(fld.values),
+                               metadata=fld.metadata)
         opt = simulate_ensemble(fld, spec, M=M, seed=21)
-        null = simulate_ensemble(fld, spec, M=M, seed=21,
-                                 control_override=lambda t, m: np.zeros_like(m))
-        c_opt = eval_cost_ensemble(opt, spec)
-        c_null = eval_cost_ensemble(null, spec)
+        null = simulate_ensemble(zero, spec, M=M, seed=21)
+        c_opt = path_costs(fld, opt, spec)
+        c_null = path_costs(zero, null, spec)
         diff = c_null - c_opt           # paired: same increments per path
         margin = diff.mean() / (diff.std(ddof=1) / math.sqrt(M))
         assert margin > 3.0
@@ -264,7 +287,7 @@ class TestCost:
         fld = solve(spec, N=4000)
         ens = simulate_ensemble(fld, spec, M=1, seed=0, noise_off=True,
                                 m0_override=[0.5])
-        cost = eval_cost_ensemble(ens, spec)[0]
+        cost = path_costs(fld, ens, spec)[0]
         v = value_function(spec, 0.0, [0.5], cross_check=False)
         assert abs(cost - v) < 5e-2
 
@@ -316,13 +339,3 @@ class TestExport:
         rows = open(path).read().splitlines()
         assert rows[0] == "m1,u1"
         assert len(rows) == 1 + 201
-
-    def test_ensemble_csv(self, tmp_path):
-        spec = logcosh_spec()
-        fld = solve(spec, N=50)
-        ens = simulate_ensemble(fld, spec, M=3, seed=1, sim_steps=50)
-        path = str(tmp_path / "paths.csv")
-        export_ensemble_csv(ens, path)
-        rows = open(path).read().splitlines()
-        assert rows[0] == "path,t,m1,eta1"
-        assert len(rows) == 1 + 3 * 51

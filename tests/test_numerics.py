@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 import warnings
@@ -113,6 +114,31 @@ class TestSingleStepper:
         update = re.compile(rf"{term} \+ 2 \* {term} \+ 2 \* {term} \+ {term}")
         text = "".join(p.read_text() for p in sorted(Path(mfglab.__file__).parent.glob("*.py")))
         assert [m.group(0) for m in update.finditer(text)] == ["k1 + 2 * k2 + 2 * k3 + k4"]
+
+    def test_public_functions_have_src_callers(self):
+        # a public top-level function that nothing in the package calls is
+        # dead weight; the exceptions are used from outside the package
+        allowed = {
+            "control.shoot": "the benchmark's shooting counters wrap it",
+            "control.static_U_minimize": "acceptance criterion 4 checks the reduction with it",
+            "potentials.corrected_cost": "the reference corrected_gradient is tested against",
+        }
+        trees = {p.stem: ast.parse(p.read_text())
+                 for p in sorted(Path(mfglab.__file__).parent.glob("*.py"))
+                 if p.name != "__init__.py"}
+        public = {(mod, node.name): node for mod, tree in trees.items() for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+        def referenced(name, own):
+            inside = {id(n) for n in ast.walk(own)}
+            return any(id(n) not in inside
+                       and (isinstance(n, ast.Name) and n.id == name
+                            or isinstance(n, ast.Attribute) and n.attr == name)
+                       for tree in trees.values() for n in ast.walk(tree))
+
+        unused = sorted(f"{mod}.{name}" for (mod, name), node in public.items()
+                        if not referenced(name, node))
+        assert unused == sorted(allowed)
 
 
 class TestRiccati:
