@@ -50,12 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oc-enumerate", help="multi-start shooting on a config's model")
     p.add_argument("config")
-    _add_seed(p)
 
     p = sub.add_parser("oc-value", help="value of the limit control problem at nu0")
     p.add_argument("config")
     p.add_argument("--nu0", type=float, default=None)
-    _add_seed(p)
 
     p = sub.add_parser("field", help="decoupling-field operations")
     fsub = p.add_subparsers(dest="field_command", required=True)
@@ -64,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--N", type=int, default=None)
     ps.add_argument("--eps", type=float, default=None)
     ps.add_argument("--out", required=True)
-    _add_seed(ps)
     pe = fsub.add_parser("export", help="CSV slice of a saved field")
     pe.add_argument("binary")
     pe.add_argument("--time-index", type=int, default=0)
@@ -130,7 +127,7 @@ def _dispatch(args) -> int:
     if args.command == "field" and (args.N is None) == (args.eps is None):
         print("error: pass exactly one of --N / --eps", file=sys.stderr)
         return EXIT_ERROR
-    cfg = _load_config(args.config, args.seed)
+    cfg = _load_config(args.config, getattr(args, "seed", None))
     spec = cfg.spec
 
     if args.command == "run":

@@ -8,6 +8,7 @@ report always yields the same pass/fail outcome.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,11 +80,14 @@ def fnv1a64(text: str) -> str:
     return f"{h:016x}"
 
 
-def _numbers(val: str, kind, what: str) -> list:
+def _numbers(key: str, val: str, kind, what: str) -> list:
     try:
-        return [kind(x) for x in val.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"expected a list of {what}, got {val!r}")
+        nums = [kind(x) for x in val.replace(",", " ").split()]
+        if all(map(math.isfinite, nums)):
+            return nums
+    except (ValueError, OverflowError):   # unparsable, or an integer too large for a float
+        pass
+    raise ConfigError(f"{key} must be {what}, got {val!r}")
 
 
 @dataclass(frozen=True)
@@ -114,10 +118,10 @@ class ScenarioConfig:
 
     def getfloat(self, key: str, default: float) -> float:
         v = self.raw.get(key)
-        try:
-            return default if v is None else float(v)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {v!r}")
+        nums = [default] if v is None else _numbers(key, v, float, "a finite number")
+        if len(nums) != 1:
+            raise ConfigError(f"{key} must be a finite number, got {v!r}")
+        return nums[0]
 
     def getint(self, key: str, default: int) -> int:
         v = self.raw.get(key)
@@ -128,11 +132,11 @@ class ScenarioConfig:
 
     def getlist_int(self, key: str, default: list) -> list:
         v = self.raw.get(key)
-        return list(default) if v is None else _numbers(v, int, "integers")
+        return list(default) if v is None else _numbers(key, v, int, "a list of integers")
 
     def getlist_float(self, key: str, default: list) -> list:
         v = self.raw.get(key)
-        return list(default) if v is None else _numbers(v, float, "numbers")
+        return list(default) if v is None else _numbers(key, v, float, "a list of finite numbers")
 
     def validate(self):
         unknown = sorted(set(self.raw) - CONFIG_KEYS)

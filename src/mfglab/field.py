@@ -75,9 +75,9 @@ def _interp_space(grid: SpaceGrid, level: np.ndarray, points: np.ndarray) -> np.
 
 
 def _laplacian(u: np.ndarray, spacings) -> np.ndarray:
-    """Componentwise Laplacian; linear-extrapolation ghosts zero the boundary rows."""
+    """Laplacian of a (d, *shape) field; extrapolation ghosts zero the boundary rows."""
     out = np.zeros_like(u)
-    for ax, dx in enumerate(spacings):
+    for ax, dx in enumerate(spacings, start=1):
         # views with the difference axis first; writes go through to out
         v, o = u.swapaxes(0, ax), out.swapaxes(0, ax)
         o[1:-1] += (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx**2
@@ -85,14 +85,14 @@ def _laplacian(u: np.ndarray, spacings) -> np.ndarray:
 
 
 def _upwind_transport(u: np.ndarray, c: np.ndarray, spacings) -> np.ndarray:
-    """sum_ax c_ax * D_ax u with the difference direction chosen by sign(c_ax).
+    """sum_ax c_ax * D_ax u for component-major u and c, both (d, *shape).
 
     Forward differences where c > 0, backward where c < 0; where c == 0 both
     terms vanish.  The mirrored choice keeps odd symmetry of the update exact
     on symmetric grids.  One-sided differences at the truncation boundary.
     """
     out = np.zeros_like(u)
-    for ax, dx in enumerate(spacings):
+    for ax, dx in enumerate(spacings, start=1):
         fwd = np.empty_like(u)
         bwd = np.empty_like(u)
         v, f, b = u.swapaxes(0, ax), fwd.swapaxes(0, ax), bwd.swapaxes(0, ax)
@@ -102,14 +102,14 @@ def _upwind_transport(u: np.ndarray, c: np.ndarray, spacings) -> np.ndarray:
         b[1:] = diff
         b[0] = diff[0]
 
-        ca = c[..., ax:ax + 1]
-        out += np.maximum(ca, 0) * fwd + np.minimum(ca, 0) * bwd
+        # c[ax - 1] is (*shape) and broadcasts over the component axis
+        out += np.maximum(c[ax - 1], 0) * fwd + np.minimum(c[ax - 1], 0) * bwd
     return out
 
 
 def _odd_project(u: np.ndarray, dim: int) -> np.ndarray:
-    """Project onto fields odd under m -> -m (node-reversal on every axis)."""
-    flipped = np.flip(u, axis=tuple(range(dim)))
+    """Project a (d, *shape) field onto fields odd under m -> -m (node reversal)."""
+    flipped = np.flip(u, axis=tuple(range(1, dim + 1)))
     return 0.5 * (u - flipped)
 
 
@@ -145,14 +145,14 @@ def _variant(spec: ModelSpec, N, eps):
     if N is not None:
         if N < 1:
             raise InvalidParameter(f"N must be at least 1, got {N}")
-        if spec.sigma <= 0:
-            raise InvalidParameter("the N-player field needs sigma > 0")
+        if not 0 < spec.sigma < np.inf:
+            raise InvalidParameter(f"the N-player field needs 0 < sigma < inf, got {spec.sigma}")
         nu = spec.sigma**2 / (2.0 * N)
         cost_gradient = lambda p, m: corrected_gradient(p, N, m)
         meta = {"kind": "nplayer", "N": N, "noise_scale": spec.sigma / np.sqrt(N)}
     else:
-        if eps <= 0:
-            raise InvalidParameter("eps must be positive")
+        if not 0 < eps < np.inf:
+            raise InvalidParameter(f"eps must be positive and finite, got {eps}")
         nu = eps**2 / 2.0
         cost_gradient = lambda p, m: m + p.gradient(m)
         meta = {"kind": "common-noise", "eps": eps, "noise_scale": eps}
@@ -180,52 +180,51 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
         if ratio > CFL_DIFF + 1e-12:
             raise CflViolation("diffusion", ratio, CFL_DIFF)
 
+    # the stepping state is component-major, (d, *shape), so each component
+    # is contiguous and each advection component c[i] broadcasts over all d
     mgrid = np.stack(grid.meshgrid(), axis=-1)              # (*shape, d)
-    bm = np.einsum("ij,...j->...i", spec.b, mgrid)
-    source = cost_gradient(spec.f, mgrid)
+    bm = np.moveaxis(np.einsum("ij,...j->...i", spec.b, mgrid), -1, 0).copy()
+    source = np.moveaxis(cost_gradient(spec.f, mgrid), -1, 0).copy()
     symmetric = spec.even_data and grid.is_symmetric()
+    drift = bool(np.any(spec.b))    # with b == 0 the b^T u term adds exact zeros
 
-    def check_advection(c):
+    def rhs(u, diffuse):
+        """((nu Lap u + transport) + b^T u) + source; the implicit step has no Lap u."""
+        c = bm - u
         cmax = float(np.max(np.abs(c)))
         for dx in spacings:
-            ratio = cmax * dt / dx
-            if ratio > CFL_ADV + 1e-12:
-                raise CflViolation("advection", ratio, CFL_ADV)
-
-    def rhs(u):
-        c = bm - u
-        check_advection(c)
-        return (nu * _laplacian(u, spacings)
-                + _upwind_transport(u, c, spacings)
-                + np.einsum("ji,...j->...i", spec.b, u)
-                + source)
+            if cmax * dt / dx > CFL_ADV + 1e-12:
+                raise CflViolation("advection", cmax * dt / dx, CFL_ADV)
+        out = _upwind_transport(u, c, spacings)
+        if diffuse:
+            out += nu * _laplacian(u, spacings)
+        if drift:
+            out += np.einsum("ji,j...->i...", spec.b, u)
+        out += source
+        return out
 
     steps = tgrid.steps
     values = np.empty((steps + 1,) + grid.shape + (d,))
     # the terminal layer stays exactly the corrected gradient at the nodes;
     # the odd projection (which could move it by an ulp) starts one level in
-    u = cost_gradient(spec.g, mgrid)
-    values[steps] = u
+    values[steps] = cost_gradient(spec.g, mgrid)
+    u = np.moveaxis(values[steps], -1, 0).copy()
 
-    lu = spla.splu(_implicit_diffusion_matrix(grid, nu * dt))
+    lu = spla.splu(_implicit_diffusion_matrix(grid, nu * dt), permc_spec="MMD_AT_PLUS_A")
     for k in range(steps - 1, -1, -1):
         if k == steps - 1:
             # first backward level: implicit diffusion, explicit transport and source
-            c = bm - u
-            check_advection(c)
-            expl = u + dt * (_upwind_transport(u, c, spacings)
-                             + np.einsum("ji,...j->...i", spec.b, u) + source)
-            u = np.stack([lu.solve(expl[..., i].ravel()).reshape(grid.shape)
-                          for i in range(d)], axis=-1)
+            expl = u + dt * rhs(u, False)
+            u = np.stack([lu.solve(expl[i].ravel()).reshape(grid.shape) for i in range(d)])
         else:
-            k1 = rhs(u)
-            k2 = rhs(u + dt * k1)
+            k1 = rhs(u, True)
+            k2 = rhs(u + dt * k1, True)
             u = u + 0.5 * dt * (k1 + k2)
         if symmetric:
             u = _odd_project(u, grid.dim)
         if not np.all(np.isfinite(u)):
             raise PdeDiverged(tgrid.nodes[k])
-        values[k] = u
+        values[k] = np.moveaxis(u, 0, -1)
 
     return DecouplingField(grid=grid, tgrid=tgrid, values=values, metadata=meta)
 

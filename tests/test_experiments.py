@@ -267,7 +267,7 @@ class TestCli:
 
     def test_missing_config_exit_one(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")
-        for argv in (["run", missing], ["oc-value", missing, "--seed", "3"]):
+        for argv in (["run", missing], ["oc-value", missing]):
             assert cli_main(argv) == 1
             assert "error:" in capsys.readouterr().err
 
@@ -317,8 +317,16 @@ class TestCli:
                              "--out", "{dir}/f.csv"]),
         ("scenario = E2\n", ["field", "export", "{bin}", "--time-index", "-1",
                              "--out", "{dir}/f.csv"]),
+        # non-finite numbers used to end in a traceback from splu or brentq
+        ("scenario = E2\nmodel.sigma = nan\n", ["run", "{cfg}", "--out-dir", "{dir}"]),
+        ("scenario = E2\nmodel.sigma = inf\n", ["run", "{cfg}", "--out-dir", "{dir}"]),
+        ("scenario = E2\nmodel.kappa = nan\n", ["run", "{cfg}", "--out-dir", "{dir}"]),
+        ("scenario = E5\nrun.eps = 0.5 nan\n", ["run", "{cfg}", "--out-dir", "{dir}"]),
+        ("scenario = E2\n", ["field", "solve", "{cfg}", "--eps", "nan", "--out", "{dir}/f.bin"]),
+        ("scenario = E2\n", ["field", "solve", "{cfg}", "--eps", "inf", "--out", "{dir}/f.bin"]),
     ], ids=["run-N-0", "solve-N-0", "probe-h-0", "safety-0", "index-past-end",
-            "index-negative"])
+            "index-negative", "sigma-nan", "sigma-inf", "kappa-nan", "eps-list-nan",
+            "solve-eps-nan", "solve-eps-inf"])
     def test_bad_numbers_exit_one(self, tmp_path, capsys, config, argv):
         binp = str(tmp_path / "tiny.bin")
         save_field_binary(DecouplingField(SpaceGrid.symmetric(1.0, 3, 1), TimeGrid(0.0, 1.0, 2),
@@ -334,7 +342,10 @@ class TestCli:
         cfg = self.write(tmp_path, "scenario = E2\n")
         for argv in (["run", cfg, "--threads", "2"],
                      ["oc-enumerate", cfg, "--out-dir", "x"],
-                     ["field", "export", "f.bin", "--out", "x", "--seed", "1"]):
+                     ["field", "export", "f.bin", "--out", "x", "--seed", "1"],
+                     ["oc-enumerate", cfg, "--seed", "1"],
+                     ["oc-value", cfg, "--seed", "1"],
+                     ["field", "solve", cfg, "--N", "10", "--out", "x", "--seed", "1"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 

@@ -78,6 +78,23 @@ class TestSolveField:
             worst = max(worst, np.max(np.abs(got - exact) / np.maximum(np.abs(exact), 1e-8)))
         assert worst < 1e-2
 
+    @pytest.mark.parametrize("dim, nodes, b", [(1, 201, 0.3), (2, 81, 0.3), (2, 81, -0.4)])
+    def test_drift_oracle_agreement(self, dim, nodes, b):
+        # no default config has b != 0, so this is the test of the b^T u term;
+        # without it the worst relative error is 0.12-0.19
+        spec = model(make_zero(dim), make_quadratic(1.0, dim), dim=dim, b=b)
+        grid = SpaceGrid.symmetric(4.0, nodes, dim)
+        fld = solve(spec, grid=grid, N=10)
+        P, r, _ = riccati_field_oracle(spec, fld.tgrid, N=10)
+        m = np.stack(grid.meshgrid(), axis=-1)
+        inner = np.all(np.abs(m) <= 2.0, axis=-1)
+        worst = 0.0
+        for k in (0, fld.tgrid.steps // 3):
+            exact = m[inner] @ P[k].T + r[k]
+            got = fld.values[k][inner]
+            worst = max(worst, np.max(np.abs(got - exact) / np.maximum(np.abs(exact), 1e-8)))
+        assert worst < 1e-4
+
     def test_odd_symmetry_even_data(self):
         fld = solve(logcosh_spec(), N=100)
         v = fld.values
@@ -85,6 +102,14 @@ class TestSolveField:
         mid = GRID.shape[0] // 2
         assert np.all(v[:-1, mid, 0] == 0.0)  # interior levels exactly zero
         assert v[-1, mid, 0] == 0.0           # grad at 0 of even data
+
+    def test_odd_symmetry_even_data_2d(self):
+        spec = model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2)
+        fld = solve(spec, grid=SpaceGrid.symmetric(3.0, 61, 2), N=50)
+        v = fld.values
+        # the projection flips both space axes, never the component axis
+        assert np.array_equal(v[:-1], -v[:-1, ::-1, ::-1])
+        assert np.all(v[:-1, 30, 30] == 0.0)
 
     def test_eps_matches_N_for_plain_lq(self):
         spec = model(make_zero(1), make_zero(1), sigma=1.0)
