@@ -84,39 +84,42 @@ def _solve_each(jac, rhs):
 def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
     """Damped Newton shooting on the initial adjoint from each row of `starts`.
 
-    The starts, and the forward-difference probes of their Jacobians, advance
-    together as one (S, 2d) RK4 state.  Each start keeps its own residual,
-    trajectory and step length, halved until its residual decreases, so its
-    result does not depend on the other starts.  Returns per start an
-    OCSolution, or None when Newton stagnates or the integration diverges.
+    The starts, each from its row of nu0 (S, d) or all from one nu0 (d,), and
+    the forward-difference probes of their Jacobians advance together as one
+    (S, 2d) RK4 state.  Each start keeps its own residual, trajectory and step
+    length, halved until its residual decreases, so its result does not depend
+    on the other starts.  Returns per start an OCSolution, or None when Newton
+    stagnates or the integration diverges.
     """
-    nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     S, d = starts.shape
+    nu0 = np.broadcast_to(np.asarray(nu0, dtype=float), (S, d))
     b = spec.b
+    drift = bool(np.any(b != 0.0))
     grid = TimeGrid(t0, spec.T, max(int(round(steps_per_unit * (spec.T - t0))), 16))
 
     def rhs(t, z):
         m, eta = z[:, :d], z[:, d:]
-        return np.concatenate([m @ b.T - eta, -(eta @ b + m + spec.f.gradient(m))], axis=1)
+        if drift:
+            return np.concatenate([m @ b.T - eta, -(eta @ b + m + spec.f.gradient(m))], axis=1)
+        return np.concatenate([-eta, -(m + spec.f.gradient(m))], axis=1)
 
-    def residual(e0):
-        """Terminal residuals, trajectories and finite-integration flags of the rows of e0."""
+    def residual(rows, e0):
+        """Terminal residuals, trajectories and finite flags of the starts `rows` from e0."""
         n = len(e0)
         try:
-            traj = integrate_ode(rhs, np.concatenate([np.broadcast_to(nu0, (n, d)), e0], axis=1),
-                                 grid)
+            traj = integrate_ode(rhs, np.concatenate([nu0[rows], e0], axis=1), grid)
         except IntegrationDiverged:
             if n == 1:
                 return (np.full((1, d), np.nan), np.full((grid.steps + 1, 1, 2 * d), np.nan),
                         np.array([False]))
             # integrate each half again to keep the rows that stay finite
-            lo, hi = residual(e0[:n // 2]), residual(e0[n // 2:])
+            lo, hi = residual(rows[:n // 2], e0[:n // 2]), residual(rows[n // 2:], e0[n // 2:])
             return tuple(np.concatenate(p, axis=ax) for p, ax in zip(zip(lo, hi), (0, 1, 0)))
         mT, etaT = traj[-1, :, :d], traj[-1, :, d:]
         return etaT - (mT + spec.g.gradient(mT)), traj, np.ones(n, dtype=bool)
 
     eta0 = starts.copy()
-    res, traj, alive = residual(eta0)
+    res, traj, alive = residual(np.arange(S), eta0)
     converged = np.zeros(S, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
         nrm = np.linalg.norm(res, axis=1)
@@ -125,7 +128,8 @@ def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
         if act.size == 0:
             break
         # probe j of a start moves component j of its eta0 by FD_STEP
-        res_p, _, ok = residual((eta0[act, None] + FD_STEP * np.eye(d)).reshape(-1, d))
+        res_p, _, ok = residual(np.repeat(act, d),
+                                (eta0[act, None] + FD_STEP * np.eye(d)).reshape(-1, d))
         jac = np.swapaxes(res_p.reshape(-1, d, d) - res[act, None], 1, 2) / FD_STEP
         step = _solve_each(jac, -res[act])
         # a diverged probe or a singular Jacobian fails the start, and so does
@@ -137,7 +141,7 @@ def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
         while todo.size:
             s = act[todo]
             cand = eta0[s] + lam[todo, None] * step[todo]
-            res_c, traj_c, ok = residual(cand)
+            res_c, traj_c, ok = residual(s, cand)
             ok &= np.linalg.norm(res_c, axis=1) < nrm[s]
             eta0[s[ok]], res[s[ok]], traj[:, s[ok]] = cand[ok], res_c[ok], traj_c[:, ok]
             lam[todo] *= 0.5
@@ -176,36 +180,55 @@ def default_start_grid(spec: ModelSpec, nu0):
     return np.column_stack([g.ravel() for g in mesh])
 
 
+def _initial_means(spec: ModelSpec, nu0):
+    """nu0 as finite float points of shape (..., d)."""
+    nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
+    if nu0.shape[-1] != spec.dim or not np.all(np.isfinite(nu0)):
+        raise InvalidParameter(f"nu0 must be finite, of dimension {spec.dim}: {nu0.tolist()}")
+    return nu0
+
+
+def _stationary_sets(spec: ModelSpec, t0, points, start_grid, steps_per_unit) -> list:
+    """The StationarySet of each row of `points`, all shot as one Newton."""
+    grids = []
+    for p in points:
+        starts = default_start_grid(spec, p) if start_grid is None else start_grid
+        starts = np.atleast_2d(np.asarray(starts, dtype=float))
+        if starts.size == 0:
+            raise InvalidParameter("start grid must be nonempty")
+        # each cluster keeps its first converged start; shooting the guesses in
+        # lexicographic order (that of default_start_grid) makes the kept eta0
+        # independent of the order the guesses came in
+        grids.append(starts[np.lexsort(starts.T[::-1])])
+    sizes = [len(g) for g in grids]
+    sols = _newton(spec, t0, np.repeat(points, sizes, axis=0), np.concatenate(grids),
+                   steps_per_unit)
+
+    ssets = []
+    for lo, n in zip(np.cumsum([0] + sizes), sizes):
+        own = sols[lo:lo + n]
+        found = []
+        for sol in filter(None, own):
+            if not any(np.linalg.norm(sol.eta0 - s.eta0) < DEDUP_TOL for s in found):
+                found.append(sol)
+        if not found:
+            raise NoStationaryPoint(f"all {n} starts of the multi-start shooting failed")
+        found.sort(key=lambda s: s.cost)
+        min_cost = found[0].cost
+        tie = COST_TIE_REL * max(1.0, abs(min_cost))
+        for s in found:
+            s.classification = "minimizer" if s.cost - min_cost <= tie else "stationary-only"
+        minimizers = sum(s.classification == "minimizer" for s in found)
+        ssets.append(StationarySet(solutions=found, min_cost=min_cost, multiplicity=minimizers,
+                                   starts=n, failed=sum(sol is None for sol in own)))
+    return ssets
+
+
 def enumerate_stationary(spec: ModelSpec, t0, nu0, start_grid=None,
                          steps_per_unit: int = 1000) -> StationarySet:
     """Batched multi-start shooting, deduplicated by initial adjoint and sorted by cost."""
-    nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
-    if start_grid is None:
-        start_grid = default_start_grid(spec, nu0)
-    start_grid = np.atleast_2d(np.asarray(start_grid, dtype=float))
-    if start_grid.size == 0:
-        raise InvalidParameter("start grid must be nonempty")
-    # each cluster keeps its first converged start; shooting the guesses in
-    # lexicographic order (that of default_start_grid) makes the kept eta0
-    # independent of the order the guesses came in
-    start_grid = start_grid[np.lexsort(start_grid.T[::-1])]
-
-    sols = _newton(spec, t0, nu0, start_grid, steps_per_unit)
-    found = []
-    for sol in filter(None, sols):
-        if not any(np.linalg.norm(sol.eta0 - s.eta0) < DEDUP_TOL for s in found):
-            found.append(sol)
-    if not found:
-        raise NoStationaryPoint(f"all {len(sols)} starts of the multi-start shooting failed")
-
-    found.sort(key=lambda s: s.cost)
-    min_cost = found[0].cost
-    tie = COST_TIE_REL * max(1.0, abs(min_cost))
-    for s in found:
-        s.classification = "minimizer" if s.cost - min_cost <= tie else "stationary-only"
-    minimizers = sum(s.classification == "minimizer" for s in found)
-    return StationarySet(solutions=found, min_cost=min_cost, multiplicity=minimizers,
-                         starts=len(sols), failed=sum(sol is None for sol in sols))
+    nu0 = _initial_means(spec, nu0)
+    return _stationary_sets(spec, t0, nu0[None], start_grid, steps_per_unit)[0]
 
 
 # --- discretized-control descent (independent cross-check) ------------------
@@ -262,36 +285,45 @@ def descend_discrete(spec: ModelSpec, t0, nu0, beta0):
     return beta, cost, grad
 
 
-def value_function(spec: ModelSpec, t0, nu0, cross_check: bool = True,
-                   steps_per_unit: int = 1000, start_grid=None) -> float:
-    """Minimal cost over the stationary enumeration.
+def _cross_check(spec: ModelSpec, t0, point, v):
+    """Warn when gradient descent on a discretized control beats the value v."""
+    gen = np.random.default_rng(CHECK_SEED)
+    scale = float(np.linalg.norm(point)) + spec.g.grad_sup + 1.0
+    best = np.inf
+    for _ in range(CHECK_STARTS):
+        beta0 = gen.uniform(-scale, scale, size=(1, spec.dim)) * np.ones(
+            (CHECK_CONTROL_STEPS, spec.dim))
+        beta0 += 0.1 * gen.normal(size=beta0.shape)
+        _, c, _ = descend_discrete(spec, t0, point, beta0)
+        best = min(best, c)
+    if abs(best - v) > CHECK_REL_TOL * max(1.0, abs(v)) and best < v:
+        warnings.warn(
+            f"value cross-check disagreement: shooting {v:.6g} vs descent {best:.6g}",
+            stacklevel=3)
 
-    Cross-checked against gradient descent on a discretized control from
-    CHECK_STARTS random starts; disagreement beyond CHECK_REL_TOL raises a
-    warning, which guards against basins missed by the start lattice.
+
+def value_function(spec: ModelSpec, t0, nu0, cross_check: bool = True,
+                   steps_per_unit: int = 1000, start_grid=None):
+    """Minimal cost over the stationary enumeration at each point of nu0.
+
+    Points of shape (..., d), all shot as one Newton, give values of shape
+    (...), a float for one point (d,).  Each value is cross-checked against
+    gradient descent on a discretized control from CHECK_STARTS random starts;
+    a gap beyond CHECK_REL_TOL warns, which guards against missed basins.
     """
-    nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
+    nu0 = _initial_means(spec, nu0)
+    points = nu0.reshape(-1, spec.dim)
     if t0 >= spec.T:
         # empty horizon: nothing to control, only the terminal cost remains
-        return float(0.5 * nu0 @ nu0 + spec.g.value(nu0))
-    sset = enumerate_stationary(spec, t0, nu0, steps_per_unit=steps_per_unit,
-                                start_grid=start_grid)
-    v = sset.min_cost
-    if cross_check:
-        gen = np.random.default_rng(CHECK_SEED)
-        scale = float(np.linalg.norm(np.atleast_1d(nu0))) + spec.g.grad_sup + 1.0
-        best = np.inf
-        for _ in range(CHECK_STARTS):
-            beta0 = gen.uniform(-scale, scale, size=(1, spec.dim)) * np.ones(
-                (CHECK_CONTROL_STEPS, spec.dim))
-            beta0 += 0.1 * gen.normal(size=beta0.shape)
-            _, c, _ = descend_discrete(spec, t0, nu0, beta0)
-            best = min(best, c)
-        if abs(best - v) > CHECK_REL_TOL * max(1.0, abs(v)) and best < v:
-            warnings.warn(
-                f"value cross-check disagreement: shooting {v:.6g} vs descent {best:.6g}",
-                stacklevel=2)
-    return v
+        v = (0.5 * points[:, None, :] @ points[:, :, None])[:, 0, 0] + spec.g.value(points)
+    else:
+        ssets = _stationary_sets(spec, t0, points, start_grid, steps_per_unit)
+        v = np.array([sset.min_cost for sset in ssets])
+        if cross_check:
+            for point, vp in zip(points, v):
+                _cross_check(spec, t0, point, vp)
+    v = v.reshape(nu0.shape[:-1])
+    return float(v) if v.ndim == 0 else v
 
 
 def differentiability_probe(spec: ModelSpec, t0, nu0, h: float = 1e-3, **vf_kwargs):
@@ -300,33 +332,25 @@ def differentiability_probe(spec: ModelSpec, t0, nu0, h: float = 1e-3, **vf_kwar
     Verdict "kink" when any axis's one-sided quotients differ by more than a
     heuristic threshold (KINK_GAP_FACTOR * h, scaled by a local curvature
     estimate); this is a heuristic, not a certificate.  The central quotients
-    are the gradient estimate where the verdict is "differentiable".
+    are the gradient estimate where the verdict is "differentiable".  nu0 and,
+    per axis, nu0 + h e_k, nu0 - h e_k, nu0 + 2h e_k are valued in one call.
     """
     if not h > 0:
         raise InvalidParameter(f"probe step h must be positive, got {h}")
-    nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
+    nu0 = _initial_means(spec, nu0)
     vf_kwargs.setdefault("cross_check", False)
-    v0 = value_function(spec, t0, nu0, **vf_kwargs)
-    lefts, rights, centrals = [], [], []
-    verdict = "differentiable"
-    for k in range(spec.dim):
-        e = np.zeros(spec.dim)
-        e[k] = h
-        v_p = value_function(spec, t0, nu0 + e, **vf_kwargs)
-        v_m = value_function(spec, t0, nu0 - e, **vf_kwargs)
-        v_pp = value_function(spec, t0, nu0 + 2 * e, **vf_kwargs)
-        right = (v_p - v0) / h
-        left = (v0 - v_m) / h
-        rights.append(right)
-        lefts.append(left)
-        centrals.append((v_p - v_m) / (2.0 * h))
-        # curvature estimate from the smooth side
-        curv = abs(v_pp - 2 * v_p + v0) / h**2
-        threshold = KINK_GAP_FACTOR * h * max(1.0, 0.3 * curv)
-        if abs(right - left) > threshold:
-            verdict = "kink"
-    return {"left": np.array(lefts), "right": np.array(rights),
-            "central": np.array(centrals), "verdict": verdict}
+    d = spec.dim
+    steps = h * np.eye(d)[:, None, :] * np.array([1.0, -1.0, 2.0])[:, None]
+    v = value_function(spec, t0, np.concatenate([nu0[None], (nu0 + steps).reshape(-1, d)]),
+                       **vf_kwargs)
+    v0, (v_p, v_m, v_pp) = v[0], v[1:].reshape(d, 3).T
+    right = (v_p - v0) / h
+    left = (v0 - v_m) / h
+    # curvature estimate from the smooth side
+    curv = np.abs(v_pp - 2 * v_p + v0) / h**2
+    threshold = KINK_GAP_FACTOR * h * np.maximum(1.0, 0.3 * curv)
+    verdict = "kink" if np.any(np.abs(right - left) > threshold) else "differentiable"
+    return {"left": left, "right": right, "central": (v_p - v_m) / (2.0 * h), "verdict": verdict}
 
 
 # --- static reduction for terminal-cost-only models --------------------------
@@ -399,6 +423,6 @@ def static_U_minimize(spec: ModelSpec, t0, nu0):
 
 def symmetric_minimizer_root(kappa: float) -> float:
     """Positive root a of 2 a = kappa tanh(a), the nonzero static minimizer."""
-    if kappa <= 2:
+    if not kappa > 2:
         raise InvalidParameter("needs kappa > 2")
     return float(brentq(lambda a: 2.0 * a - kappa * np.tanh(a), 1e-8, 5.0 + kappa))

@@ -171,7 +171,7 @@ def make_logcosh_terminal(kappa: float) -> Potential:
     Even and concave with two symmetric cost minimizers; for kappa <= 2 the
     associated static problem has a single minimizer, so reject.
     """
-    if kappa <= 2:
+    if not kappa > 2:
         raise InvalidParameter(f"logcosh needs kappa > 2, got {kappa}")
     value, first, second = _logcosh_profile(kappa)
     return _with(_build(f"logcosh(kappa={kappa})", 1,
@@ -296,7 +296,7 @@ def make_radial_terminal(gt, gt_p, gt_pp, dim: int, name: str = "radial",
 
 
 def make_radial_logcosh(kappa: float, dim: int) -> Potential:
-    if kappa <= 2:
+    if not kappa > 2:
         raise InvalidParameter(f"radial logcosh needs kappa > 2, got {kappa}")
     return _with(make_radial_terminal(*_logcosh_profile(kappa), dim,
                                       name=f"radial_logcosh(kappa={kappa},d={dim})"),
@@ -355,10 +355,10 @@ class ModelSpec:
             raise InvalidParameter("nu0 shape must match the dimension")
         if self.f.dim != self.dim or self.g.dim != self.dim:
             raise InvalidParameter("potential dimensions must match the model")
-        if self.sigma < 0:
-            raise InvalidParameter("volatility must be nonnegative")
-        if self.T <= 0:
-            raise InvalidParameter("horizon must be positive")
+        if not 0 <= self.sigma < np.inf:
+            raise InvalidParameter(f"volatility must be finite and nonnegative, got {self.sigma}")
+        if not 0 < self.T < np.inf:
+            raise InvalidParameter(f"horizon must be finite and positive, got {self.T}")
         if self.xi_sampler is None:
             object.__setattr__(self, "xi_sampler", _default_xi_sampler(nu0, self.dim))
 

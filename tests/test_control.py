@@ -17,7 +17,12 @@ from mfglab.control import (
     symmetric_minimizer_root,
     value_function,
 )
-from mfglab.errors import IntegrationDiverged, InvalidReduction, NoStationaryPoint
+from mfglab.errors import (
+    IntegrationDiverged,
+    InvalidParameter,
+    InvalidReduction,
+    NoStationaryPoint,
+)
 from mfglab.potentials import (
     ModelSpec,
     make_delarue_terminal,
@@ -234,6 +239,36 @@ class TestValueFunction:
             vm = value_function(spec, 0.0, [-x], cross_check=False, **FAST)
             assert vp == pytest.approx(vm, abs=1e-8)
 
+    @pytest.mark.parametrize("kwargs", [FAST, {"steps_per_unit": 250}],
+                             ids=["fast", "default-grid"])
+    @pytest.mark.parametrize("spec", [logcosh_model(nu0=0.5), delarue_model()],
+                             ids=["logcosh", "delarue"])
+    def test_batch_equals_single_points(self, spec, kwargs):
+        # the points are shot as one Newton, but never mix: each value is the
+        # one its point gets alone, bit for bit
+        points = np.array([[-1.0], [0.0], [0.3], [1.0]])
+        v = value_function(spec, 0.0, points, cross_check=False, **kwargs)
+        assert v.shape == (4,)
+        single = [value_function(spec, 0.0, p, cross_check=False, **kwargs) for p in points]
+        assert all(isinstance(x, float) for x in single)
+        assert v.tolist() == single
+
+    def test_empty_horizon_batch(self):
+        spec = model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2)
+        points = np.random.default_rng(0).normal(size=(3, 4, 2)) * 3
+        v = value_function(spec, 1.0, points)
+        assert v.shape == (3, 4)
+        assert v.ravel().tolist() == [value_function(spec, 1.0, p) for p in points.reshape(-1, 2)]
+
+    @pytest.mark.parametrize("t0", [0.0, 1.0], ids=["horizon", "empty-horizon"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_nu0_fails_before_shooting(self, t0, bad, integrations):
+        with pytest.raises(InvalidParameter, match="nu0"):
+            value_function(logcosh_model(), t0, [[0.5], [bad]])
+        with pytest.raises(InvalidParameter, match="nu0"):
+            enumerate_stationary(logcosh_model(), t0, [bad])
+        assert integrations == []
+
     def test_cross_check_agrees(self):
         import warnings
         with warnings.catch_warnings():
@@ -282,6 +317,36 @@ class TestDifferentiability:
     def test_logcosh_smooth_off_zero(self):
         probe = differentiability_probe(logcosh_model(nu0=0.5), 0.0, [0.5], **FAST)
         assert probe["verdict"] == "differentiable"
+
+    def test_probe_equals_separate_calls_2d(self):
+        # the 7 points of a 2-d probe, shot as one Newton, give the difference
+        # quotients of separate value_function calls, bit for bit
+        spec = model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2, T=0.25)
+        axis = np.linspace(-3.0, 3.0, 3)
+        starts = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
+        kwargs = {"steps_per_unit": 100, "cross_check": False, "start_grid": starts}
+        x, h = np.array([0.3, -0.2]), 1e-3
+        probe = differentiability_probe(spec, 0.0, x, h=h, **kwargs)
+        v0 = value_function(spec, 0.0, x, **kwargs)
+        for k, e in enumerate(h * np.eye(2)):
+            v_p, v_m = (value_function(spec, 0.0, p, **kwargs) for p in (x + e, x - e))
+            assert probe["right"][k] == (v_p - v0) / h
+            assert probe["left"][k] == (v0 - v_m) / h
+            assert probe["central"][k] == (v_p - v_m) / (2.0 * h)
+
+    @pytest.mark.parametrize("x", [0.5, 0.0])
+    def test_probe_shoots_as_one_newton(self, x, integrations):
+        # the probe's Newton takes as many integrations as its slowest point
+        # alone, not the sum over its 4 points
+        h = 1e-3
+        differentiability_probe(logcosh_model(nu0=x), 0.0, [x], h=h, **FAST)
+        probe_calls = len(integrations)
+        alone = []
+        for p in (x, x + h, x - h, x + 2 * h):
+            integrations.clear()
+            value_function(logcosh_model(nu0=x), 0.0, [p], cross_check=False, **FAST)
+            alone.append(len(integrations))
+        assert probe_calls <= max(alone)
 
     def test_central_slope_is_the_direct_difference(self):
         # the probe's central slope is the gradient estimate of E6: it must be

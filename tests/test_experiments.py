@@ -209,8 +209,11 @@ class TestComputedOnce:
         solves = count_calls(monkeypatch, "solve_field", experiments)
         rep = run_scenario(ScenarioConfig.from_text(
             "scenario = E6\nmodel.T = 0.25\nrun.N = 25 100\ngrid.nodes = 61\n"))
-        # v at x, x + h, x - h and x + 2h; one field per N, the u(0, 0) row included
-        assert len(values) == 4
+        # one value_function call on x, x + h, x - h and x + 2h; one field per
+        # N, the u(0, 0) row included
+        (args,) = values
+        x, h = 0.5, 1e-3
+        assert np.array_equal(args[2], [[x], [x + h], [x - h], [x + 2 * h]])
         assert len(solves) == 2
         assert [r["probe"] for r in rep.rows] == [0.5, 0.5, 0.0]
 
@@ -324,9 +327,12 @@ class TestCli:
         ("scenario = E5\nrun.eps = 0.5 nan\n", ["run", "{cfg}", "--out-dir", "{dir}"]),
         ("scenario = E2\n", ["field", "solve", "{cfg}", "--eps", "nan", "--out", "{dir}/f.bin"]),
         ("scenario = E2\n", ["field", "solve", "{cfg}", "--eps", "inf", "--out", "{dir}/f.bin"]),
+        # a non-finite --nu0 used to run a whole failing enumeration first
+        ("scenario = E2\n", ["oc-value", "{cfg}", "--nu0", "nan"]),
+        ("scenario = E2\n", ["oc-value", "{cfg}", "--nu0", "inf"]),
     ], ids=["run-N-0", "solve-N-0", "probe-h-0", "safety-0", "index-past-end",
             "index-negative", "sigma-nan", "sigma-inf", "kappa-nan", "eps-list-nan",
-            "solve-eps-nan", "solve-eps-inf"])
+            "solve-eps-nan", "solve-eps-inf", "oc-value-nu0-nan", "oc-value-nu0-inf"])
     def test_bad_numbers_exit_one(self, tmp_path, capsys, config, argv):
         binp = str(tmp_path / "tiny.bin")
         save_field_binary(DecouplingField(SpaceGrid.symmetric(1.0, 3, 1), TimeGrid(0.0, 1.0, 2),
@@ -337,6 +343,8 @@ class TestCli:
         assert cli_main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        if "--nu0" in argv:
+            assert "nu0" in err
 
     def test_flags_only_where_read(self, tmp_path):
         cfg = self.write(tmp_path, "scenario = E2\n")

@@ -254,6 +254,11 @@ class TestRadial:
         assert np.allclose(Hnear, H0, atol=1e-6)
 
 
+def zero_model(sigma=1.0, T=1.0):
+    return ModelSpec(dim=1, b=np.zeros((1, 1)), sigma=sigma, T=T, f=make_zero(1), g=make_zero(1),
+                     nu0=np.zeros(1))
+
+
 class TestCatalogueAndModelSpec:
     def test_from_name(self):
         assert from_name("zero", 1).name == "zero"
@@ -278,6 +283,18 @@ class TestCatalogueAndModelSpec:
         with pytest.raises(InvalidParameter):
             ModelSpec(dim=2, b=np.zeros((2, 2)), sigma=1.0, T=1.0,
                       f=make_zero(1), g=make_zero(2), nu0=np.zeros(2))
+
+    @pytest.mark.parametrize("build", [
+        lambda: make_logcosh_terminal(math.nan),
+        lambda: make_radial_logcosh(math.nan, 2),
+        lambda: zero_model(sigma=math.nan),
+        lambda: zero_model(sigma=math.inf),
+        lambda: zero_model(T=math.nan),
+    ], ids=["kappa-nan", "radial-kappa-nan", "sigma-nan", "sigma-inf", "T-nan"])
+    def test_non_finite_parameters_rejected(self, build):
+        # NaN fails every comparison, so each guard must be written to reject it
+        with pytest.raises(InvalidParameter):
+            build()
 
     def test_even_data_and_cancellation_flags(self):
         spec = ModelSpec(dim=1, b=np.zeros((1, 1)), sigma=1.0, T=1.0,
