@@ -10,11 +10,11 @@ minimizers are the stationary points whose cost ties the minimum.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import IntegrationDiverged, InvalidParameter, InvalidReduction, NoStationaryPoint
 from .numerics import TimeGrid, integrate_ode
@@ -385,6 +385,9 @@ def static_U_minimize(spec: ModelSpec, t0, nu0):
     full sphere when nu0 = 0 and g is radial); the scalar reduction is used.
     Returns (minimizers, min_value, is_sphere).
     """
+    # imported here: scipy.optimize is slow to load, and no CLI command calls this
+    from scipy.optimize import minimize_scalar
+
     _require_static(spec)
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     tau = spec.T - t0
@@ -422,7 +425,18 @@ def static_U_minimize(spec: ModelSpec, t0, nu0):
 
 
 def symmetric_minimizer_root(kappa: float) -> float:
-    """Positive root a of 2 a = kappa tanh(a), the nonzero static minimizer."""
-    if not kappa > 2:
-        raise InvalidParameter("needs kappa > 2")
-    return float(brentq(lambda a: 2.0 * a - kappa * np.tanh(a), 1e-8, 5.0 + kappa))
+    """Positive root a of 2 a = kappa tanh(a), the nonzero static minimizer.
+
+    f(a) = 2 a - kappa tanh(a) is convex on a > 0 and positive at kappa / 2,
+    so Newton's iterates from there decrease onto the root; stop at the
+    first one that does not.
+    """
+    if not 2 < kappa < math.inf:
+        raise InvalidParameter(f"needs finite kappa > 2, got {kappa}")
+    a = float(kappa) / 2.0
+    while True:
+        t = math.tanh(a)
+        nxt = a - (2.0 * a - kappa * t) / (2.0 - kappa * (1.0 - t * t))
+        if not nxt < a:
+            return a
+        a = nxt

@@ -285,6 +285,12 @@ def _field_for(spec, grid, cfg, N=None, eps=None):
     return solve_field(spec, grid, tgrid, N=N, eps=eps)
 
 
+def _note_exits(rep: ScenarioReport, ens, label: str):
+    """Note an ensemble that simulate_ensemble flags as domain_too_small."""
+    if ens.metadata["domain_too_small"]:
+        rep.notes.append(f"domain too small at {label}: exit fraction {ens.exit_fraction:.3g}")
+
+
 def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
     """Convergence of the ensemble-mean trajectory to the unique minimizer."""
     spec = cfg.spec
@@ -317,6 +323,7 @@ def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
     errors = []
     for N in Ns:
         ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed)
+        _note_exits(rep, ens, f"N={N}")
         ref = limit_flow(ens.tgrid.nodes)
         mean_path = ens.paths.mean(axis=0)
         err = float(np.max(np.abs(mean_path - ref)))
@@ -329,6 +336,7 @@ def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
     # noise-off deterministic run, the N -> infinity analogue
     ens_inf = simulate_ensemble(_field_for(spec, grid, cfg, eps=1e-3), spec, M=1, seed=seed,
                                 noise_off=True, m0_override=spec.nu0)
+    _note_exits(rep, ens_inf, "N=inf")
     ref = limit_flow(ens_inf.tgrid.nodes)
     err_inf = float(np.max(np.abs(ens_inf.paths[0] - ref)))
     rep.add_row(N="inf", seed=seed, config=cfg.config_hash, sup_mean_error=err_inf,
@@ -364,6 +372,7 @@ def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
     freqs, w1s = [], []
     for N in Ns:
         ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed)
+        _note_exits(rep, ens, f"N={N}")
         mT = ens.terminal[:, 0]
         pos, se = _sign_stats(mT)
         w1 = wasserstein1_1d(mT, [-atom, atom], [0.5, 0.5])
@@ -432,6 +441,7 @@ def run_E3_delarue(cfg: ScenarioConfig) -> ScenarioReport:
         grid = SpaceGrid.symmetric(cfg.getfloat("grid.L", 2.0),
                                    cfg.getint("grid.nodes", 1601), 1)
         ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed)
+        _note_exits(rep, ens, f"N={N}")
         pos, se = _sign_stats(ens.terminal[:, 0])
         band = _sign_band(cfg, se)
         rep.verdict("terminal-sign frequency in 0.5 band",
@@ -460,6 +470,7 @@ def run_E4_sphere(cfg: ScenarioConfig) -> ScenarioReport:
     ps, medians = [], []
     for N in Ns:
         ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed)
+        _note_exits(rep, ens, f"N={N}")
         mT = ens.terminal
         angles = np.arctan2(mT[:, 1], mT[:, 0])
         V, p = kuiper_uniformity(angles)
@@ -496,6 +507,7 @@ def run_E5_common_noise(cfg: ScenarioConfig) -> ScenarioReport:
     freqs, variances = [], []
     for eps in eps_list:
         ens = simulate_ensemble(_field_for(spec, grid, cfg, eps=eps), spec, M=M, seed=seed)
+        _note_exits(rep, ens, f"eps={eps}")
         mT = ens.terminal[:, 0]
         pos, se = _sign_stats(mT)
         w1 = (wasserstein1_1d(mT, [-atom, atom], [0.5, 0.5])

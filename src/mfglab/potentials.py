@@ -171,8 +171,8 @@ def make_logcosh_terminal(kappa: float) -> Potential:
     Even and concave with two symmetric cost minimizers; for kappa <= 2 the
     associated static problem has a single minimizer, so reject.
     """
-    if not kappa > 2:
-        raise InvalidParameter(f"logcosh needs kappa > 2, got {kappa}")
+    if not 2 < kappa < math.inf:
+        raise InvalidParameter(f"logcosh needs finite kappa > 2, got {kappa}")
     value, first, second = _logcosh_profile(kappa)
     return _with(_build(f"logcosh(kappa={kappa})", 1,
                         value=lambda m: value(m[..., 0]),
@@ -296,8 +296,8 @@ def make_radial_terminal(gt, gt_p, gt_pp, dim: int, name: str = "radial",
 
 
 def make_radial_logcosh(kappa: float, dim: int) -> Potential:
-    if not kappa > 2:
-        raise InvalidParameter(f"radial logcosh needs kappa > 2, got {kappa}")
+    if not 2 < kappa < math.inf:
+        raise InvalidParameter(f"radial logcosh needs finite kappa > 2, got {kappa}")
     return _with(make_radial_terminal(*_logcosh_profile(kappa), dim,
                                       name=f"radial_logcosh(kappa={kappa},d={dim})"),
                  kappa=kappa)

@@ -70,6 +70,19 @@ class TestShoot:
         assert AHAT == pytest.approx(1.9150, abs=1e-4)
         assert 2 * AHAT == pytest.approx(4.0 * math.tanh(AHAT), abs=1e-10)
 
+    def test_root_matches_brentq(self):
+        from scipy.optimize import brentq
+
+        for kappa in np.linspace(2.0, 40.0, 400)[1:]:
+            ref = brentq(lambda a: 2.0 * a - kappa * np.tanh(a), 1e-8, 5.0 + kappa)
+            assert abs(symmetric_minimizer_root(kappa) - ref) <= 1e-12
+        assert 2.0 * AHAT - 4.0 * np.tanh(AHAT) == 0.0
+
+    @pytest.mark.parametrize("kappa", [2.0, 1.5, math.nan, math.inf])
+    def test_root_needs_finite_kappa_above_two(self, kappa):
+        with pytest.raises(InvalidParameter):
+            symmetric_minimizer_root(kappa)
+
     def test_dynamics_residual(self):
         sol = shoot(logcosh_model(nu0=0.5), 0.0, [0.5], [-2.0])
         dt = sol.grid.dt

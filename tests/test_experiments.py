@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +185,20 @@ class TestReports:
         assert name.startswith("sign frequency")
         assert detail.endswith("band ±0.150")
 
+    @pytest.mark.parametrize("text, label", [
+        ("scenario = E2\nrun.N = 25\n", "N=25"),
+        ("scenario = E5\nrun.eps = 0.5\n", "eps=0.5"),
+    ], ids=["E2", "E5"])
+    def test_domain_too_small_noted(self, text, label):
+        # grid.L = 2 sits barely past the atoms at ±1.915, so many paths exit
+        small = text + "run.M = 100\ngrid.L = 2.0\ngrid.nodes = 41\n"
+        rep = run_scenario(ScenarioConfig.from_text(small))
+        exits = rep.rows[0]["exit_fraction"]
+        assert exits > 0.01
+        assert f"domain too small at {label}: exit fraction {exits:.3g}" in rep.notes
+        wide = run_scenario(ScenarioConfig.from_text(small.replace("grid.L = 2.0", "grid.L = 4.0")))
+        assert not any(n.startswith("domain too small") for n in wide.notes)
+
     def test_e5_eps_must_decrease(self):
         with pytest.raises(ConfigError):
             run_scenario(ScenarioConfig.from_text(
@@ -237,6 +254,20 @@ class TestComputedOnce:
         solves = count_calls(monkeypatch, "delarue_riccati", numerics, potentials, experiments)
         run_scenario(ScenarioConfig.from_text("scenario = E3\nrun.selection = off\n"))
         assert len(solves) == 1
+
+
+class TestImportCost:
+    def test_cli_import_leaves_out_stats_and_optimize(self):
+        # scipy.stats and scipy.optimize take about half a second to import;
+        # a fresh interpreter shows what `import mfglab.cli` loads on its own
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys, mfglab.cli; print(sorted(m for m in sys.modules "
+                 "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))")
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
 
 class TestCli:

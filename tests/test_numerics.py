@@ -244,6 +244,38 @@ class TestWasserstein:
         with pytest.raises(InvalidInput):
             wasserstein1_1d([], [1.0])
 
+    @pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+    def test_equals_scipy_to_the_bit(self, weighted):
+        from scipy.stats import wasserstein_distance
+
+        gen = np.random.default_rng(17)
+        for k in range(200):
+            a = gen.normal(size=gen.integers(1, 300)) * gen.uniform(0.1, 10.0)
+            b = gen.normal(size=gen.integers(1, 40))
+            if k % 4 == 0:
+                # ties inside and across the two samples
+                a, b = np.round(a, 1), np.round(b, 1)
+            w = None
+            if weighted:
+                w = gen.uniform(0.0, 3.0, size=b.size)
+                w[gen.integers(b.size)] = 0.0
+                w[0] += 1.0
+            assert wasserstein1_1d(a, b, w) == wasserstein_distance(a, b, v_weights=w)
+
+    @pytest.mark.parametrize("a, b, w", [
+        ([0.0, 1.0], [-1.0, 1.0], [0.5, 0.25, 0.25]),
+        ([0.0, 1.0], [-1.0, 1.0], [1.5, -0.5]),
+        ([0.0, 1.0], [-1.0, 1.0], [0.5, math.nan]),
+        ([0.0, 1.0], [-1.0, 1.0], [0.5, math.inf]),
+        ([0.0, 1.0], [-1.0, 1.0], [0.0, 0.0]),
+        ([0.0, math.nan], [-1.0, 1.0], None),
+        ([0.0, 1.0], [-math.inf, 1.0], [0.5, 0.5]),
+    ], ids=["weights-length", "weight-negative", "weight-nan", "weight-inf",
+            "weights-zero-sum", "sample-nan", "atom-inf"])
+    def test_bad_input_rejected(self, a, b, w):
+        with pytest.raises(InvalidInput):
+            wasserstein1_1d(a, b, w)
+
 
 class TestKuiper:
     def test_equally_spaced_near_one(self):
@@ -266,3 +298,10 @@ class TestKuiper:
     def test_small_sample_rejected(self):
         with pytest.raises(InvalidInput):
             kuiper_uniformity(np.linspace(0, 1, 10))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, bad):
+        angles = np.linspace(0.0, 6.0, 100)
+        angles[7] = bad
+        with pytest.raises(InvalidInput):
+            kuiper_uniformity(angles)

@@ -287,10 +287,13 @@ class TestCatalogueAndModelSpec:
     @pytest.mark.parametrize("build", [
         lambda: make_logcosh_terminal(math.nan),
         lambda: make_radial_logcosh(math.nan, 2),
+        lambda: make_logcosh_terminal(math.inf),
+        lambda: make_radial_logcosh(math.inf, 2),
         lambda: zero_model(sigma=math.nan),
         lambda: zero_model(sigma=math.inf),
         lambda: zero_model(T=math.nan),
-    ], ids=["kappa-nan", "radial-kappa-nan", "sigma-nan", "sigma-inf", "T-nan"])
+    ], ids=["kappa-nan", "radial-kappa-nan", "kappa-inf", "radial-kappa-inf",
+            "sigma-nan", "sigma-inf", "T-nan"])
     def test_non_finite_parameters_rejected(self, build):
         # NaN fails every comparison, so each guard must be written to reject it
         with pytest.raises(InvalidParameter):
