@@ -45,8 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run a scenario config (E1-E6)")
     p.add_argument("config")
     _add_seed(p)
-    p.add_argument("--out-dir", default=".", help="directory for CSV/plot artifacts")
-    p.add_argument("--plots", action="store_true", help="emit SVG plots (needs matplotlib)")
+    p.add_argument("--out-dir", default=".", help="directory for the report CSV")
 
     p = sub.add_parser("oc-enumerate", help="multi-start shooting on a config's model")
     p.add_argument("config")
@@ -83,32 +82,6 @@ def _load_config(path: str, seed_override) -> ScenarioConfig:
     return ScenarioConfig.from_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
 
 
-def _maybe_plot(rep, out_dir):
-    try:
-        import matplotlib
-        matplotlib.use("svg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("plots requested but matplotlib is not installed; skipping",
-              file=sys.stderr)
-        return
-    xcol = rep.columns[0]
-    ycols = [c for c in rep.columns[3:] if any(
-        isinstance(r[c], float) for r in rep.rows)]
-    fig, ax = plt.subplots(figsize=(6, 4))
-    xs = [str(r[xcol]) for r in rep.rows]
-    for c in ycols:
-        ys = [r[c] if isinstance(r[c], float) else np.nan for r in rep.rows]
-        ax.plot(xs, ys, marker="o", label=c)
-    ax.set_xlabel(xcol)
-    ax.legend(fontsize=8)
-    ax.set_title(f"scenario {rep.scenario}")
-    path = os.path.join(out_dir, f"{rep.scenario}_{rep.config_hash}.svg")
-    fig.savefig(path)
-    plt.close(fig)
-    print(f"wrote {path}")
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -138,8 +111,6 @@ def _dispatch(args) -> int:
         rep.write_csv(csv_path)
         print(rep.summary())
         print(f"wrote {csv_path}")
-        if args.plots:
-            _maybe_plot(rep, args.out_dir)
         return EXIT_OK if rep.passed else EXIT_VERDICT
 
     if args.command == "oc-enumerate":

@@ -16,6 +16,8 @@ import numpy as np
 from .control import differentiability_probe, enumerate_stationary, symmetric_minimizer_root
 from .errors import ConfigError, InvalidParameter
 from .field import (
+    _path_normals,
+    _sim_steps,
     riccati_field_oracle,
     simulate_ensemble,
     solve_field,
@@ -320,11 +322,15 @@ def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
             out.append(m.copy())
         return np.array(out)
 
+    # every ensemble below runs on this simulation grid and reads these normals
+    steps = _sim_steps(spec.T)
+    ref = limit_flow(TimeGrid(0.0, spec.T, steps).nodes)
+    normals = _path_normals(seed, M, max(Ns) + steps, spec.dim)
     errors = []
     for N in Ns:
-        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed)
+        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed,
+                                normals=normals)
         _note_exits(rep, ens, f"N={N}")
-        ref = limit_flow(ens.tgrid.nodes)
         mean_path = ens.paths.mean(axis=0)
         err = float(np.max(np.abs(mean_path - ref)))
         errors.append(err)
@@ -332,12 +338,12 @@ def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
         rep.add_row(N=N, seed=seed, config=cfg.config_hash, sup_mean_error=err,
                     mean_T=float(mT.mean()), var_T=float(mT.var()),
                     exit_fraction=ens.exit_fraction)
+        del ens, mT
 
     # noise-off deterministic run, the N -> infinity analogue
     ens_inf = simulate_ensemble(_field_for(spec, grid, cfg, eps=1e-3), spec, M=1, seed=seed,
-                                noise_off=True, m0_override=spec.nu0)
+                                noise_off=True, m0_override=spec.nu0, normals=normals[:1])
     _note_exits(rep, ens_inf, "N=inf")
-    ref = limit_flow(ens_inf.tgrid.nodes)
     err_inf = float(np.max(np.abs(ens_inf.paths[0] - ref)))
     rep.add_row(N="inf", seed=seed, config=cfg.config_hash, sup_mean_error=err_inf,
                 mean_T=float(ens_inf.terminal.mean()), var_T=0.0,
@@ -369,9 +375,11 @@ def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
     Ns = cfg.getlist_int("run.N", [25, 100, 200, 400])
     grid = build_grid(cfg, spec)
 
+    normals = _path_normals(seed, M, max(Ns) + _sim_steps(spec.T), spec.dim)
     freqs, w1s = [], []
     for N in Ns:
-        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed)
+        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed,
+                                normals=normals)
         _note_exits(rep, ens, f"N={N}")
         mT = ens.terminal[:, 0]
         pos, se = _sign_stats(mT)
@@ -381,6 +389,7 @@ def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
         rep.add_row(N=N, seed=seed, config=cfg.config_hash, freq_pos=pos,
                     freq_se=se, w1=w1, mean_T=float(mT.mean()),
                     var_T=float(mT.var()), exit_fraction=ens.exit_fraction)
+        del ens, mT
 
     band = _sign_band(cfg, se)
     in_band = [abs(p - 0.5) <= band for p in freqs]
@@ -479,6 +488,7 @@ def run_E4_sphere(cfg: ScenarioConfig) -> ScenarioReport:
         medians.append(med)
         rep.add_row(N=N, seed=seed, config=cfg.config_hash, kuiper_V=V,
                     kuiper_p=p, median_radius=med, exit_fraction=ens.exit_fraction)
+        del ens, mT
 
     rep.verdict("terminal angle uniform (Kuiper, 1% level) at every N",
                 all(p > 0.01 for p in ps), f"p-values {['%.3g' % p for p in ps]}")
@@ -504,9 +514,11 @@ def run_E5_common_noise(cfg: ScenarioConfig) -> ScenarioReport:
     grid = build_grid(cfg, spec)
     atom = _target_atom(cfg)
 
+    normals = _path_normals(seed, M, _sim_steps(spec.T), spec.dim)
     freqs, variances = [], []
     for eps in eps_list:
-        ens = simulate_ensemble(_field_for(spec, grid, cfg, eps=eps), spec, M=M, seed=seed)
+        ens = simulate_ensemble(_field_for(spec, grid, cfg, eps=eps), spec, M=M, seed=seed,
+                                normals=normals)
         _note_exits(rep, ens, f"eps={eps}")
         mT = ens.terminal[:, 0]
         pos, se = _sign_stats(mT)
@@ -517,6 +529,7 @@ def run_E5_common_noise(cfg: ScenarioConfig) -> ScenarioReport:
         rep.add_row(eps=eps, seed=seed, config=cfg.config_hash, freq_pos=pos,
                     w1=w1, mean_T=float(mT.mean()), var_T=variances[-1],
                     exit_fraction=ens.exit_fraction)
+        del ens, mT
 
     if symmetric:
         band = _sign_band(cfg, se)

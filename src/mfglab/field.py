@@ -59,8 +59,8 @@ def _interp_space(grid: SpaceGrid, level: np.ndarray, points: np.ndarray) -> np.
     for ax in range(grid.dim):
         lo, hi, n = grid.axes[ax]
         dx = (hi - lo) / (n - 1)
-        s = np.clip((pts[:, ax] - lo) / dx, 0.0, n - 1 - 1e-12)
-        i = np.floor(s).astype(int)
+        s = np.minimum(np.maximum((pts[:, ax] - lo) / dx, 0.0), n - 1 - 1e-12)
+        i = s.astype(np.intp)       # s >= 0, so truncation is the floor
         idx.append(i)
         frac.append(s - i)
     if grid.dim == 1:
@@ -312,58 +312,72 @@ class PathEnsemble:
         return self.paths[:, -1, :]
 
 
+def _sim_steps(duration: float) -> int:
+    """Euler-Maruyama steps of an ensemble over a horizon of this length."""
+    return max(int(round(1000 * duration)), 16)
+
+
+def _path_normals(seed: int, M: int, rows: int, d: int) -> np.ndarray:
+    """(M, rows, d) standard normals, row p the first of RngStream(seed, p).
+
+    A stream's numbers do not depend on how its draws are split, so an array
+    with more rows serves every ensemble that reads fewer.
+    """
+    z = np.empty((M, rows, d))
+    for p in range(M):
+        z[p] = RngStream(seed, p).generator().normal(size=(rows, d))
+    return z
+
+
 def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
-                      noise_off: bool = False, m0_override=None) -> PathEnsemble:
+                      noise_off: bool = False, m0_override=None,
+                      normals: np.ndarray = None) -> PathEnsemble:
     """Euler-Maruyama ensemble of the mean process driven by the field.
 
-    Per-path randomness comes from RngStream(seed, path index): for the
-    N-player variant each path first draws N initial states (their mean is
-    m_0) and then its Brownian increments, so results do not depend on
-    scheduling.  States are clamped to the field's domain; the fraction of
-    paths that ever exited is reported (> 1% earns a domain-too-small flag).
+    Path p reads row p of `normals` (M, rows, d), drawn from the stream
+    RngStream(seed, p): for the N-player variant its first N rows are the
+    initial states nu0 + clip(z, ±6), whose mean is m_0, the next its increments;
+    common noise and m0_override read increments only.  A scenario draws the
+    normals once, sized for its largest N, and passes them to each ensemble;
+    without them the call draws the rows it needs.  So a path depends on
+    (seed, p) alone, not on scheduling.  States are clamped to the field's
+    domain; the fraction of paths that ever exited is reported (> 1% earns a
+    domain-too-small flag).
     """
     if M < 1:
         raise InvalidParameter("need at least one path")
     meta = fld.metadata
-    kind = meta.get("kind", "nplayer")
     noise_scale = 0.0 if noise_off else meta.get("noise_scale")
     if noise_scale is None:
         raise InvalidInput("the field carries no noise scale (a field loaded from a "
-                           "binary file does not); only a noise_off ensemble can use it")
+                           "version 1 binary file does not); only a noise_off ensemble can use it")
     d = spec.dim
-    T, t0 = fld.tgrid.T, fld.tgrid.t0
-    sim_steps = max(int(round(1000 * (T - t0))), 16)
-    tg = TimeGrid(t0, T, sim_steps)
-    dt = tg.dt
-    sq = np.sqrt(dt)
-
-    draw_m0 = m0_override is None and kind == "nplayer"
+    tg = TimeGrid(fld.tgrid.t0, fld.tgrid.T, _sim_steps(fld.tgrid.T - fld.tgrid.t0))
+    dt, sq = tg.dt, np.sqrt(tg.dt)
+    n0 = meta["N"] if m0_override is None and meta.get("kind", "nplayer") == "nplayer" else 0
+    z = _path_normals(seed, M, n0 + tg.steps, d) if normals is None else normals
+    if z.ndim != 3 or z.shape[::2] != (M, d) or z.shape[1] < n0 + tg.steps:
+        raise InvalidParameter(f"normals must be ({M}, >= {n0 + tg.steps}, {d}), got {z.shape}")
     m0 = np.empty((M, d))
     m0[:] = spec.nu0 if m0_override is None else m0_override
-    dW = np.empty((M, sim_steps, d))
-    for p in range(M):
-        gen = RngStream(seed, p).generator()
-        if draw_m0:
-            m0[p] = spec.xi_sampler(gen, meta["N"]).mean(axis=0)
-        dW[p] = sq * gen.normal(size=(sim_steps, d))
+    if n0:      # in chunks of paths, which bound the temporary; z is never written
+        for lo in range(0, M, 256):
+            m0[lo:lo + 256] = (spec.nu0 + np.clip(z[lo:lo + 256, :n0], -6.0, 6.0)).mean(axis=1)
 
     lows, highs = np.array([ax[:2] for ax in fld.grid.axes]).T
+    paths = np.empty((M, tg.steps + 1, d))
+    outside = (m0 < lows) | (m0 > highs)
+    m = paths[:, 0] = np.minimum(np.maximum(m0, lows), highs)
+    nodes = tg.nodes
+    drift = bool(np.any(spec.b))    # with b == 0, m + dt (0 - eta) is m - dt eta
+    for k in range(tg.steps):
+        eta = fld.evaluate_batch(nodes[k], m)
+        m += dt * (m @ spec.b.T - eta) if drift else -dt * eta
+        m += noise_scale * (sq * z[:, n0 + k])
+        outside |= (m < lows) | (m > highs)
+        paths[:, k + 1] = np.minimum(np.maximum(m, lows, out=m), highs, out=m)
 
-    paths = np.empty((M, sim_steps + 1, d))
-    paths[:, 0] = np.clip(m0, lows, highs)
-    exited = np.any((m0 < lows) | (m0 > highs), axis=1)
-
-    m = paths[:, 0].copy()
-    for k in range(sim_steps):
-        eta = fld.evaluate_batch(tg.nodes[k], m)
-        drift = m @ spec.b.T - eta
-        m = m + dt * drift + noise_scale * dW[:, k]
-        out = (m < lows) | (m > highs)
-        exited |= np.any(out, axis=1)
-        np.clip(m, lows, highs, out=m)
-        paths[:, k + 1] = m
-
-    exit_fraction = float(np.mean(exited))
+    exit_fraction = float(np.mean(np.any(outside, axis=1)))
     meta_out = dict(meta)
     meta_out["domain_too_small"] = exit_fraction > 0.01
     return PathEnsemble(tgrid=tg, paths=paths, seed=seed,
@@ -372,11 +386,12 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
 
 # --- export -----------------------------------------------------------------
 
-_MAGIC = b"MFGF\x01"
+_MAGIC_V1, _MAGIC = b"MFGF\x01", b"MFGF\x02"
 
 
 def save_field_binary(fld: DecouplingField, path: str):
-    """Binary layout: header (dims, bounds, counts, variant) + float64 payload."""
+    """Binary layout: header (dims, bounds, counts, variant, noise scale and
+    diffusion, NaN where unknown) + float64 payload."""
     meta = fld.metadata
     kind = meta.get("kind", "nplayer")
     param = float(meta.get("N", meta.get("eps", 0.0)))
@@ -388,12 +403,14 @@ def save_field_binary(fld: DecouplingField, path: str):
             fh.write(struct.pack("<ddi", lo, hi, n))
         fh.write(struct.pack("<ddi", fld.tgrid.t0, fld.tgrid.T, fld.tgrid.steps))
         fh.write(struct.pack("<bd", 0 if kind == "nplayer" else 1, param))
+        fh.write(struct.pack("<dd", meta.get("noise_scale", np.nan), meta.get("diffusion", np.nan)))
         fh.write(struct.pack("<i", len(model)))
         fh.write(model)
         fh.write(np.ascontiguousarray(fld.values, dtype="<f8").tobytes())
 
 
 def load_field_binary(path: str) -> DecouplingField:
+    """Read an MFGF v2 file, or a v1 file (no noise scale or diffusion stored)."""
     with open(path, "rb") as fh:
         def read(n):
             buf = fh.read(n)
@@ -401,23 +418,30 @@ def load_field_binary(path: str) -> DecouplingField:
                 raise InvalidInput(f"{path} is truncated: expected {n} more bytes, got {len(buf)}")
             return buf
 
-        if fh.read(5) != _MAGIC:
+        magic = fh.read(5)
+        if magic not in (_MAGIC_V1, _MAGIC):
             raise InvalidInput(f"{path} is not a field file")
         (dim,) = struct.unpack("<i", read(4))
         axes = tuple(struct.unpack("<ddi", read(20)) for _ in range(dim))
         t0, T, steps = struct.unpack("<ddi", read(20))
         kind_flag, param = struct.unpack("<bd", read(9))
+        noise = struct.unpack("<dd", read(16)) if magic == _MAGIC else (np.nan, np.nan)
         (mlen,) = struct.unpack("<i", read(4))
         model = read(mlen).decode()
         grid = SpaceGrid(axes)
         tgrid = TimeGrid(t0, T, steps)
         shape = (steps + 1,) + grid.shape + (dim,)
         values = np.frombuffer(read(8 * int(np.prod(shape))), dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise InvalidInput(f"{path} has bytes past its {int(np.prod(shape))} field values")
     meta = {"kind": "nplayer" if kind_flag == 0 else "common-noise", "model": model}
     if kind_flag == 0:
         meta["N"] = int(param)
     else:
         meta["eps"] = param
+    if not all(np.isnan(v) or 0 <= v < np.inf for v in noise):
+        raise InvalidInput(f"{path} stores a noise scale or diffusion outside [0, inf)")
+    meta.update((k, v) for k, v in zip(("noise_scale", "diffusion"), noise) if not np.isnan(v))
     return DecouplingField(grid=grid, tgrid=tgrid, values=values, metadata=meta)
 
 

@@ -14,7 +14,7 @@ follow the same (..., d) contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -322,18 +322,13 @@ def from_name(name: str, dim: int = 1, **params) -> Potential:
 # --- model assembly --------------------------------------------------------
 
 
-def _default_xi_sampler(nu0, dim):
-    def sample(gen, n):
-        z = gen.normal(size=(n, dim))
-        np.clip(z, -6.0, 6.0, out=z)
-        return nu0[None, :] + z
-
-    return sample
-
-
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full model: dynamics (b, sigma, T), potentials (f, g), initial law."""
+    """Full model: dynamics (b, sigma, T), potentials (f, g), initial mean nu0.
+
+    Each player starts at nu0 + clip(z, ±6) with z standard normal; see
+    field.simulate_ensemble.
+    """
 
     dim: int
     b: np.ndarray
@@ -342,7 +337,6 @@ class ModelSpec:
     f: Potential
     g: Potential
     nu0: np.ndarray
-    xi_sampler: Callable = field(default=None, repr=False)
 
     def __post_init__(self):
         b = np.atleast_2d(np.asarray(self.b, dtype=float))
@@ -359,8 +353,6 @@ class ModelSpec:
             raise InvalidParameter(f"volatility must be finite and nonnegative, got {self.sigma}")
         if not 0 < self.T < np.inf:
             raise InvalidParameter(f"horizon must be finite and positive, got {self.T}")
-        if self.xi_sampler is None:
-            object.__setattr__(self, "xi_sampler", _default_xi_sampler(nu0, self.dim))
 
     @property
     def even_data(self) -> bool:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mfglab import control, experiments, numerics, potentials
+from mfglab import control, experiments, field, numerics, potentials
 from mfglab.cli import build_parser, main as cli_main
 from mfglab.errors import ConfigError
 from mfglab.experiments import (
@@ -33,6 +33,8 @@ run.seed = 11
 grid.L = 4.0
 grid.nodes = 201
 """
+GOLDEN = Path(__file__).parent / "data"
+GOLDEN_CONFIG = "scenario = {}\nrun.seed = 5\nrun.M = 100\ngrid.nodes = 61\n"
 
 
 class TestConfig:
@@ -199,6 +201,14 @@ class TestReports:
         wide = run_scenario(ScenarioConfig.from_text(small.replace("grid.L = 2.0", "grid.L = 4.0")))
         assert not any(n.startswith("domain too small") for n in wide.notes)
 
+    @pytest.mark.parametrize("scenario", ["E1", "E2", "E5"])
+    def test_seeded_report_bytes_unchanged(self, tmp_path, scenario):
+        # recorded while every ensemble still drew its own per-path streams;
+        # the shared per-scenario normals must reproduce them byte for byte
+        out = tmp_path / "report.csv"
+        run_scenario(ScenarioConfig.from_text(GOLDEN_CONFIG.format(scenario))).write_csv(str(out))
+        assert out.read_bytes() == (GOLDEN / f"{scenario}_seed5.csv").read_bytes()
+
     def test_e5_eps_must_decrease(self):
         with pytest.raises(ConfigError):
             run_scenario(ScenarioConfig.from_text(
@@ -249,6 +259,16 @@ class TestComputedOnce:
         (point, h), = seen
         assert point.tolist() == [0.5, 0.0]
         assert h == 0.01
+
+    @pytest.mark.parametrize("scenario", ["E1", "E2", "E5"])
+    def test_normals_drawn_once_per_scenario(self, monkeypatch, scenario):
+        draws = count_calls(monkeypatch, "_path_normals", field, experiments)
+        text = GOLDEN_CONFIG.format(scenario) + {"E1": "run.N = 10 40\n", "E2": "run.N = 25 100\n",
+                                                  "E5": "run.eps = 0.5 0.25\n"}[scenario]
+        run_scenario(ScenarioConfig.from_text(text))
+        ((seed, M, rows, d),) = draws
+        assert (seed, M, d) == (5, 100, 1)
+        assert rows == {"E1": 40, "E2": 100, "E5": 0}[scenario] + 1000
 
     def test_e3_solves_riccati_once(self, monkeypatch):
         solves = count_calls(monkeypatch, "delarue_riccati", numerics, potentials, experiments)
@@ -380,6 +400,7 @@ class TestCli:
     def test_flags_only_where_read(self, tmp_path):
         cfg = self.write(tmp_path, "scenario = E2\n")
         for argv in (["run", cfg, "--threads", "2"],
+                     ["run", cfg, "--plots"],
                      ["oc-enumerate", cfg, "--out-dir", "x"],
                      ["field", "export", "f.bin", "--out", "x", "--seed", "1"],
                      ["oc-enumerate", cfg, "--seed", "1"],

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from mfglab.control import shoot
 from mfglab.errors import CflViolation, InvalidInput, InvalidOracle, InvalidParameter
 from mfglab.field import (
     DecouplingField,
+    _path_normals,
+    _sim_steps,
     export_field_csv_slice,
     load_field_binary,
     riccati_field_oracle,
@@ -41,6 +44,17 @@ def logcosh_spec(nu0=0.0):
 
 
 GRID = SpaceGrid.symmetric(4.0, 201, 1)
+
+
+def noise_offset(dim: int) -> int:
+    """Bytes before the noise scale in a v2 field file: magic, dim, axes, time grid, variant."""
+    return 5 + 4 + 20 * dim + 20 + 9
+
+
+def as_v1(data: bytes, dim: int) -> bytes:
+    """The MFGF version 1 file of a version 2 file: no noise scale or diffusion."""
+    at = noise_offset(dim)
+    return b"MFGF\x01" + data[5:at] + data[at + 16:]
 
 
 def solve(spec, grid=GRID, N=None, eps=None):
@@ -215,6 +229,53 @@ class TestSimulate:
         c = simulate_ensemble(fld, spec, M=16, seed=99)
         assert np.array_equal(c.paths[:8], a.paths)
 
+    def test_shared_normals_match_fresh_draws(self):
+        # normals drawn once for a larger N serve every smaller N and every
+        # eps of a scenario bit for bit, and are never written
+        spec = logcosh_spec()
+        grid = SpaceGrid.symmetric(4.0, 41, 1)
+        M, seed = 6, 7
+        shared = _path_normals(seed, M, 60 + _sim_steps(spec.T), 1)
+        before = shared.copy()
+        for kw in ({"N": 20}, {"N": 50}, {"eps": 0.5}, {"eps": 0.1}):
+            fld = solve(spec, grid=grid, **kw)
+            fresh = simulate_ensemble(fld, spec, M=M, seed=seed)
+            sliced = simulate_ensemble(fld, spec, M=M, seed=seed, normals=shared)
+            assert np.array_equal(sliced.paths, fresh.paths)
+            assert sliced.exit_fraction == fresh.exit_fraction
+        assert np.array_equal(shared, before)
+
+    def test_normals_shape_checked(self):
+        spec = logcosh_spec()
+        fld = solve(spec, grid=SpaceGrid.symmetric(4.0, 41, 1), N=20)
+        rows = 20 + _sim_steps(spec.T)
+        for shape in ((4, rows - 1, 1), (4, rows, 2), (5, rows, 1), (4, rows)):
+            with pytest.raises(InvalidParameter):
+                simulate_ensemble(fld, spec, M=4, seed=0, normals=np.zeros(shape))
+        # increments only: common noise and m0_override read no initial rows
+        steps = np.zeros((4, rows - 20, 1))
+        simulate_ensemble(fld, spec, M=4, seed=0, m0_override=[0.0], normals=steps)
+        with pytest.raises(InvalidParameter):
+            simulate_ensemble(fld, spec, M=4, seed=0, normals=steps)
+
+    def test_initial_law_is_clipped_normal(self):
+        # each player starts at nu0 + clip(z, ±6); with N = 1 a path's first
+        # state is one player's draw
+        nu0 = np.array([1.0, -2.0])
+        spec = ModelSpec(dim=2, b=np.zeros((2, 2)), sigma=1.0, T=0.01, f=make_zero(2),
+                         g=make_zero(2), nu0=nu0)
+        grid = SpaceGrid.symmetric(10.0, 5, 2)
+        fld = DecouplingField(grid, TimeGrid(0.0, 0.01, 1), np.zeros((2, 5, 5, 2)),
+                              {"kind": "nplayer", "N": 1, "noise_scale": 0.1})
+        draws = simulate_ensemble(fld, spec, M=5000, seed=0).paths[:, 0]
+        assert np.allclose(draws.mean(axis=0), nu0, atol=0.05)
+        assert np.all(np.abs(draws - nu0) <= 6.0)
+        # a tail draw is clipped to 6 from nu0; three players average to it
+        fld.metadata["N"] = 3
+        far = np.full((2, 3 + _sim_steps(0.01), 2), -9.0)
+        start = simulate_ensemble(fld, spec, M=2, seed=0, normals=far).paths[:, 0]
+        assert np.array_equal(start, np.tile(nu0 - 6.0, (2, 1)))
+
     def test_noise_off_matches_shooting(self):
         spec = logcosh_spec(nu0=0.5)
         fld = solve(spec, N=400)
@@ -322,23 +383,48 @@ class TestExport:
         fld = solve(logcosh_spec(), N=50)
         path = str(tmp_path / "field.bin")
         save_field_binary(fld, path)
+        assert open(path, "rb").read(5) == b"MFGF\x02"
         back = load_field_binary(path)
         assert np.array_equal(back.values, fld.values)
         assert back.grid.axes == fld.grid.axes
         assert back.tgrid == fld.tgrid
         assert back.metadata["kind"] == "nplayer"
         assert back.metadata["N"] == 50
+        assert back.metadata["noise_scale"] == fld.metadata["noise_scale"]
+        assert back.metadata["diffusion"] == fld.metadata["diffusion"]
+
+    @pytest.mark.parametrize("kw", [{"N": 50}, {"eps": 0.25}])
+    def test_loaded_v2_field_drives_noisy_ensemble(self, tmp_path, kw):
+        spec = logcosh_spec()
+        fld = solve(spec, **kw)
+        path = str(tmp_path / "field.bin")
+        save_field_binary(fld, path)
+        back = simulate_ensemble(load_field_binary(path), spec, M=6, seed=4)
+        assert np.array_equal(back.paths, simulate_ensemble(fld, spec, M=6, seed=4).paths)
 
     def test_loaded_field_refuses_noisy_ensemble(self, tmp_path):
-        # the binary format does not store the noise scale, so a loaded
-        # field must not silently simulate without noise
+        # a version 1 file does not store the noise scale, so a field loaded
+        # from one must not silently simulate without noise
         spec = logcosh_spec()
-        path = str(tmp_path / "field.bin")
-        save_field_binary(solve(spec, N=50), path)
-        back = load_field_binary(path)
+        path = tmp_path / "field.bin"
+        save_field_binary(solve(spec, N=50), str(path))
+        path.write_bytes(as_v1(path.read_bytes(), dim=1))
+        back = load_field_binary(str(path))
+        assert back.metadata["N"] == 50 and "noise_scale" not in back.metadata
         with pytest.raises(InvalidInput):
             simulate_ensemble(back, spec, M=4, seed=1)
         assert simulate_ensemble(back, spec, M=4, seed=1, noise_off=True).paths.shape[0] == 4
+
+    def test_binary_rejects_long_file_and_bad_noise(self, tmp_path):
+        fld = solve(logcosh_spec(), N=50)
+        path = tmp_path / "field.bin"
+        save_field_binary(fld, str(path))
+        data, at = path.read_bytes(), noise_offset(1)
+        for bad in (data + b"\0", as_v1(data, dim=1) + b"\0" * 8,
+                    data[:at] + struct.pack("<d", -1.0) + data[at + 8:]):
+            path.write_bytes(bad)
+            with pytest.raises(InvalidInput):
+                load_field_binary(str(path))
 
     def test_binary_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"

@@ -308,11 +308,3 @@ class TestCatalogueAndModelSpec:
         spec2 = ModelSpec(dim=1, b=np.zeros((1, 1)), sigma=1.0, T=1.0,
                           f=make_zero(1), g=make_zero(1), nu0=np.zeros(1))
         assert not spec2.running_state_cost_vanishes
-
-    def test_default_xi_sampler(self):
-        spec = ModelSpec(dim=2, b=np.zeros((2, 2)), sigma=1.0, T=1.0,
-                         f=make_zero(2), g=make_zero(2), nu0=np.array([1.0, -2.0]))
-        draws = spec.xi_sampler(np.random.default_rng(0), 20000)
-        assert draws.shape == (20000, 2)
-        assert np.allclose(draws.mean(axis=0), spec.nu0, atol=0.05)
-        assert np.all(np.abs(draws - spec.nu0) <= 6.0)
