@@ -37,6 +37,7 @@ CHECK_REL_TOL = 1e-4
 CHECK_SEED = 20240
 KINK_GAP_FACTOR = 10.0   # differentiability probe: slope gap of a kink, in units of h
 SCAN_POINTS = 801        # static reduction: points of the line scan
+POLISH_XATOL = 1e-12     # static reduction: final bracket width of each polish
 
 
 @dataclass
@@ -377,17 +378,35 @@ def static_U(spec: ModelSpec, t0, nu0, a):
             + spec.g.value(y))
 
 
+def _golden_section(f, lo: np.ndarray, hi: np.ndarray):
+    """Golden-section search of f on each bracket [lo, hi] at once, to width POLISH_XATOL.
+
+    f maps an array of points to their values.  Each round keeps the part of
+    every bracket that holds its smaller interior value and evaluates f at one
+    new point per bracket.  Returns the final midpoints and their values.
+    """
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+    fc, fd = f(c), f(d)
+    while np.max(hi - lo) > POLISH_XATOL:
+        left = fc <= fd                     # a minimum lies in [lo, d]
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+        new = np.where(left, hi - shrink * (hi - lo), lo + shrink * (hi - lo))
+        fnew = f(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, fnew, fd), np.where(left, fc, fnew)
+    s = 0.5 * (lo + hi)
+    return s, f(s)
+
+
 def static_U_minimize(spec: ModelSpec, t0, nu0):
     """All local minimizers of a -> U(t0, nu0, a), exploiting symmetry.
 
-    In dimension 1 the line is scanned and each bracket is polished.  In
-    higher dimension the minimizer set lies on the ray through nu0 (or is a
-    full sphere when nu0 = 0 and g is radial); the scalar reduction is used.
-    Returns (minimizers, min_value, is_sphere).
+    In dimension 1 the line is scanned and each bracket is polished by
+    golden-section search.  In higher dimension the minimizer set lies on the
+    ray through nu0 (or is a full sphere when nu0 = 0 and g is radial); the
+    scalar reduction is used.  Returns (minimizers, min_value, is_sphere).
     """
-    # imported here: scipy.optimize is slow to load, and no CLI command calls this
-    from scipy.optimize import minimize_scalar
-
     _require_static(spec)
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     tau = spec.T - t0
@@ -400,20 +419,17 @@ def static_U_minimize(spec: ModelSpec, t0, nu0):
         direction = nu0 / np.linalg.norm(nu0)
 
     def U1(s):
-        return static_U(spec, t0, nu0, s * direction)
+        return static_U(spec, t0, nu0, s[..., None] * direction)
 
     ss = np.linspace(-scan_radius, scan_radius, SCAN_POINTS)
-    vals = static_U(spec, t0, nu0, ss[:, None] * direction)
-    minima = []
-    for i in range(1, len(ss) - 1):
-        if vals[i] <= vals[i - 1] and vals[i] <= vals[i + 1]:
-            res = minimize_scalar(U1, bounds=(ss[i - 1], ss[i + 1]), method="bounded",
-                                  options={"xatol": 1e-12})
-            s_opt = float(res.x)
-            if not any(abs(s_opt - s) < 1e-7 for s, _ in minima):
-                minima.append((s_opt, float(res.fun)))
-    if not minima:
+    vals = U1(ss)
+    i = 1 + np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))
+    if not i.size:
         raise NoStationaryPoint("static scan found no local minimum")
+    minima = []
+    for s_opt, v_opt in zip(*_golden_section(U1, ss[i - 1], ss[i + 1])):
+        if not any(abs(s_opt - s) < 1e-7 for s, _ in minima):
+            minima.append((float(s_opt), float(v_opt)))
     best = min(v for _, v in minima)
     keep = [(s, v) for s, v in minima if v - best <= 1e-9 * max(1.0, abs(best))]
     if on_sphere:

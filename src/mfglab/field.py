@@ -10,7 +10,9 @@ common-noise variant has nu = eps^2 / 2 and the reminder-free source m +
 grad f with terminal m + grad g.  The scheme is explicit (Heun in time,
 centered diffusion, upwinded transport) on a truncated tensor grid with
 linear-extrapolation ghost nodes, plus one implicit-in-diffusion step at the
-first backward level to damp terminal-layer roughness.
+first backward level to damp terminal-layer roughness.  That step is solved
+directly: a Thomas sweep in 1-d; in 2-d, 1-d sweeps on the edge lines and
+fast diagonalization of the interior.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import CflViolation, InvalidInput, InvalidOracle, InvalidParameter, PdeDiverged
 from .numerics import RngStream, SpaceGrid, TimeGrid, integrate_ode
@@ -90,20 +90,21 @@ def _upwind_transport(u: np.ndarray, c: np.ndarray, spacings) -> np.ndarray:
     Forward differences where c > 0, backward where c < 0; where c == 0 both
     terms vanish.  The mirrored choice keeps odd symmetry of the update exact
     on symmetric grids.  One-sided differences at the truncation boundary.
+    Both products come from slices of one difference array: at most one of
+    them is nonzero at a node, so adding them one by one is exact, and no
+    per-axis copies are made (they cost page faults on every step).
     """
     out = np.zeros_like(u)
     for ax, dx in enumerate(spacings, start=1):
-        fwd = np.empty_like(u)
-        bwd = np.empty_like(u)
-        v, f, b = u.swapaxes(0, ax), fwd.swapaxes(0, ax), bwd.swapaxes(0, ax)
+        # views with the difference axis first; the speed c[ax - 1:ax] is
+        # (1, *shape) and broadcasts over the component axis
+        v, o, s = u.swapaxes(0, ax), out.swapaxes(0, ax), c[ax - 1:ax].swapaxes(0, ax)
+        cp, cm = np.maximum(s, 0), np.minimum(s, 0)
         diff = (v[1:] - v[:-1]) / dx
-        f[:-1] = diff
-        f[-1] = diff[-1]
-        b[1:] = diff
-        b[0] = diff[0]
-
-        # c[ax - 1] is (*shape) and broadcasts over the component axis
-        out += np.maximum(c[ax - 1], 0) * fwd + np.minimum(c[ax - 1], 0) * bwd
+        o[:-1] += cp[:-1] * diff
+        o[-1] += cp[-1] * diff[-1]
+        o[1:] += cm[1:] * diff
+        o[0] += cm[0] * diff[0]
     return out
 
 
@@ -113,23 +114,75 @@ def _odd_project(u: np.ndarray, dim: int) -> np.ndarray:
     return 0.5 * (u - flipped)
 
 
-def _implicit_diffusion_matrix(grid: SpaceGrid, coef: float):
-    """I - coef * L with the boundary rows of L zeroed (extrapolation ghosts)."""
-    mats = []
-    for n, dx in zip(grid.shape, grid.spacings):
-        main = np.full(n, -2.0 / dx**2)
-        off = np.full(n - 1, 1.0 / dx**2)
-        L = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-        L[0, :] = 0.0
-        L[-1, :] = 0.0
-        mats.append(sp.csr_matrix(L))
-    if grid.dim == 1:
-        L_full = mats[0]
-    else:
-        n0, n1 = grid.shape
-        L_full = sp.kron(mats[0], sp.identity(n1)) + sp.kron(sp.identity(n0), mats[1])
-    n_total = int(np.prod(grid.shape))
-    return sp.csc_matrix(sp.identity(n_total) - coef * L_full)
+def _thomas(rhs: np.ndarray, r: float) -> np.ndarray:
+    """Solve (I - r T) x = rhs along axis 0, T = tridiag(1, -2, 1) with zero end rows.
+
+    The end rows are identity rows, so the interior is a constant-coefficient,
+    diagonally dominant system with the end values on its right-hand side: one
+    Thomas sweep per lane (the other axes), its pivots computed once.  The
+    sweeps run on Python floats, as numpy calls on rows of a few lanes cost
+    twenty times more.
+    """
+    n = len(rhs)
+    w = [0.0, 1.0 / (1.0 + 2.0 * r)]        # w[i]: inverse pivot of row i
+    for i in range(2, n - 1):
+        w.append(1.0 / (1.0 + 2.0 * r - r * r * w[i - 1]))
+    rw = [r * wi for wi in w]
+    lanes = np.reshape(rhs, (n, -1)).T.tolist()
+    for x in lanes:
+        x[1] += r * x[0]
+        x[-2] += r * x[-1]
+        x[1] *= w[1]
+        for i in range(2, n - 1):
+            x[i] = (x[i] + r * x[i - 1]) * w[i]
+        for i in range(n - 3, 0, -1):
+            x[i] += rw[i] * x[i + 1]
+    return np.array(lanes).T.reshape(np.shape(rhs))
+
+
+def _sine_transform(x: np.ndarray) -> np.ndarray:
+    """Q x along both grid axes of a (d, m0, m1) x, Q the sine basis of each axis.
+
+    Q[j, k] = sqrt(2 / (m + 1)) sin(pi (j + 1) (k + 1) / (m + 1)) is
+    orthonormal and symmetric, and diagonalizes the m-node Dirichlet second
+    difference; Q x is the type-I discrete sine transform, one real FFT of
+    the odd extension of x (no BLAS call, so no BLAS threads left spinning).
+    """
+    for axis in (1, 2):
+        x = np.moveaxis(x, axis, -1)
+        m = x.shape[-1]
+        zero = np.zeros(x.shape[:-1] + (1,))
+        y = np.fft.rfft(np.concatenate([zero, x, zero, -x[..., ::-1]], axis=-1))
+        x = np.moveaxis(y[..., 1:m + 1].imag * -np.sqrt(0.5 / (m + 1)), -1, axis)
+    return x
+
+
+def _implicit_solve(b: np.ndarray, coef: float, spacings) -> np.ndarray:
+    """Solve (I - coef L) x = b for a (d, *shape) b, L the Laplacian of `_laplacian`.
+
+    In 1-d this is one Thomas sweep.  In 2-d L's rows are zero at the ends of
+    their own axis only: the corners are identity rows, each edge line is a
+    1-d solve along its axis, and the interior is the Dirichlet system with
+    the edge values on its right-hand side, solved by fast diagonalization in
+    each axis's sine basis (Lynch, Rice and Thomas, Numer. Math. 6, 1964).
+    """
+    if len(spacings) == 1:
+        return _thomas(b.T, coef / spacings[0] ** 2).T
+    r0, r1 = (coef / dx**2 for dx in spacings)
+    x = np.empty_like(b)
+    x[:, [0, -1]] = np.moveaxis(_thomas(np.moveaxis(b[:, [0, -1]], 2, 0), r1), 0, 2)
+    x[:, :, [0, -1]] = np.moveaxis(_thomas(np.moveaxis(b[:, :, [0, -1]], 1, 0), r0), 0, 1)
+    rhs = b[:, 1:-1, 1:-1].copy()
+    rhs[:, 0] += r0 * x[:, 0, 1:-1]
+    rhs[:, -1] += r0 * x[:, -1, 1:-1]
+    rhs[:, :, 0] += r1 * x[:, 1:-1, 0]
+    rhs[:, :, -1] += r1 * x[:, 1:-1, -1]
+    # eigenvalues -4 / dx^2 sin^2(pi k / (2 (m + 1))), k = 1..m, of each axis's
+    # Dirichlet second difference, in the order of the sine basis
+    lam0, lam1 = (-4.0 / dx**2 * np.sin(0.5 * np.pi * np.arange(1, n - 1) / (n - 1)) ** 2
+                  for n, dx in zip(b.shape[1:], spacings))
+    x[:, 1:-1, 1:-1] = _sine_transform(_sine_transform(rhs) / (1.0 - coef * (lam0[:, None] + lam1)))
+    return x
 
 
 def _variant(spec: ModelSpec, N, eps):
@@ -210,12 +263,10 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
     values[steps] = cost_gradient(spec.g, mgrid)
     u = np.moveaxis(values[steps], -1, 0).copy()
 
-    lu = spla.splu(_implicit_diffusion_matrix(grid, nu * dt), permc_spec="MMD_AT_PLUS_A")
     for k in range(steps - 1, -1, -1):
         if k == steps - 1:
             # first backward level: implicit diffusion, explicit transport and source
-            expl = u + dt * rhs(u, False)
-            u = np.stack([lu.solve(expl[i].ravel()).reshape(grid.shape) for i in range(d)])
+            u = _implicit_solve(u + dt * rhs(u, False), nu * dt, spacings)
         else:
             k1 = rhs(u, True)
             k2 = rhs(u + dt * k1, True)

@@ -213,10 +213,10 @@ def wasserstein1_1d(sample_a, sample_b, weights_b=None) -> float:
     """W1 distance between two one-dimensional laws, the integral of |F_a - F_b|.
 
     `sample_b` may be a plain sample or the atom locations of a discrete law
-    with `weights_b` (non-negative, with a positive finite sum).  It takes
-    the steps of scipy.stats.wasserstein_distance, and the tests check that
-    both agree to the bit: merge-sort all values, read both CDFs at each
-    merged value, and weight |F_a - F_b| by the gaps between them.
+    with `weights_b` (non-negative, with a positive finite sum).  Merge-sort
+    all values, read both CDFs at each merged value, and weight |F_a - F_b|
+    by the gaps between them.  The tests compare it bit for bit with a
+    reference W1 implementation.
     """
     sample_a = np.asarray(sample_a, dtype=float).ravel()
     sample_b = np.asarray(sample_b, dtype=float).ravel()

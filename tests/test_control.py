@@ -408,3 +408,37 @@ class TestStaticReduction:
             sset = enumerate_stationary(spec, 0.0, [nu0])
             _, best, _ = static_U_minimize(spec, 0.0, [nu0])
             assert abs(best - sset.min_cost) < 1e-6
+
+    @pytest.mark.parametrize("dim, nu0", [(1, 0.0), (1, 0.5), (2, 0.0), (2, 0.3)],
+                             ids=["logcosh-1d", "logcosh-1d-tilted", "radial-2d",
+                                  "radial-2d-tilted"])
+    def test_polish_matches_scipy(self, dim, nu0):
+        # scipy's bounded Brent search on the same scan brackets is the oracle.
+        # Minimum values agree to 1e-10; minimizers to 1e-7, because U is flat
+        # to rounding within about 1e-8 of a minimizer, where comparing values
+        # cannot tell points apart (scipy's own is 3e-10 off the exact root)
+        from scipy.optimize import minimize_scalar
+
+        if dim == 1:
+            spec = logcosh_model(nu0=nu0)
+        else:
+            spec = model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2, nu0=nu0)
+        x0 = spec.nu0
+        mins, best, on_sphere = static_U_minimize(spec, 0.0, x0)
+
+        direction = np.eye(dim)[0] if nu0 == 0.0 else x0 / np.linalg.norm(x0)
+        radius = (np.linalg.norm(x0) + spec.g.grad_sup + 2.0) / spec.T
+        ss = np.linspace(-radius, radius, 801)
+        vals = static_U(spec, 0.0, x0, ss[:, None] * direction)
+        oracle = [minimize_scalar(lambda s: float(static_U(spec, 0.0, x0, s * direction)),
+                                  bounds=(ss[i - 1], ss[i + 1]), method="bounded",
+                                  options={"xatol": 1e-12})
+                  for i in range(1, 800) if vals[i] <= min(vals[i - 1], vals[i + 1])]
+        oracle_best = min(res.fun for res in oracle)
+        assert abs(best - oracle_best) <= 1e-10
+        kept = [res.x for res in oracle if res.fun - oracle_best <= 1e-9]
+        if not on_sphere:
+            assert len(mins) == (1 if nu0 else 2)
+        for a in mins:
+            gaps = [np.linalg.norm(a - (abs(s) if on_sphere else s) * direction) for s in kept]
+            assert min(gaps) <= 1e-7

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -277,17 +278,41 @@ class TestComputedOnce:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_out_stats_and_optimize(self):
-        # scipy.stats and scipy.optimize take about half a second to import;
-        # a fresh interpreter shows what `import mfglab.cli` loads on its own
+    def fresh_interpreter(self, code: str) -> str:
+        """stdout of `code` run in a new interpreter that imports this checkout's mfglab."""
         src = str(Path(experiments.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        probe = ("import sys, mfglab.cli; print(sorted(m for m in sys.modules "
-                 "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))")
-        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                              capture_output=True, text=True).stdout
+
+    def test_cli_import_leaves_out_stats_and_optimize(self):
+        # numpy is the only runtime dependency: `import mfglab.cli` loads no
+        # scipy module at all (scipy.sparse alone took 0.38 s to import)
+        probe = ("import sys, mfglab.cli; "
+                 "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert self.fresh_interpreter(probe).strip() == "[]"
+
+    def test_solvers_load_no_scipy(self):
+        # nor does a solver import one lazily: a 1-d and a 2-d field solve and
+        # the static reduction leave sys.modules free of scipy
+        probe = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from mfglab.control import static_U_minimize
+            from mfglab.field import solve_field, stable_time_grid
+            from mfglab.numerics import SpaceGrid
+            from mfglab.potentials import (ModelSpec, make_logcosh_terminal, make_quadratic,
+                                           make_radial_logcosh)
+            for dim, g in ((1, make_logcosh_terminal(4.0)), (2, make_radial_logcosh(4.0, 2))):
+                spec = ModelSpec(dim=dim, b=np.zeros((dim, dim)), sigma=1.0, T=1.0,
+                                 f=make_quadratic(-1.0, dim), g=g, nu0=np.zeros(dim))
+                grid = SpaceGrid.symmetric(3.0, 21, dim)
+                solve_field(spec, grid, stable_time_grid(spec, grid, N=25), N=25)
+            static_U_minimize(spec, 0.0, np.zeros(2))
+            print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """)
+        assert self.fresh_interpreter(probe).strip() == "[]"
 
 
 class TestCli:

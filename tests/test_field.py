@@ -7,9 +7,13 @@ import pytest
 from mfglab.control import shoot
 from mfglab.errors import CflViolation, InvalidInput, InvalidOracle, InvalidParameter
 from mfglab.field import (
+    CFL_DIFF,
     DecouplingField,
+    _implicit_solve,
+    _laplacian,
     _path_normals,
     _sim_steps,
+    _upwind_transport,
     export_field_csv_slice,
     load_field_binary,
     riccati_field_oracle,
@@ -176,6 +180,68 @@ class TestSolveField:
         for x in ([0.7], [-1.3]):
             assert np.array_equal(fld.evaluate(T + 0.5, x), fld.evaluate(T, x))
             assert np.array_equal(fld.evaluate(t0 - 0.5, x), fld.evaluate(t0, x))
+
+
+def upwind_reference(u, c, spacings):
+    """The upwind transport from whole forward and backward difference arrays."""
+    out = np.zeros_like(u)
+    for ax, dx in enumerate(spacings, start=1):
+        fwd, bwd = np.empty_like(u), np.empty_like(u)
+        v, f, b = u.swapaxes(0, ax), fwd.swapaxes(0, ax), bwd.swapaxes(0, ax)
+        diff = (v[1:] - v[:-1]) / dx
+        f[:-1], f[-1] = diff, diff[-1]
+        b[1:], b[0] = diff, diff[0]
+        out += np.maximum(c[ax - 1], 0) * fwd + np.minimum(c[ax - 1], 0) * bwd
+    return out
+
+
+class TestTransport:
+    @pytest.mark.parametrize("shape, spacings", [((1, 101), (0.05,)), ((2, 41, 37), (0.1, 0.07))],
+                             ids=["1d", "2d"])
+    def test_equals_whole_array_reference(self, shape, spacings):
+        # accumulating the two products from slices is exact: bit for bit,
+        # sign of zero included, with rows of exactly zero speed
+        gen = np.random.default_rng(11)
+        u, c = gen.normal(size=shape), gen.normal(size=shape)
+        c[:, ::5] = 0.0
+        c[:, 1::7] = -0.0
+        got, ref = _upwind_transport(u, c, spacings), upwind_reference(u, c, spacings)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def implicit_operator(shape, spacings, coef):
+    """Dense I - coef L, L the Laplacian of `_laplacian`: each axis's end rows zeroed."""
+    mats = []
+    for n, dx in zip(shape, spacings):
+        L = (np.eye(n, k=1) - 2.0 * np.eye(n) + np.eye(n, k=-1)) / dx**2
+        L[[0, -1]] = 0.0
+        mats.append(L)
+    if len(mats) == 2:
+        L = np.kron(mats[0], np.eye(shape[1])) + np.kron(np.eye(shape[0]), mats[1])
+    return np.eye(len(L)) - coef * L
+
+
+class TestImplicitSolve:
+    # the first backward level solves (I - nu dt L) x = b directly; a dense
+    # solve of the assembled operator is the reference
+    @pytest.mark.parametrize("shape, spacings, d", [
+        ((41,), (0.2,), 1),
+        ((1601,), (0.005,), 1),
+        ((23, 31), (0.3, 0.17), 2),
+        ((3, 5), (0.3, 0.17), 2),     # one interior row next to both edges
+    ], ids=["1d-41", "1d-1601", "2d-23x31", "2d-3x5"])
+    @pytest.mark.parametrize("ratio", [0.05, CFL_DIFF, 3.0])
+    def test_matches_dense_solve(self, shape, spacings, d, ratio):
+        coef = ratio * min(spacings) ** 2
+        b = np.random.default_rng(3).normal(size=(d,) + shape)
+        A = implicit_operator(shape, spacings, coef)
+        ref = np.linalg.solve(A, b.reshape(d, -1).T).T.reshape(b.shape)
+        x = _implicit_solve(b, coef, spacings)
+        assert x.shape == b.shape
+        assert np.max(np.abs(x - ref)) <= 1e-12
+        # the operator is the explicit steps' Laplacian
+        assert np.max(np.abs(x - coef * _laplacian(x, spacings) - b)) <= 1e-12
 
 
 class TestOracle:
