@@ -426,16 +426,15 @@ def static_U_minimize(spec: ModelSpec, t0, nu0):
     i = 1 + np.flatnonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))
     if not i.size:
         raise NoStationaryPoint("static scan found no local minimum")
+    polished = zip(*_golden_section(U1, ss[i - 1], ss[i + 1]))
+    if on_sphere:   # minimizers form the sphere |a| = s: fold signs, lower values first
+        polished = sorted(((abs(s), v) for s, v in polished), key=lambda sv: sv[1])
     minima = []
-    for s_opt, v_opt in zip(*_golden_section(U1, ss[i - 1], ss[i + 1])):
+    for s_opt, v_opt in polished:
         if not any(abs(s_opt - s) < 1e-7 for s, _ in minima):
             minima.append((float(s_opt), float(v_opt)))
     best = min(v for _, v in minima)
-    keep = [(s, v) for s, v in minima if v - best <= 1e-9 * max(1.0, abs(best))]
-    if on_sphere:
-        # drop sign duplicates; the full minimizer set is the sphere |a| = s
-        keep = [(abs(s), v) for s, v in keep]
-        keep = sorted(set(keep))
+    keep = sorted((s, v) for s, v in minima if v - best <= 1e-9 * max(1.0, abs(best)))
     minimizers = [s * direction for s, v in keep]
     return minimizers, best, on_sphere
 

@@ -476,9 +476,11 @@ def run_E4_sphere(cfg: ScenarioConfig) -> ScenarioReport:
     Ns = cfg.getlist_int("run.N", [200, 400])
     grid = build_grid(cfg, spec)
 
+    normals = _path_normals(seed, M, max(Ns) + _sim_steps(spec.T), spec.dim)
     ps, medians = [], []
     for N in Ns:
-        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed)
+        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed,
+                                normals=normals)
         _note_exits(rep, ens, f"N={N}")
         mT = ens.terminal
         angles = np.arctan2(mT[:, 1], mT[:, 0])

@@ -7,12 +7,14 @@ system: for the N-player mean,
 
 with nu = sigma^2 / (2N), source = grad F_N and terminal layer grad G_N; the
 common-noise variant has nu = eps^2 / 2 and the reminder-free source m +
-grad f with terminal m + grad g.  The scheme is explicit (Heun in time,
-centered diffusion, upwinded transport) on a truncated tensor grid with
-linear-extrapolation ghost nodes, plus one implicit-in-diffusion step at the
-first backward level to damp terminal-layer roughness.  That step is solved
-directly: a Thomas sweep in 1-d; in 2-d, 1-d sweeps on the edge lines and
-fast diagonalization of the interior.  numpy is the only dependency.
+grad f with terminal m + grad g.  The scheme is explicit (Heun in time)
+on a truncated tensor grid with linear-extrapolation ghost nodes: one stencil
+per axis, two coefficient products of one raw difference, gives upwinded
+transport and centered diffusion, and every step writes into buffers
+allocated once per solve.  One implicit-in-diffusion step at the first
+backward level damps terminal-layer roughness; it is solved directly: a
+Thomas sweep in 1-d; in 2-d, 1-d sweeps on the edge lines and fast
+diagonalization of the interior.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -74,44 +76,35 @@ def _interp_space(grid: SpaceGrid, level: np.ndarray, points: np.ndarray) -> np.
             + wx * wy * level[i + 1, j + 1])
 
 
-def _laplacian(u: np.ndarray, spacings) -> np.ndarray:
-    """Laplacian of a (d, *shape) field; extrapolation ghosts zero the boundary rows."""
-    out = np.zeros_like(u)
-    for ax, dx in enumerate(spacings, start=1):
-        # views with the difference axis first; writes go through to out
-        v, o = u.swapaxes(0, ax), out.swapaxes(0, ax)
-        o[1:-1] += (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx**2
-    return out
+def _stencil(u: np.ndarray, c: np.ndarray, nu: float, spacings, out: np.ndarray, bufs: list):
+    """out = sum_ax (c_ax D_ax u + nu D2_ax u) for component-major u and c, (d, *shape).
 
-
-def _upwind_transport(u: np.ndarray, c: np.ndarray, spacings) -> np.ndarray:
-    """sum_ax c_ax * D_ax u for component-major u and c, both (d, *shape).
-
-    Forward differences where c > 0, backward where c < 0; where c == 0 both
-    terms vanish.  The mirrored choice keeps odd symmetry of the update exact
-    on symmetric grids.  One-sided differences at the truncation boundary.
-    Both products come from slices of one difference array: at most one of
-    them is nonzero at a node, so adding them one by one is exact, and no
-    per-axis copies are made (they cost page faults on every step).
+    Per axis one raw difference D = v[1:] - v[:-1] gives upwinded transport
+    (forward where c > 0, backward where c < 0) plus centered diffusion as
+    (c+/dx + nu/dx^2) D_i + (c-/dx - nu/dx^2) D_{i-1} at interior nodes and the
+    one-sided c/dx D at the ends, whose extrapolation ghosts add no diffusion.
+    The first call fills `bufs` with per-axis buffers laid out as u; later calls reuse them.
     """
-    out = np.zeros_like(u)
     for ax, dx in enumerate(spacings, start=1):
-        # views with the difference axis first; the speed c[ax - 1:ax] is
-        # (1, *shape) and broadcasts over the component axis
+        if len(bufs) < ax:
+            s = u.shape[:ax] + (u.shape[ax] - 1,) + u.shape[ax + 1:]
+            bufs.append([np.empty(lead + s[1:]) for lead in (s[:1], s[:1], (1,), (1,))])
+        # views with the difference axis first; the speed c[ax - 1:ax] broadcasts
+        # over the component axis; cp scales D_i at nodes 0..n-2, cm D_{i-1} at 1..n-1
+        diff, prod, cp, cm = (b.swapaxes(0, ax) for b in bufs[ax - 1])
         v, o, s = u.swapaxes(0, ax), out.swapaxes(0, ax), c[ax - 1:ax].swapaxes(0, ax)
-        cp, cm = np.maximum(s, 0), np.minimum(s, 0)
-        diff = (v[1:] - v[:-1]) / dx
-        o[:-1] += cp[:-1] * diff
-        o[-1] += cp[-1] * diff[-1]
-        o[1:] += cm[1:] * diff
-        o[0] += cm[0] * diff[0]
-    return out
-
-
-def _odd_project(u: np.ndarray, dim: int) -> np.ndarray:
-    """Project a (d, *shape) field onto fields odd under m -> -m (node reversal)."""
-    flipped = np.flip(u, axis=tuple(range(1, dim + 1)))
-    return 0.5 * (u - flipped)
+        np.subtract(v[1:], v[:-1], out=diff)
+        np.divide(np.maximum(s[:-1], 0.0, out=cp), dx, out=cp)
+        np.divide(np.minimum(s[1:], 0.0, out=cm), dx, out=cm)
+        cp[1:] += nu / dx**2
+        cm[:-1] -= nu / dx**2
+        cp[0], cm[-1] = s[0] / dx, s[-1] / dx     # the one-sided end nodes
+        if ax == 1:         # the first axis writes out, later axes add to it
+            np.multiply(cp, diff, out=o[:-1])
+            o[-1] = 0.0
+        else:
+            o[:-1] += np.multiply(cp, diff, out=prod)
+        o[1:] += np.multiply(cm, diff, out=prod)
 
 
 def _thomas(rhs: np.ndarray, r: float) -> np.ndarray:
@@ -158,7 +151,7 @@ def _sine_transform(x: np.ndarray) -> np.ndarray:
 
 
 def _implicit_solve(b: np.ndarray, coef: float, spacings) -> np.ndarray:
-    """Solve (I - coef L) x = b for a (d, *shape) b, L the Laplacian of `_laplacian`.
+    """Solve (I - coef L) x = b for a (d, *shape) b, L the Laplacian of `_stencil`.
 
     In 1-d this is one Thomas sweep.  In 2-d L's rows are zero at the ends of
     their own axis only: the corners are identity rows, each edge line is a
@@ -224,10 +217,8 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
     nu, cost_gradient, meta = _variant(spec, N, eps)
     if grid.dim != spec.dim:
         raise InvalidParameter("space grid dimension must match the model")
-    d = spec.dim
 
-    spacings = grid.spacings
-    dt = tgrid.dt
+    spacings, dt = grid.spacings, tgrid.dt
     for dx in spacings:
         ratio = nu * dt / dx**2
         if ratio > CFL_DIFF + 1e-12:
@@ -241,38 +232,45 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
     symmetric = spec.even_data and grid.is_symmetric()
     drift = bool(np.any(spec.b))    # with b == 0 the b^T u term adds exact zeros
 
-    def rhs(u, diffuse):
-        """((nu Lap u + transport) + b^T u) + source; the implicit step has no Lap u."""
-        c = bm - u
-        cmax = float(np.max(np.abs(c)))
-        for dx in spacings:
-            if cmax * dt / dx > CFL_ADV + 1e-12:
-                raise CflViolation("advection", cmax * dt / dx, CFL_ADV)
-        out = _upwind_transport(u, c, spacings)
-        if diffuse:
-            out += nu * _laplacian(u, spacings)
-        if drift:
-            out += np.einsum("ji,j...->i...", spec.b, u)
-        out += source
-        return out
-
     steps = tgrid.steps
-    values = np.empty((steps + 1,) + grid.shape + (d,))
+    values = np.empty((steps + 1,) + grid.shape + (spec.dim,))
     # the terminal layer stays exactly the corrected gradient at the nodes;
     # the odd projection (which could move it by an ulp) starts one level in
     values[steps] = cost_gradient(spec.g, mgrid)
     u = np.moveaxis(values[steps], -1, 0).copy()
 
+    # stepping buffers, allocated once: per-step temporaries cost page faults
+    c, k1, k2, stage, unext = (np.empty_like(u) for _ in range(5))
+    bufs = []
+
+    def rhs(u, diffusion, out):
+        """((transport + diffusion Lap u) + b^T u) + source, into out."""
+        np.subtract(bm, u, out=c)
+        cmax = max(float(c.max()), -float(c.min()))
+        for dx in spacings:
+            if cmax * dt / dx > CFL_ADV + 1e-12:
+                raise CflViolation("advection", cmax * dt / dx, CFL_ADV)
+        _stencil(u, c, diffusion, spacings, out, bufs)
+        if drift:
+            out += np.einsum("ji,j...->i...", spec.b, u)
+        out += source
+        return out
+
     for k in range(steps - 1, -1, -1):
-        if k == steps - 1:
-            # first backward level: implicit diffusion, explicit transport and source
-            u = _implicit_solve(u + dt * rhs(u, False), nu * dt, spacings)
+        # explicit Euler stage; the first level then solves diffusion implicitly, the rest Heun
+        first = k == steps - 1
+        np.add(u, np.multiply(dt, rhs(u, 0.0 if first else nu, k1), out=stage), out=stage)
+        if first:
+            unext[...] = _implicit_solve(stage, nu * dt, spacings)
+        else:       # u + 0.5 dt (k1 + k2), k2 the slope at the stage
+            k1 += rhs(stage, nu, k2)
+            k1 *= 0.5 * dt
+            np.add(u, k1, out=unext)
+        if symmetric:       # project onto fields odd under m -> -m: 0.5 (u - flip u)
+            np.subtract(unext, np.flip(unext, axis=tuple(range(1, u.ndim))), out=u)
+            u *= 0.5
         else:
-            k1 = rhs(u, True)
-            k2 = rhs(u + dt * k1, True)
-            u = u + 0.5 * dt * (k1 + k2)
-        if symmetric:
-            u = _odd_project(u, grid.dim)
+            u, unext = unext, u
         if not np.all(np.isfinite(u)):
             raise PdeDiverged(tgrid.nodes[k])
         values[k] = np.moveaxis(u, 0, -1)

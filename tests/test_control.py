@@ -391,6 +391,7 @@ class TestStaticReduction:
         spec = model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2)
         mins, best, on_sphere = static_U_minimize(spec, 0.0, np.zeros(2))
         assert on_sphere
+        assert len(mins) == 1       # the radii at -s and +s are one sphere
         for a in mins:
             assert np.linalg.norm(a) == pytest.approx(AHAT, abs=1e-6)
             assert static_U(spec, 0.0, np.zeros(2), a) == pytest.approx(best, abs=1e-9)

@@ -10,10 +10,9 @@ from mfglab.field import (
     CFL_DIFF,
     DecouplingField,
     _implicit_solve,
-    _laplacian,
     _path_normals,
     _sim_steps,
-    _upwind_transport,
+    _stencil,
     export_field_csv_slice,
     load_field_binary,
     riccati_field_oracle,
@@ -195,23 +194,35 @@ def upwind_reference(u, c, spacings):
     return out
 
 
+def laplacian_reference(u, spacings):
+    """The Laplacian from whole second-difference arrays; each axis's end rows are zero."""
+    out = np.zeros_like(u)
+    for ax, dx in enumerate(spacings, start=1):
+        v, o = u.swapaxes(0, ax), out.swapaxes(0, ax)
+        o[1:-1] += (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx**2
+    return out
+
+
 class TestTransport:
     @pytest.mark.parametrize("shape, spacings", [((1, 101), (0.05,)), ((2, 41, 37), (0.1, 0.07))],
                              ids=["1d", "2d"])
     def test_equals_whole_array_reference(self, shape, spacings):
-        # accumulating the two products from slices is exact: bit for bit,
-        # sign of zero included, with rows of exactly zero speed
+        # the one-stencil transport and diffusion against whole-array upwinding
+        # plus nu times a whole-array Laplacian, with rows of zero speed of both signs
         gen = np.random.default_rng(11)
         u, c = gen.normal(size=shape), gen.normal(size=shape)
         c[:, ::5] = 0.0
         c[:, 1::7] = -0.0
-        got, ref = _upwind_transport(u, c, spacings), upwind_reference(u, c, spacings)
-        assert np.array_equal(got, ref)
-        assert np.array_equal(np.signbit(got), np.signbit(ref))
+        bufs = []       # filled by the first call, reused by the second
+        for nu in (0.0, 0.37):
+            ref = upwind_reference(u, c, spacings) + nu * laplacian_reference(u, spacings)
+            got = np.full_like(u, np.nan)       # a node the stencil skips shows as NaN
+            _stencil(u, c, nu, spacings, got, bufs)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def implicit_operator(shape, spacings, coef):
-    """Dense I - coef L, L the Laplacian of `_laplacian`: each axis's end rows zeroed."""
+    """Dense I - coef L, L the stencil's Laplacian: each axis's end rows zeroed."""
     mats = []
     for n, dx in zip(shape, spacings):
         L = (np.eye(n, k=1) - 2.0 * np.eye(n) + np.eye(n, k=-1)) / dx**2
@@ -240,8 +251,50 @@ class TestImplicitSolve:
         x = _implicit_solve(b, coef, spacings)
         assert x.shape == b.shape
         assert np.max(np.abs(x - ref)) <= 1e-12
-        # the operator is the explicit steps' Laplacian
-        assert np.max(np.abs(x - coef * _laplacian(x, spacings) - b)) <= 1e-12
+        # the operator is the explicit steps' Laplacian: the stencil at zero speed
+        lap = np.empty_like(x)
+        _stencil(x, np.zeros_like(x), 1.0, spacings, lap, [])
+        assert np.max(np.abs(x - coef * lap - b)) <= 1e-12
+
+
+def two_function_solve(spec, grid, tgrid, N):
+    """`solve_field` for b = 0 and even data on a symmetric grid, stepped by two
+    functions: whole-array upwinding plus a separate Laplacian, fresh arrays
+    every step."""
+    nu, dt, spacings = spec.sigma**2 / (2.0 * N), tgrid.dt, grid.spacings
+    mgrid = np.stack(grid.meshgrid(), axis=-1)
+    source = np.moveaxis(corrected_gradient(spec.f, N, mgrid), -1, 0)
+    u = np.moveaxis(corrected_gradient(spec.g, N, mgrid), -1, 0)
+    flip = tuple(range(1, grid.dim + 1))
+
+    def rhs(u, diffuse):
+        out = upwind_reference(u, -u, spacings)
+        if diffuse:
+            out += nu * laplacian_reference(u, spacings)
+        return out + source
+
+    levels = [u]
+    for k in range(tgrid.steps - 1, -1, -1):
+        if k == tgrid.steps - 1:
+            u = _implicit_solve(u + dt * rhs(u, False), nu * dt, spacings)
+        else:
+            k1 = rhs(u, True)
+            k2 = rhs(u + dt * k1, True)
+            u = u + 0.5 * dt * (k1 + k2)
+        u = 0.5 * (u - np.flip(u, axis=flip))
+        levels.append(u)
+    return np.moveaxis(np.array(levels[::-1]), 1, -1)
+
+
+class TestStencilSolve:
+    def test_matches_two_function_stepping_2d(self):
+        spec = model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2)
+        grid = SpaceGrid.symmetric(3.0, 41, 2)
+        tg = stable_time_grid(spec, grid, N=50)
+        fld = solve_field(spec, grid, tg, N=50)
+        ref = two_function_solve(spec, grid, tg, N=50)
+        assert np.max(np.abs(fld.values - ref)) <= 1e-12
+        assert np.all(fld.values[:, 20, 20] == 0.0)
 
 
 class TestOracle:
