@@ -14,7 +14,9 @@ transport and centered diffusion, and every step writes into buffers
 allocated once per solve.  One implicit-in-diffusion step at the first
 backward level damps terminal-layer roughness; it is solved directly: a
 Thomas sweep in 1-d; in 2-d, 1-d sweeps on the edge lines and fast
-diagonalization of the interior.  numpy is the only dependency.
+diagonalization of the interior.  An odd field (even data, symmetric grid)
+steps only the first axis's rows up to its center, plus a reflected ghost row;
+2-d evaluation gathers each point's corners.  numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -48,14 +50,26 @@ class DecouplingField:
         s = min(max((t - tg.t0) / tg.dt, 0.0), tg.steps)
         k = min(int(s), tg.steps - 1)
         w = s - k
-        level = (1.0 - w) * self.values[k] + w * self.values[k + 1]
-        return _interp_space(self.grid, level, points)
+        idx, frac = _cells(self.grid, points)
+        if self.grid.dim == 1:      # a 1-d level is small: blend it whole
+            (i,), (wx,) = idx, frac
+            level = (1.0 - w) * self.values[k] + w * self.values[k + 1]
+            return (1.0 - wx) * level[i] + wx * level[i + 1]
+        # 2-d: blend in time only each point's corners (i, j), (i+1, j), (i, j+1)
+        # and (i+1, j+1), rows i n1 + j + (0, n1, 1, n1 + 1) of the flat levels
+        (i, j), (wx, wy), n1 = idx, frac, self.grid.shape[1]
+        rows = i * n1 + j + np.array([[0], [n1], [1], [n1 + 1]])      # (4, n)
+        flat = self.values.reshape(tg.steps + 1, -1, self.grid.dim)
+        c = (1.0 - w) * flat[k].take(rows, axis=0) + w * flat[k + 1].take(rows, axis=0)
+        return ((1.0 - wx) * (1.0 - wy) * c[0] + wx * (1.0 - wy) * c[1]
+                + (1.0 - wx) * wy * c[2] + wx * wy * c[3])
 
     def evaluate(self, t: float, m) -> np.ndarray:
         return self.evaluate_batch(t, np.atleast_2d(np.asarray(m, dtype=float)))[0]
 
 
-def _interp_space(grid: SpaceGrid, level: np.ndarray, points: np.ndarray) -> np.ndarray:
+def _cells(grid: SpaceGrid, points: np.ndarray):
+    """Per axis, the lower node index of each point's cell and the fraction (n, 1) into it."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     idx, frac = [], []
     for ax in range(grid.dim):
@@ -64,16 +78,8 @@ def _interp_space(grid: SpaceGrid, level: np.ndarray, points: np.ndarray) -> np.
         s = np.minimum(np.maximum((pts[:, ax] - lo) / dx, 0.0), n - 1 - 1e-12)
         i = s.astype(np.intp)       # s >= 0, so truncation is the floor
         idx.append(i)
-        frac.append(s - i)
-    if grid.dim == 1:
-        i, w = idx[0], frac[0][:, None]
-        return (1.0 - w) * level[i] + w * level[i + 1]
-    i, j = idx
-    wx, wy = frac[0][:, None], frac[1][:, None]
-    return ((1.0 - wx) * (1.0 - wy) * level[i, j]
-            + wx * (1.0 - wy) * level[i + 1, j]
-            + (1.0 - wx) * wy * level[i, j + 1]
-            + wx * wy * level[i + 1, j + 1])
+        frac.append((s - i)[:, None])
+    return idx, frac
 
 
 def _stencil(u: np.ndarray, c: np.ndarray, nu: float, spacings, out: np.ndarray, bufs: list):
@@ -206,6 +212,19 @@ def _variant(spec: ModelSpec, N, eps):
     return nu, cost_gradient, meta
 
 
+def _mirror(x: np.ndarray, rows) -> np.ndarray:
+    """The view x[:, rows] of a (d, *shape) x with its later space axes reversed."""
+    return x[(slice(None), rows) + (slice(None, None, -1),) * (x.ndim - 2)]
+
+
+def _unfold(half: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Fill odd full (d, 2h + 1, ...) with half's rows 0..h, then the reflection -rows h-1..0."""
+    h = full.shape[1] // 2
+    full[:, :h + 1] = half[:, :h + 1]
+    np.negative(_mirror(full, slice(h - 1, None, -1)), out=full[:, h + 1:])
+    return full
+
+
 def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
                 N: int = None, eps: float = None) -> DecouplingField:
     """Backward finite-difference solve of the decoupling-field system.
@@ -213,6 +232,10 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
     Exactly one of N (players) or eps (common-noise intensity) selects the
     variant.  Stability of the explicit scheme (CFL_DIFF, CFL_ADV) is checked
     before and during stepping; violations raise CflViolation.
+
+    With even data on a symmetric grid the field is odd: rows 0..h of the first
+    axis are stepped, h the center row, with a ghost row h + 1 reflecting row
+    h - 1; row h is projected onto odd rows (u(t, 0) = 0) and levels unfolded.
     """
     nu, cost_gradient, meta = _variant(spec, N, eps)
     if grid.dim != spec.dim:
@@ -234,17 +257,22 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
 
     steps = tgrid.steps
     values = np.empty((steps + 1,) + grid.shape + (spec.dim,))
-    # the terminal layer stays exactly the corrected gradient at the nodes;
-    # the odd projection (which could move it by an ulp) starts one level in
+    # the terminal layer stays exactly the corrected gradient at the nodes
     values[steps] = cost_gradient(spec.g, mgrid)
-    u = np.moveaxis(values[steps], -1, 0).copy()
+    levels = np.moveaxis(values, -1, 1)     # (steps+1, d, *shape) views of the levels
+    u = levels[steps].copy()
+    if symmetric:       # the slab of rows 0..h + 1; is_symmetric means an odd row count
+        h = grid.shape[0] // 2
+        u, bm, source = (x[:, :h + 2].copy() for x in (u, bm, source))
 
     # stepping buffers, allocated once: per-step temporaries cost page faults
     c, k1, k2, stage, unext = (np.empty_like(u) for _ in range(5))
     bufs = []
 
     def rhs(u, diffusion, out):
-        """((transport + diffusion Lap u) + b^T u) + source, into out."""
+        """((transport + diffusion Lap u) + b^T u) + source, into out; sets u's ghost row."""
+        if symmetric:
+            np.negative(_mirror(u, h - 1), out=u[:, h + 1])
         np.subtract(bm, u, out=c)
         cmax = max(float(c.max()), -float(c.min()))
         for dx in spacings:
@@ -260,20 +288,22 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
         # explicit Euler stage; the first level then solves diffusion implicitly, the rest Heun
         first = k == steps - 1
         np.add(u, np.multiply(dt, rhs(u, 0.0 if first else nu, k1), out=stage), out=stage)
-        if first:
-            unext[...] = _implicit_solve(stage, nu * dt, spacings)
+        if first:   # the implicit solve couples all rows, so a slab's stage is unfolded
+            full = _unfold(stage, np.empty((spec.dim,) + grid.shape)) if symmetric else stage
+            unext[...] = _implicit_solve(full, nu * dt, spacings)[:, :u.shape[1]]
         else:       # u + 0.5 dt (k1 + k2), k2 the slope at the stage
             k1 += rhs(stage, nu, k2)
             k1 *= 0.5 * dt
             np.add(u, k1, out=unext)
-        if symmetric:       # project onto fields odd under m -> -m: 0.5 (u - flip u)
-            np.subtract(unext, np.flip(unext, axis=tuple(range(1, u.ndim))), out=u)
-            u *= 0.5
-        else:
-            u, unext = unext, u
+        u, unext = unext, u
+        if symmetric:       # row h is its own mirror image: project it, 0.5 (x - flip x)
+            u[:, h] = 0.5 * (u[:, h] - _mirror(u, h))
         if not np.all(np.isfinite(u)):
             raise PdeDiverged(tgrid.nodes[k])
-        values[k] = np.moveaxis(u, 0, -1)
+        if symmetric:
+            _unfold(u, levels[k])
+        else:
+            levels[k] = u
 
     return DecouplingField(grid=grid, tgrid=tgrid, values=values, metadata=meta)
 

@@ -287,14 +287,82 @@ def two_function_solve(spec, grid, tgrid, N):
 
 
 class TestStencilSolve:
-    def test_matches_two_function_stepping_2d(self):
-        spec = model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2)
-        grid = SpaceGrid.symmetric(3.0, 41, 2)
+    # with even data on a symmetric grid solve_field steps only rows 0..h of
+    # the first axis and unfolds each level by the point reflection
+    @pytest.mark.parametrize("grid", [
+        SpaceGrid.symmetric(4.0, 201, 1),
+        SpaceGrid.symmetric(3.0, 41, 2),
+        SpaceGrid(((-3.0, 3.0, 41), (-2.0, 2.0, 31))),
+    ], ids=["1d-201", "2d-41x41", "2d-41x31"])
+    def test_matches_two_function_stepping(self, grid):
+        dim = grid.dim
+        g = make_logcosh_terminal(4.0) if dim == 1 else make_radial_logcosh(4.0, 2)
+        spec = model(make_quadratic(-1.0, dim), g, dim=dim)
         tg = stable_time_grid(spec, grid, N=50)
         fld = solve_field(spec, grid, tg, N=50)
         ref = two_function_solve(spec, grid, tg, N=50)
         assert np.max(np.abs(fld.values - ref)) <= 1e-12
-        assert np.all(fld.values[:, 20, 20] == 0.0)
+        v = fld.values
+        center = (slice(None),) + tuple(n // 2 for n in grid.shape)
+        assert np.all(v[center] == 0.0)
+        assert np.array_equal(v[:-1], -np.flip(v[:-1], axis=tuple(range(1, dim + 1))))
+
+    def test_asymmetric_grid_steps_whole_grid(self):
+        # even data, but a grid not symmetric about 0: no reflection applies
+        spec = model(make_zero(1), make_quadratic(1.0, 1))
+        grid = SpaceGrid(((-3.0, 2.0, 41),))
+        assert spec.even_data and not grid.is_symmetric()
+        fld = solve(spec, grid=grid, N=10)
+        P, r, _ = riccati_field_oracle(spec, fld.tgrid, N=10)
+        x = grid.axis_nodes(0)
+        inner = (x >= -2.0) & (x <= 1.0)
+        for k in (0, fld.tgrid.steps // 3):
+            exact = P[k][0, 0] * x[inner] + r[k][0]
+            got = fld.values[k][inner, 0]
+            assert np.max(np.abs(got - exact) / np.maximum(np.abs(exact), 1e-8)) < 1e-4
+
+
+def blend_then_interpolate(fld, t, points):
+    """A 2-d field's value from whole levels blended in time, then interpolated in space."""
+    tg = fld.tgrid
+    s = min(max((t - tg.t0) / tg.dt, 0.0), tg.steps)
+    k = min(int(s), tg.steps - 1)
+    w = s - k
+    level = (1.0 - w) * fld.values[k] + w * fld.values[k + 1]
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    idx, frac = [], []
+    for ax in range(2):
+        lo, hi, n = fld.grid.axes[ax]
+        dx = (hi - lo) / (n - 1)
+        s = np.minimum(np.maximum((pts[:, ax] - lo) / dx, 0.0), n - 1 - 1e-12)
+        i = s.astype(np.intp)
+        idx.append(i)
+        frac.append(s - i)
+    i, j = idx
+    wx, wy = frac[0][:, None], frac[1][:, None]
+    return ((1.0 - wx) * (1.0 - wy) * level[i, j]
+            + wx * (1.0 - wy) * level[i + 1, j]
+            + (1.0 - wx) * wy * level[i, j + 1]
+            + wx * wy * level[i + 1, j + 1])
+
+
+class TestEvaluate:
+    def test_2d_corner_gather_equals_whole_level_blend(self):
+        # a non-square, off-center grid and random values, so a swapped axis or
+        # corner shows; the gather must reproduce the old arithmetic bit for bit
+        gen = np.random.default_rng(5)
+        grid = SpaceGrid(((-3.0, 2.0, 23), (-1.0, 4.0, 17)))
+        tg = TimeGrid(0.5, 1.5, 9)
+        fld = DecouplingField(grid, tg, gen.normal(size=(10, 23, 17, 2)))
+        inside = np.column_stack([gen.uniform(-3, 2, 300), gen.uniform(-1, 4, 300)])
+        outside = np.array([[-7.0, 0.5], [3.5, 2.0], [0.0, -9.0], [1.0, 6.0], [9.0, 9.0],
+                            [-9.0, -9.0]])
+        edges = np.array([[2.0, 0.3], [-1.2, 4.0], [2.0, 4.0], [-3.0, -1.0], [-3.0, 4.0]])
+        pts = np.vstack([inside, outside, edges])
+        for t in (0.2, 0.5, 0.5 + 3 * tg.dt, 0.917, 1.5, 1.9):
+            assert np.array_equal(fld.evaluate_batch(t, pts), blend_then_interpolate(fld, t, pts))
+        for t, m in ((0.73, [0.4, 1.1]), (1.5, [2.0, 4.0]), (0.1, [-5.0, 0.0])):
+            assert np.array_equal(fld.evaluate(t, m), blend_then_interpolate(fld, t, m)[0])
 
 
 class TestOracle:
