@@ -97,9 +97,6 @@ def _dispatch(args) -> int:
         export_field_csv_slice(fld, args.out, time_index=args.time_index)
         print(f"wrote {args.out}")
         return EXIT_OK
-    if args.command == "field" and (args.N is None) == (args.eps is None):
-        print("error: pass exactly one of --N / --eps", file=sys.stderr)
-        return EXIT_ERROR
     cfg = _load_config(args.config, getattr(args, "seed", None))
     spec = cfg.spec
 

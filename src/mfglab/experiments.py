@@ -278,6 +278,12 @@ def _target_atom(cfg: ScenarioConfig):
     return symmetric_minimizer_root(kappa) * spec.T
 
 
+def _check_domain(grid: SpaceGrid, atom: float):
+    """Refuse, before any solve, a domain too narrow to hold the target atom."""
+    if grid.axes[0][1] <= atom:
+        raise ConfigError(f"grid.L = {grid.axes[0][1]:g} must exceed the target atom {atom:.6f}")
+
+
 # --- scenarios --------------------------------------------------------------
 
 
@@ -374,6 +380,7 @@ def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
     M = cfg.getint("run.M", 2000)
     Ns = cfg.getlist_int("run.N", [25, 100, 200, 400])
     grid = build_grid(cfg, spec)
+    _check_domain(grid, atom)
 
     normals = _path_normals(seed, M, max(Ns) + _sim_steps(spec.T), spec.dim)
     freqs, w1s = [], []
@@ -475,6 +482,7 @@ def run_E4_sphere(cfg: ScenarioConfig) -> ScenarioReport:
     M = cfg.getint("run.M", 2000)
     Ns = cfg.getlist_int("run.N", [200, 400])
     grid = build_grid(cfg, spec)
+    _check_domain(grid, target)
 
     normals = _path_normals(seed, M, max(Ns) + _sim_steps(spec.T), spec.dim)
     ps, medians = [], []
@@ -515,6 +523,8 @@ def run_E5_common_noise(cfg: ScenarioConfig) -> ScenarioReport:
     M = cfg.getint("run.M", 2000)
     grid = build_grid(cfg, spec)
     atom = _target_atom(cfg)
+    if symmetric and atom is not None:
+        _check_domain(grid, atom)
 
     normals = _path_normals(seed, M, _sim_steps(spec.T), spec.dim)
     freqs, variances = [], []

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CflViolation, InvalidInput, InvalidOracle, InvalidParameter, PdeDiverged
-from .numerics import RngStream, SpaceGrid, TimeGrid, integrate_ode
+from .numerics import RngStream, SpaceGrid, TimeGrid, riccati_backward
 from .potentials import ModelSpec, corrected_gradient
 
 # stability bounds of the explicit scheme: nu dt / dx^2 and |c| dt / dx
@@ -334,43 +334,32 @@ def riccati_field_oracle(spec: ModelSpec, tgrid: TimeGrid, N: int = None, eps: f
 
     P solves Pdot = P^2 - P b - b^T P - A_f backward from A_g, r the linear
     backward ODE rdot = (P - b^T) r - a_f from a_g, where A, a are the affine
-    coefficients of the corrected (or, for eps, plain) cost gradients.
+    coefficients of the corrected (or, for eps, plain) cost gradients: one
+    closed-form riccati_backward in homogeneous coordinates (m, 1), control
+    weight diag(I, 0), with r the solution's last column.
     """
     if spec.f.quad_coeffs is None or spec.g.quad_coeffs is None:
         raise InvalidOracle("Riccati oracle needs quadratic f and g")
-    if (N is None) == (eps is None):
-        raise InvalidParameter("pass exactly one of N or eps")
+    _, cost_gradient, _ = _variant(spec, N, eps)
     d = spec.dim
-    I = np.eye(d)
-    Cf, kf = spec.f.quad_coeffs
-    Cg, kg = spec.g.quad_coeffs
-    if N is not None:
-        A_f, a_f = (I + Cf / N) @ (I + Cf), (I + Cf / N) @ kf
-        A_g, a_g = (I + Cg / N) @ (I + Cg), (I + Cg / N) @ kg
-    else:
-        A_f, a_f = I + Cf, kf
-        A_g, a_g = I + Cg, kg
+    basis = np.vstack([np.eye(d), np.zeros(d)])        # the unit vectors, then the origin
 
-    # the state packs [P | r] as one (d, d+1) array; the symmetrized P
-    # right-hand side keeps P exactly symmetric
-    b = spec.b
+    def weight(p):
+        """The affine cost gradient A m + a of p as [[A, a], [a^T, 0]] on (m, 1)."""
+        v = cost_gradient(p, basis)
+        return np.block([[(v[:d] - v[d]).T, v[d, :, None]], [v[d], 0.0]])
 
-    def rhs(t, state):
-        Pm, rm = state[:, :d], state[:, d]
-        dP = Pm @ Pm - Pm @ b - b.T @ Pm - A_f
-        return np.column_stack([0.5 * (dP + dP.T), (Pm - b.T) @ rm - a_f])
-
-    state = integrate_ode(rhs, np.column_stack([0.5 * (A_g + A_g.T), a_g]), tgrid,
-                          direction="backward")
-    P, r = state[:, :, :d], state[:, :, d]
+    b, R = np.zeros((d + 1, d + 1)), np.eye(d + 1)
+    b[:d, :d], R[d, d] = spec.b, 0.0
+    Pr = riccati_backward(b, weight(spec.f), weight(spec.g), tgrid, R=R)
+    P, r = Pr[:, :d, :d], Pr[:, :d, d]
 
     def u(t, m):
         s = np.clip((t - tgrid.t0) / tgrid.dt, 0.0, tgrid.steps - 1e-12)
         k = int(np.floor(s))
         w = s - k
-        Pt = (1 - w) * P[k] + w * P[k + 1]
-        rt = (1 - w) * r[k] + w * r[k + 1]
-        return Pt @ np.atleast_1d(np.asarray(m, dtype=float)) + rt
+        Prt = (1 - w) * Pr[k] + w * Pr[k + 1]
+        return Prt[:d, :d] @ np.atleast_1d(np.asarray(m, dtype=float)) + Prt[:d, d]
 
     return P, r, u
 

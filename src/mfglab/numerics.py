@@ -1,4 +1,4 @@
-"""Dense linear algebra, ODE/Riccati integration, seeded sampling and statistics.
+"""Grids, shooting's RK4 stepper, closed-form Riccati solves, seeded sampling and statistics.
 
 Everything here is a pure function of its inputs.  Randomness is addressed by
 (master seed, stream index) pairs so that ensembles are reproducible no matter
@@ -115,49 +115,67 @@ class RngStream:
         return np.random.default_rng(np.random.SeedSequence((self.seed, self.index)))
 
 
-def integrate_ode(rhs, x0, grid: TimeGrid, direction: str = "forward") -> np.ndarray:
-    """Classical RK4 on a uniform grid; the package's only ODE stepper.
+def integrate_ode(rhs, x0, grid: TimeGrid) -> np.ndarray:
+    """Classical RK4 on a uniform grid, forward from x0 at t0; shooting's stepper.
 
     The state x0 may be an array of any shape; rhs(t, x) returns the same
-    shape.  Returns the state at every grid node, indexed in forward time
-    order regardless of direction.  For direction="backward", x0 is the
-    terminal condition at T.  A non-finite state raises IntegrationDiverged
-    at the first node where it appears, tested once after the loop: a
-    non-finite value stays non-finite under the RK4 update.
+    shape.  Returns the state at every grid node.  A non-finite state raises
+    IntegrationDiverged at the first node where it appears, tested once after
+    the loop: a non-finite value stays non-finite under the RK4 update.
     """
-    if direction not in ("forward", "backward"):
-        raise InvalidParameter(f"unknown direction {direction!r}")
     x = np.atleast_1d(np.asarray(x0, dtype=float))
-    nodes = grid.nodes
+    nodes, h = grid.nodes, grid.dt
     out = np.empty((grid.steps + 1,) + x.shape)
-    h, step, k = (grid.dt, 1, 0) if direction == "forward" else (-grid.dt, -1, grid.steps)
-    out[k] = x
+    out[0] = x
     # past an overflow the loop runs on, silently, with non-finite values
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(grid.steps):
+        for k in range(grid.steps):
             t = nodes[k]
             k1 = np.asarray(rhs(t, x))
             k2 = np.asarray(rhs(t + h / 2, x + h / 2 * k1))
             k3 = np.asarray(rhs(t + h / 2, x + h / 2 * k2))
             k4 = np.asarray(rhs(t + h, x + h * k3))
             x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            k += step
-            out[k] = x
-    # the steps in integration order; the start value is not one
-    finite = np.isfinite(out[::step]).all(axis=tuple(range(1, out.ndim)))[1:]
+            out[k + 1] = x
+    finite = np.isfinite(out).all(axis=tuple(range(1, out.ndim)))[1:]
     if not finite.all():
-        raise IntegrationDiverged(nodes[::step][1 + np.argmin(finite)])
+        raise IntegrationDiverged(nodes[1 + np.argmin(finite)])
     return out
 
 
-def riccati_backward(b, Q_run, Q_term, grid: TimeGrid) -> np.ndarray:
-    """Backward matrix Riccati solve of  phidot = phi^2 - phi b - b^T phi - Q_run.
+# the 1-norm up to which the degree-13 Pade approximant of exp is accurate to
+# double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005)
+_THETA13 = 5.371920351148152
 
-    Terminal condition phi(T) = Q_term.  The right-hand side is symmetrized,
-    so RK4, which combines stages elementwise, keeps phi exactly symmetric.
-    Output is indexed in forward time order, shape (steps+1, d, d).  A
-    solution that grows beyond RICCATI_ESCAPE or overflows raises
-    RiccatiEscape.
+
+def _expm(A: np.ndarray) -> np.ndarray:
+    """exp of each matrix of a stack (..., n, n), none assumed diagonalizable:
+    scaled by its own 2^-s into the 1-norm ball _THETA13, Pade, squared s times."""
+    s = np.maximum(np.frexp(np.abs(A).sum(axis=-2).max(axis=-1) / _THETA13)[1], 0)
+    A = np.ldexp(A, -s[..., None, None])
+    # Pade numerator sum c_k A^k = V + U, V its even and U its odd part
+    c = [math.factorial(26 - k) / (math.factorial(k) * math.factorial(13 - k)) for k in range(14)]
+    A2, power, U, V = A @ A, np.eye(A.shape[-1]), 0.0, 0.0
+    for k in range(0, 14, 2):
+        V, U, power = V + c[k] * power, U + c[k + 1] * power, power @ A2
+    U = A @ U
+    E = np.linalg.solve(V - U, V + U)
+    for i in range(int(s.max(initial=0))):
+        sq = s > i
+        E[sq] = E[sq] @ E[sq]
+    return E
+
+
+def riccati_backward(b, Q_run, Q_term, grid: TimeGrid, R=None) -> np.ndarray:
+    """Backward solve of  phidot = phi R phi - phi b - b^T phi - Q_run,  phi(T) = Q_term.
+
+    R, the control weight, defaults to I.  The coefficients are constant, so the
+    solve is closed-form (Radon's lemma; Reid, Riccati Differential Equations,
+    1972, ch. 2): phi = Y X^-1 with [X; Y](t) = exp(H (t - T)) [I; Q_term] and
+    H = [[b, -R], [-Q_run, -b^T]], one batched exponential for all nodes.  phi is
+    symmetrized, shape (steps+1, d, d) in forward time order.  RiccatiEscape is
+    raised at the latest node before which X turns singular or |phi| > RICCATI_ESCAPE,
+    and also where exp(H (t - T)) overflows, past about 700 / |eigenvalue of H|.
     """
     b = np.atleast_2d(np.asarray(b, dtype=float))
     Q_run = np.atleast_2d(np.asarray(Q_run, dtype=float))
@@ -165,18 +183,26 @@ def riccati_backward(b, Q_run, Q_term, grid: TimeGrid) -> np.ndarray:
     for name, M in (("Q_run", Q_run), ("Q_term", Q_term)):
         if not np.allclose(M, M.T):
             raise InvalidParameter(f"{name} must be symmetric")
-
-    def rhs(t, phi):
-        R = phi @ phi - phi @ b - b.T @ phi - Q_run
-        return 0.5 * (R + R.T)
-
-    try:
-        phi = integrate_ode(rhs, 0.5 * (Q_term + Q_term.T), grid, direction="backward")
-    except IntegrationDiverged as exc:
-        raise RiccatiEscape(exc.t) from None
-    escaped = np.nonzero(np.max(np.abs(phi), axis=(1, 2)) > RICCATI_ESCAPE)[0]
-    if escaped.size:
-        raise RiccatiEscape(grid.nodes[escaped[-1]])
+    d = len(b)
+    R = np.eye(d) if R is None else np.atleast_2d(np.asarray(R, dtype=float))
+    H = np.block([[b, -R], [-0.5 * (Q_run + Q_run.T), -b.T]])
+    with np.errstate(all="ignore"):     # an overflow is an escape, not a warning
+        XY = (_expm(H * (grid.nodes - grid.T)[:, None, None])
+              @ np.vstack([np.eye(d), 0.5 * (Q_term + Q_term.T)]))
+        # transposed, so that phi^T = X^-T Y^T is a batched solve
+        Xt, Yt = XY[:, :d].swapaxes(1, 2), XY[:, d:].swapaxes(1, 2)
+        det = np.linalg.det(Xt)
+        escaped = ~((det > 0) & (det < np.inf))
+        Xt[escaped] = np.eye(d)         # only so that the solves stay defined
+        phi = np.linalg.solve(Xt, Yt)
+        phi = 0.5 * (phi + phi.swapaxes(1, 2))
+        escaped |= ~(np.abs(phi).max(axis=(1, 2)) <= RICCATI_ESCAPE)
+        # X_k X_{k+1}^-1 = I + dt R phi_{k+1} + O(dt b) has a nearly real spectrum; real
+        # parts <= 0 mark a step through a singular X, even where det X stays positive
+        step = np.linalg.eigvals(np.linalg.solve(Xt[1:], Xt[:-1]))
+        escaped[:-1] |= (step.real <= 0).any(axis=1)
+    if escaped.any():
+        raise RiccatiEscape(grid.nodes[np.nonzero(escaped)[0][-1]])
     return phi
 
 

@@ -294,15 +294,17 @@ class TestImportCost:
         assert self.fresh_interpreter(probe).strip() == "[]"
 
     def test_solvers_load_no_scipy(self):
-        # nor does a solver import one lazily: a 1-d and a 2-d field solve and
-        # the static reduction leave sys.modules free of scipy
+        # nor does a solver import one lazily: a 1-d and a 2-d field solve, the
+        # static reduction and the closed-form Riccati solves (the field oracle
+        # and the Delarue terminal) leave sys.modules free of scipy
         probe = textwrap.dedent("""
             import sys
             import numpy as np
             from mfglab.control import static_U_minimize
-            from mfglab.field import solve_field, stable_time_grid
-            from mfglab.numerics import SpaceGrid
-            from mfglab.potentials import (ModelSpec, make_logcosh_terminal, make_quadratic,
+            from mfglab.field import riccati_field_oracle, solve_field, stable_time_grid
+            from mfglab.numerics import SpaceGrid, TimeGrid
+            from mfglab.potentials import (ModelSpec, make_delarue_terminal,
+                                           make_logcosh_terminal, make_quadratic,
                                            make_radial_logcosh)
             for dim, g in ((1, make_logcosh_terminal(4.0)), (2, make_radial_logcosh(4.0, 2))):
                 spec = ModelSpec(dim=dim, b=np.zeros((dim, dim)), sigma=1.0, T=1.0,
@@ -310,6 +312,10 @@ class TestImportCost:
                 grid = SpaceGrid.symmetric(3.0, 21, dim)
                 solve_field(spec, grid, stable_time_grid(spec, grid, N=25), N=25)
             static_U_minimize(spec, 0.0, np.zeros(2))
+            riccati_field_oracle(ModelSpec(dim=1, b=np.zeros((1, 1)), sigma=1.0, T=1.0,
+                                           f=make_quadratic(-1.0, 1), g=make_quadratic(1.0, 1),
+                                           nu0=np.zeros(1)), TimeGrid(0.0, 1.0, 100), eps=1.0)
+            make_delarue_terminal(0.0, 1.0, 0.1)
             print(sorted(m for m in sys.modules if m.startswith("scipy")))
         """)
         assert self.fresh_interpreter(probe).strip() == "[]"
@@ -343,6 +349,20 @@ class TestCli:
             cfg = self.write(tmp_path, f"scenario = {scenario}\n{key} =\n")
             assert cli_main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
             assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config", [
+        *(f"scenario = E2\ngrid.L = {L}\ngrid.nodes = {n}\nrun.N = 25\nrun.M = 100\n"
+          for L in (1.0, 0.5) for n in (41, 81)),
+        "scenario = E4\ngrid.L = 1.5\ngrid.nodes = 21\nrun.M = 100\n",
+        "scenario = E5\ngrid.L = 1.0\ngrid.nodes = 41\nrun.M = 100\n",
+    ], ids=["E2-L1-41", "E2-L1-81", "E2-L0.5-41", "E2-L0.5-81", "E4", "E5"])
+    def test_domain_inside_target_atom_exit_one(self, tmp_path, capsys, config):
+        # the selected atoms at ±1.915 (the ring in E4) lie outside [-L, L]: a typed
+        # error before any solve, not a CFL violation of the end nodes
+        cfg = self.write(tmp_path, config)
+        assert cli_main(["run", cfg, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "grid.L" in err and "1.915" in err
 
     def test_missing_config_exit_one(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")

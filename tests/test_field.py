@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from mfglab.field import (
     solve_field,
     stable_time_grid,
 )
-from mfglab.numerics import SpaceGrid, TimeGrid
+from mfglab.numerics import SpaceGrid, TimeGrid, integrate_ode
 from mfglab.potentials import (
     ModelSpec,
     corrected_gradient,
@@ -44,6 +45,12 @@ def lq_spec(c=1.0, nu0=0.0, b=0.0):
 
 def logcosh_spec(nu0=0.0):
     return model(make_quadratic(-1.0, 1), make_logcosh_terminal(4.0), nu0=nu0)
+
+
+def drift_spec_2d():
+    return ModelSpec(dim=2, b=np.array([[0.1, 0.3], [-0.2, 0.4]]), sigma=1.0, T=1.0,
+                     f=make_quadratic(0.5, 2), g=make_quadratic(1.0, 2, kappa=[0.2, -0.1]),
+                     nu0=np.zeros(2))
 
 
 GRID = SpaceGrid.symmetric(4.0, 201, 1)
@@ -392,12 +399,36 @@ class TestOracle:
         assert P_eps[-1][0, 0] == pytest.approx(2.0)  # (1 + c), no 1/N factor
 
     def test_exactly_symmetric_2d(self):
-        spec = ModelSpec(dim=2, b=np.array([[0.1, 0.3], [-0.2, 0.4]]), sigma=1.0, T=1.0,
-                         f=make_quadratic(0.5, 2), g=make_quadratic(1.0, 2, kappa=[0.2, -0.1]),
-                         nu0=np.zeros(2))
+        spec = drift_spec_2d()
         P, r, u = riccati_field_oracle(spec, TimeGrid(0, 1, 200), N=10)
         assert np.array_equal(P, np.swapaxes(P, 1, 2))
         assert np.array_equal(u(0.0, [0.3, -0.2]), P[0] @ [0.3, -0.2] + r[0])
+
+    def test_matches_rk4_of_packed_state(self):
+        # RK4 of the [P | r] system, forward in reversed time s = T - t
+        spec, N, d = drift_spec_2d(), 10, 2
+        b, I = spec.b, np.eye(d)
+        (Cf, kf), (Cg, kg) = spec.f.quad_coeffs, spec.g.quad_coeffs
+        A_f, a_f = (I + Cf / N) @ (I + Cf), (I + Cf / N) @ kf
+        A_g, a_g = (I + Cg / N) @ (I + Cg), (I + Cg / N) @ kg
+
+        def rhs(s, state):
+            Pm, rm = state[:, :d], state[:, d]
+            dP = Pm @ Pm - Pm @ b - b.T @ Pm - A_f
+            return -np.column_stack([0.5 * (dP + dP.T), (Pm - b.T) @ rm - a_f])
+
+        tgrid = TimeGrid(0, 1, 4000)
+        ref = integrate_ode(rhs, np.column_stack([0.5 * (A_g + A_g.T), a_g]), tgrid)[::-1]
+        P, r, _ = riccati_field_oracle(spec, tgrid, N=N)
+        assert np.max(np.abs(P - ref[:, :, :d])) < 1e-12
+        assert np.max(np.abs(r - ref[:, :, d])) < 1e-12
+
+    @pytest.mark.parametrize("variant", [{"N": 0}, {"eps": -1.0}, {"eps": math.nan}])
+    def test_invalid_variant_rejected(self, variant):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameter):
+                riccati_field_oracle(lq_spec(), TimeGrid(0, 1, 100), **variant)
 
     def test_non_quadratic_rejected(self):
         with pytest.raises(InvalidOracle):
