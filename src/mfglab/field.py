@@ -14,15 +14,20 @@ transport and centered diffusion, and every step writes into buffers
 allocated once per solve.  One implicit-in-diffusion step at the first
 backward level damps terminal-layer roughness; it is solved directly: a
 Thomas sweep in 1-d; in 2-d, 1-d sweeps on the edge lines and fast
-diagonalization of the interior.  An odd field (even data, symmetric grid)
-steps only the first axis's rows up to its center, plus a reflected ghost row;
-2-d evaluation gathers each point's corners.  numpy is the only dependency.
+diagonalization of the interior.  2-d evaluation gathers each point's
+corners.  An odd field (even data on a symmetric grid, so u(t, -m) = -u(t, m))
+steps and stores only the first axis's rows up to its center, stepping with a
+reflected ghost row.  Evaluation maps each corner index into the stored half
+and negates the values it reflects, which is exact, so it agrees bit for bit
+with the full field; `DecouplingField.level` unfolds one level on demand.
+numpy is the only dependency.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,8 +45,30 @@ VELOCITY_MARGIN = 2.0    # stable_time_grid's factor on the terminal advection s
 class DecouplingField:
     grid: SpaceGrid
     tgrid: TimeGrid
-    values: np.ndarray            # (steps+1, *grid.shape, d)
+    # (steps+1, *grid.shape, d); an odd field stores rows 0..h of the first
+    # axis only, h its center row: (steps+1, h+1, *grid.shape[1:], d)
+    values: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def _odd(self) -> bool:
+        return self.values.shape[1] != self.grid.shape[0]
+
+    @cached_property
+    def _fold(self):
+        """Row of each flat 2-d node in the stored half, and the sign of each first-axis row.
+
+        The point reflection of flat node f = i n1 + j is N - 1 - f, N = n0 n1,
+        so the nodes past row h read their mirror image, negated.
+        """
+        n0, n1 = self.grid.shape
+        f, h = np.arange(n0 * n1), n0 // 2
+        return (np.where(f >= (h + 1) * n1, n0 * n1 - 1 - f, f),
+                np.where(np.arange(n0) > h, -1.0, 1.0))
+
+    def level(self, k: int) -> np.ndarray:
+        """Level k on the whole grid, (*grid.shape, d): an odd field's is unfolded."""
+        return _unfold(self.values[k]) if self._odd else self.values[k]
 
     def evaluate_batch(self, t: float, points: np.ndarray) -> np.ndarray:
         """Multilinear in space, linear in time, at query points (n, d)."""
@@ -54,18 +81,32 @@ class DecouplingField:
         if self.grid.dim == 1:      # a 1-d level is small: blend it whole
             (i,), (wx,) = idx, frac
             level = (1.0 - w) * self.values[k] + w * self.values[k + 1]
-            return (1.0 - wx) * level[i] + wx * level[i + 1]
+            if self._odd:
+                level = _unfold(level)
+            return (1.0 - wx) * level.take(i, axis=0) + wx * level.take(i + 1, axis=0)
         # 2-d: blend in time only each point's corners (i, j), (i+1, j), (i, j+1)
         # and (i+1, j+1), rows i n1 + j + (0, n1, 1, n1 + 1) of the flat levels
         (i, j), (wx, wy), n1 = idx, frac, self.grid.shape[1]
         rows = i * n1 + j + np.array([[0], [n1], [1], [n1 + 1]])      # (4, n)
+        wi, wi1 = 1.0 - wx, wx      # the weights of rows i and i + 1
+        if self._odd:   # a negated corner value is a negated weight, exactly
+            table, sign = self._fold
+            rows = table.take(rows)
+            wi, wi1 = wi * sign.take(i)[:, None], wi1 * sign.take(i + 1)[:, None]
         flat = self.values.reshape(tg.steps + 1, -1, self.grid.dim)
         c = (1.0 - w) * flat[k].take(rows, axis=0) + w * flat[k + 1].take(rows, axis=0)
-        return ((1.0 - wx) * (1.0 - wy) * c[0] + wx * (1.0 - wy) * c[1]
-                + (1.0 - wx) * wy * c[2] + wx * wy * c[3])
+        return (wi * (1.0 - wy) * c[0] + wi1 * (1.0 - wy) * c[1]
+                + wi * wy * c[2] + wi1 * wy * c[3])
 
     def evaluate(self, t: float, m) -> np.ndarray:
         return self.evaluate_batch(t, np.atleast_2d(np.asarray(m, dtype=float)))[0]
+
+
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """An odd level (*shape, d) from its rows 0..h (h + 1, *shape[1:], d): rows
+    h + 1.. are minus rows h - 1..0 with their later space axes reversed."""
+    mirror = half[(slice(-2, None, -1),) + (slice(None, None, -1),) * (half.ndim - 2)]
+    return np.concatenate([half, -mirror])
 
 
 def _cells(grid: SpaceGrid, points: np.ndarray):
@@ -217,14 +258,6 @@ def _mirror(x: np.ndarray, rows) -> np.ndarray:
     return x[(slice(None), rows) + (slice(None, None, -1),) * (x.ndim - 2)]
 
 
-def _unfold(half: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Fill odd full (d, 2h + 1, ...) with half's rows 0..h, then the reflection -rows h-1..0."""
-    h = full.shape[1] // 2
-    full[:, :h + 1] = half[:, :h + 1]
-    np.negative(_mirror(full, slice(h - 1, None, -1)), out=full[:, h + 1:])
-    return full
-
-
 def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
                 N: int = None, eps: float = None) -> DecouplingField:
     """Backward finite-difference solve of the decoupling-field system.
@@ -235,7 +268,8 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
 
     With even data on a symmetric grid the field is odd: rows 0..h of the first
     axis are stepped, h the center row, with a ghost row h + 1 reflecting row
-    h - 1; row h is projected onto odd rows (u(t, 0) = 0) and levels unfolded.
+    h - 1; row h is projected onto odd rows (u(t, 0) = 0), and each level keeps
+    rows 0..h only.
     """
     nu, cost_gradient, meta = _variant(spec, N, eps)
     if grid.dim != spec.dim:
@@ -255,15 +289,17 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
     symmetric = spec.even_data and grid.is_symmetric()
     drift = bool(np.any(spec.b))    # with b == 0 the b^T u term adds exact zeros
 
-    steps = tgrid.steps
-    values = np.empty((steps + 1,) + grid.shape + (spec.dim,))
     # the terminal layer stays exactly the corrected gradient at the nodes
-    values[steps] = cost_gradient(spec.g, mgrid)
-    levels = np.moveaxis(values, -1, 1)     # (steps+1, d, *shape) views of the levels
-    u = levels[steps].copy()
+    u = np.moveaxis(cost_gradient(spec.g, mgrid), -1, 0).copy()
+    rows = grid.shape[0]    # of the first axis, stored per level
     if symmetric:       # the slab of rows 0..h + 1; is_symmetric means an odd row count
-        h = grid.shape[0] // 2
+        h = rows // 2
+        rows = h + 1
         u, bm, source = (x[:, :h + 2].copy() for x in (u, bm, source))
+    steps = tgrid.steps
+    values = np.empty((steps + 1, rows) + grid.shape[1:] + (spec.dim,))
+    levels = np.moveaxis(values, -1, 1)     # (steps+1, d, rows, ...) views of the levels
+    levels[steps] = u[:, :rows]
 
     # stepping buffers, allocated once: per-step temporaries cost page faults
     c, k1, k2, stage, unext = (np.empty_like(u) for _ in range(5))
@@ -289,7 +325,8 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
         first = k == steps - 1
         np.add(u, np.multiply(dt, rhs(u, 0.0 if first else nu, k1), out=stage), out=stage)
         if first:   # the implicit solve couples all rows, so a slab's stage is unfolded
-            full = _unfold(stage, np.empty((spec.dim,) + grid.shape)) if symmetric else stage
+            full = (np.concatenate([stage[:, :h + 1], -_mirror(stage, slice(h - 1, None, -1))],
+                                   axis=1) if symmetric else stage)
             unext[...] = _implicit_solve(full, nu * dt, spacings)[:, :u.shape[1]]
         else:       # u + 0.5 dt (k1 + k2), k2 the slope at the stage
             k1 += rhs(stage, nu, k2)
@@ -300,10 +337,7 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
             u[:, h] = 0.5 * (u[:, h] - _mirror(u, h))
         if not np.all(np.isfinite(u)):
             raise PdeDiverged(tgrid.nodes[k])
-        if symmetric:
-            _unfold(u, levels[k])
-        else:
-            levels[k] = u
+        levels[k] = u[:, :rows]
 
     return DecouplingField(grid=grid, tgrid=tgrid, values=values, metadata=meta)
 
@@ -459,7 +493,8 @@ _MAGIC_V1, _MAGIC = b"MFGF\x01", b"MFGF\x02"
 
 def save_field_binary(fld: DecouplingField, path: str):
     """Binary layout: header (dims, bounds, counts, variant, noise scale and
-    diffusion, NaN where unknown) + float64 payload."""
+    diffusion, NaN where unknown) + float64 payload of the whole-grid levels,
+    written one level at a time."""
     meta = fld.metadata
     kind = meta.get("kind", "nplayer")
     param = float(meta.get("N", meta.get("eps", 0.0)))
@@ -474,7 +509,8 @@ def save_field_binary(fld: DecouplingField, path: str):
         fh.write(struct.pack("<dd", meta.get("noise_scale", np.nan), meta.get("diffusion", np.nan)))
         fh.write(struct.pack("<i", len(model)))
         fh.write(model)
-        fh.write(np.ascontiguousarray(fld.values, dtype="<f8").tobytes())
+        for k in range(fld.tgrid.steps + 1):
+            fh.write(np.ascontiguousarray(fld.level(k), dtype="<f8").tobytes())
 
 
 def load_field_binary(path: str) -> DecouplingField:
@@ -519,6 +555,6 @@ def export_field_csv_slice(fld: DecouplingField, path: str, time_index: int = 0)
     d = fld.grid.dim
     coords = fld.grid.meshgrid()
     pts = np.stack([c.ravel() for c in coords], axis=-1)
-    level = fld.values[time_index].reshape(-1, d)
+    level = fld.level(time_index).reshape(-1, d)
     header = ",".join([f"m{i+1}" for i in range(d)] + [f"u{i+1}" for i in range(d)])
     np.savetxt(path, np.hstack([pts, level]), delimiter=",", header=header, comments="")

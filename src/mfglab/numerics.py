@@ -148,6 +148,11 @@ def integrate_ode(rhs, x0, grid: TimeGrid) -> np.ndarray:
 _THETA13 = 5.371920351148152
 
 
+# the largest d |H|_1 (T - t) of one Riccati span: the entries of exp(H (t - T))
+# and det X then stay below e^_EXP_SPAN, far from overflow at e^709
+_EXP_SPAN = 300.0
+
+
 def _expm(A: np.ndarray) -> np.ndarray:
     """exp of each matrix of a stack (..., n, n), none assumed diagonalizable:
     scaled by its own 2^-s into the 1-norm ball _THETA13, Pade, squared s times."""
@@ -172,10 +177,12 @@ def riccati_backward(b, Q_run, Q_term, grid: TimeGrid, R=None) -> np.ndarray:
     R, the control weight, defaults to I.  The coefficients are constant, so the
     solve is closed-form (Radon's lemma; Reid, Riccati Differential Equations,
     1972, ch. 2): phi = Y X^-1 with [X; Y](t) = exp(H (t - T)) [I; Q_term] and
-    H = [[b, -R], [-Q_run, -b^T]], one batched exponential for all nodes.  phi is
-    symmetrized, shape (steps+1, d, d) in forward time order.  RiccatiEscape is
-    raised at the latest node before which X turns singular or |phi| > RICCATI_ESCAPE,
-    and also where exp(H (t - T)) overflows, past about 700 / |eigenvalue of H|.
+    H = [[b, -R], [-Q_run, -b^T]], one batched exponential for all nodes.  Over a
+    horizon with d |H|_1 (T - t0) > _EXP_SPAN, where the exponential could
+    overflow, it restarts from the last solved phi in spans that stay below
+    that bound.  phi is symmetrized, shape (steps+1, d, d) in forward time order.
+    RiccatiEscape is raised at the latest node before which X turns singular or
+    |phi| > RICCATI_ESCAPE.
     """
     b = np.atleast_2d(np.asarray(b, dtype=float))
     Q_run = np.atleast_2d(np.asarray(Q_run, dtype=float))
@@ -186,9 +193,27 @@ def riccati_backward(b, Q_run, Q_term, grid: TimeGrid, R=None) -> np.ndarray:
     d = len(b)
     R = np.eye(d) if R is None else np.atleast_2d(np.asarray(R, dtype=float))
     H = np.block([[b, -R], [-0.5 * (Q_run + Q_run.T), -b.T]])
+    span = d * np.abs(H).sum(axis=0).max() * (grid.T - grid.t0)
+    nodes, steps = grid.nodes, grid.steps
+    # steps per span; a NaN in H makes one span, which reports the escape
+    chunk = max(1, int(steps * _EXP_SPAN / span)) if span > _EXP_SPAN else steps
+    phi = np.empty((steps + 1, d, d))
+    hi, phi_hi = steps, 0.5 * (Q_term + Q_term.T)
+    while hi > 0:       # spans of nodes lo..hi, latest first, each from phi at hi
+        lo = max(hi - chunk, 0)
+        phi[lo:hi + 1], escaped = _riccati_span(H, phi_hi, nodes[lo:hi + 1] - nodes[hi])
+        if escaped.any():
+            raise RiccatiEscape(nodes[lo + np.nonzero(escaped)[0][-1]])
+        hi, phi_hi = lo, phi[lo]
+    return phi
+
+
+def _riccati_span(H: np.ndarray, phi_T: np.ndarray, tau: np.ndarray):
+    """phi = Y X^-1 at the offsets tau <= 0 from the end of a span where phi = phi_T,
+    and the mask of the nodes at which the solve has escaped."""
+    d = len(phi_T)
     with np.errstate(all="ignore"):     # an overflow is an escape, not a warning
-        XY = (_expm(H * (grid.nodes - grid.T)[:, None, None])
-              @ np.vstack([np.eye(d), 0.5 * (Q_term + Q_term.T)]))
+        XY = _expm(H * tau[:, None, None]) @ np.vstack([np.eye(d), phi_T])
         # transposed, so that phi^T = X^-T Y^T is a batched solve
         Xt, Yt = XY[:, :d].swapaxes(1, 2), XY[:, d:].swapaxes(1, 2)
         det = np.linalg.det(Xt)
@@ -201,9 +226,7 @@ def riccati_backward(b, Q_run, Q_term, grid: TimeGrid, R=None) -> np.ndarray:
         # parts <= 0 mark a step through a singular X, even where det X stays positive
         step = np.linalg.eigvals(np.linalg.solve(Xt[1:], Xt[:-1]))
         escaped[:-1] |= (step.real <= 0).any(axis=1)
-    if escaped.any():
-        raise RiccatiEscape(grid.nodes[np.nonzero(escaped)[0][-1]])
-    return phi
+    return phi, escaped
 
 
 def delarue_riccati(b: float, grid: TimeGrid, delta: float):

@@ -82,7 +82,7 @@ def test_acceptance_1_riccati_oracle_agreement():
         worst = 0.0
         for k in (0, tg.steps // 3, (2 * tg.steps) // 3):
             exact = P[k][0, 0] * x[inner] + r[k][0]
-            got = fld.values[k][inner, 0]
+            got = fld.level(k)[inner, 0]
             worst = max(worst, float(np.max(
                 np.abs(got - exact) / np.maximum(np.abs(exact), 1e-8))))
         return worst
@@ -276,12 +276,12 @@ def test_acceptance_8_invariant_battery():
     spec1 = logcosh_spec()
     g1 = SpaceGrid.symmetric(4.0, 101, 1)
     f1 = solve_field(spec1, g1, stable_time_grid(spec1, g1, N=50), N=50)
-    check("field odd symmetry",
-          np.max(np.abs(f1.values + f1.values[:, ::-1, :])) < 1e-10)
+    v = np.stack([f1.level(k) for k in range(f1.tgrid.steps + 1)])
+    check("field odd symmetry", np.max(np.abs(v + v[:, ::-1, :])) < 1e-10)
     spec2 = logcosh_spec(dim=2)
     g2 = SpaceGrid.symmetric(3.0, 41, 2)
     f2 = solve_field(spec2, g2, stable_time_grid(spec2, g2, N=50), N=50)
-    v = f2.values
+    v = np.stack([f2.level(k) for k in range(f2.tgrid.steps + 1)])
     rotated = np.stack([-v[..., 1], v[..., 0]], axis=-1)
     check("field rotation equivariance",
           np.max(np.abs(np.transpose(v[:, ::-1, :, :], (0, 2, 1, 3)) - rotated)) < 1e-12)

@@ -72,6 +72,11 @@ def solve(spec, grid=GRID, N=None, eps=None):
     return solve_field(spec, grid, tg, N=N, eps=eps)
 
 
+def full_values(fld):
+    """The field's levels on the whole grid, stacked: (steps+1, *grid.shape, d)."""
+    return np.stack([fld.level(k) for k in range(fld.tgrid.steps + 1)])
+
+
 class TestSolveField:
     def test_terminal_layer_exact(self):
         N = 50
@@ -79,14 +84,20 @@ class TestSolveField:
         fld = solve(spec, N=N)
         x = GRID.axis_nodes(0)
         expect = np.array([corrected_gradient(spec.g, N, [xx]) for xx in x])
-        assert np.array_equal(fld.values[-1], expect)
+        # an odd field stores rows 0..h, the exact corrected gradient; the rows
+        # past the center are their exact negated mirror, which the corrected
+        # gradient at the mirrored nodes matches to rounding only
+        h = GRID.shape[0] // 2
+        terminal = fld.level(fld.tgrid.steps)
+        assert np.array_equal(terminal[:h + 1], expect[:h + 1])
+        assert np.array_equal(terminal[h + 1:], -expect[h - 1::-1])
 
     def test_trivial_lq_field_is_identity(self):
         fld = solve(model(make_zero(1), make_zero(1)), N=100)
         x = GRID.axis_nodes(0)
         inner = np.abs(x) <= 2.0
         for k in (0, len(fld.tgrid.nodes) // 2):
-            assert np.max(np.abs(fld.values[k][inner, 0] - x[inner])) < 1e-6
+            assert np.max(np.abs(fld.level(k)[inner, 0] - x[inner])) < 1e-6
 
     def test_quadratic_oracle_agreement(self):
         N = 10
@@ -98,7 +109,7 @@ class TestSolveField:
         worst = 0.0
         for k in (0, fld.tgrid.steps // 3):
             exact = P[k][0, 0] * x[inner] + r[k][0]
-            got = fld.values[k][inner, 0]
+            got = fld.level(k)[inner, 0]
             worst = max(worst, np.max(np.abs(got - exact) / np.maximum(np.abs(exact), 1e-8)))
         assert worst < 1e-2
 
@@ -115,13 +126,13 @@ class TestSolveField:
         worst = 0.0
         for k in (0, fld.tgrid.steps // 3):
             exact = m[inner] @ P[k].T + r[k]
-            got = fld.values[k][inner]
+            got = fld.level(k)[inner]
             worst = max(worst, np.max(np.abs(got - exact) / np.maximum(np.abs(exact), 1e-8)))
         assert worst < 1e-4
 
     def test_odd_symmetry_even_data(self):
         fld = solve(logcosh_spec(), N=100)
-        v = fld.values
+        v = full_values(fld)
         assert np.max(np.abs(v + v[:, ::-1, :])) < 1e-10
         mid = GRID.shape[0] // 2
         assert np.all(v[:-1, mid, 0] == 0.0)  # interior levels exactly zero
@@ -130,7 +141,7 @@ class TestSolveField:
     def test_odd_symmetry_even_data_2d(self):
         spec = model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2)
         fld = solve(spec, grid=SpaceGrid.symmetric(3.0, 61, 2), N=50)
-        v = fld.values
+        v = full_values(fld)
         # the projection flips both space axes, never the component axis
         assert np.array_equal(v[:-1], -v[:-1, ::-1, ::-1])
         assert np.all(v[:-1, 30, 30] == 0.0)
@@ -143,13 +154,13 @@ class TestSolveField:
         b = solve_field(spec, GRID, tg, eps=spec.sigma / math.sqrt(N))
         # sigma^2/(2N) and eps^2/2 differ by one ulp, so demand machine
         # precision rather than bitwise equality
-        assert np.max(np.abs(a.values - b.values)) < 1e-13
+        assert np.max(np.abs(full_values(a) - full_values(b))) < 1e-13
 
     def test_rotation_equivariance_2d(self):
         spec = model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2)
         grid = SpaceGrid.symmetric(3.0, 61, 2)
         fld = solve(spec, grid=grid, N=50)
-        v = fld.values  # (K, n, n, 2)
+        v = full_values(fld)  # (K, n, n, 2)
         # 90-degree rotation R(x,y) = (-y, x) maps node (i,j) to (n-1-j, i)
         rotated_pointwise = np.stack([-v[..., 1], v[..., 0]], axis=-1)
         v_at_rotated = np.transpose(v[:, ::-1, :, :], (0, 2, 1, 3))
@@ -295,7 +306,7 @@ def two_function_solve(spec, grid, tgrid, N):
 
 class TestStencilSolve:
     # with even data on a symmetric grid solve_field steps only rows 0..h of
-    # the first axis and unfolds each level by the point reflection
+    # the first axis and stores only those; level(k) unfolds them by the point reflection
     @pytest.mark.parametrize("grid", [
         SpaceGrid.symmetric(4.0, 201, 1),
         SpaceGrid.symmetric(3.0, 41, 2),
@@ -308,8 +319,8 @@ class TestStencilSolve:
         tg = stable_time_grid(spec, grid, N=50)
         fld = solve_field(spec, grid, tg, N=50)
         ref = two_function_solve(spec, grid, tg, N=50)
-        assert np.max(np.abs(fld.values - ref)) <= 1e-12
-        v = fld.values
+        v = full_values(fld)
+        assert np.max(np.abs(v - ref)) <= 1e-12
         center = (slice(None),) + tuple(n // 2 for n in grid.shape)
         assert np.all(v[center] == 0.0)
         assert np.array_equal(v[:-1], -np.flip(v[:-1], axis=tuple(range(1, dim + 1))))
@@ -370,6 +381,83 @@ class TestEvaluate:
             assert np.array_equal(fld.evaluate_batch(t, pts), blend_then_interpolate(fld, t, pts))
         for t, m in ((0.73, [0.4, 1.1]), (1.5, [2.0, 4.0]), (0.1, [-5.0, 0.0])):
             assert np.array_equal(fld.evaluate(t, m), blend_then_interpolate(fld, t, m)[0])
+
+
+def rebuilt_full(fld):
+    """The same field with every level stored on the whole grid."""
+    return DecouplingField(fld.grid, fld.tgrid, full_values(fld), fld.metadata)
+
+
+ODD_GRIDS = [
+    SpaceGrid.symmetric(3.0, 41, 1),
+    SpaceGrid.symmetric(3.0, 41, 2),
+    SpaceGrid(((-3.0, 3.0, 41), (-2.0, 2.0, 31))),
+]
+ODD_IDS = ["1d-41", "2d-41x41", "2d-41x31"]
+
+
+def odd_field(grid):
+    dim = grid.dim
+    g = make_logcosh_terminal(4.0) if dim == 1 else make_radial_logcosh(4.0, 2)
+    return solve(model(make_quadratic(-1.0, dim), g, dim=dim), grid=grid, N=50)
+
+
+class TestFoldedStorage:
+    # an odd field stores rows 0..h of the first axis; its lookups map corner
+    # indices into that half and negate, which must equal the full field's bit for bit
+    @pytest.mark.parametrize("grid", ODD_GRIDS, ids=ODD_IDS)
+    def test_stores_half_rows(self, grid):
+        fld = odd_field(grid)
+        n0, h = grid.shape[0], grid.shape[0] // 2
+        assert fld.values.shape == (fld.tgrid.steps + 1, h + 1) + grid.shape[1:] + (grid.dim,)
+        assert fld.values.nbytes * n0 == rebuilt_full(fld).values.nbytes * (h + 1)
+
+    @pytest.mark.parametrize("grid", ODD_GRIDS, ids=ODD_IDS)
+    def test_lookup_equals_full_field(self, grid):
+        fld = odd_field(grid)
+        full = rebuilt_full(fld)
+        gen = np.random.default_rng(17)
+        (lo, hi), dim = np.array([ax[:2] for ax in grid.axes]).T, grid.dim
+        random = gen.uniform(lo, hi, size=(400, dim))
+        nodes = np.stack([c.ravel() for c in grid.meshgrid()], axis=-1)
+        axis0 = gen.uniform(lo, hi, size=(60, dim))
+        axis0[:, 0] = 0.0                   # the center row
+        lines = [axis0, np.zeros((1, dim))]
+        if dim == 2:
+            axis1 = gen.uniform(lo, hi, size=(60, dim))
+            axis1[:, 1] = 0.0               # the center column
+            lines.append(axis1)
+        outside = np.vstack([gen.uniform(lo - 5.0, lo - 0.1, size=(20, dim)),
+                             gen.uniform(hi + 0.1, hi + 5.0, size=(20, dim)),
+                             np.where(gen.uniform(size=(20, dim)) < 0.5, lo - 1.0, hi + 1.0)])
+        pts = np.vstack([random, nodes] + lines + [outside])
+        tg = fld.tgrid
+        for t in (tg.t0 + 0.3 * tg.dt, tg.T - 0.4 * tg.dt, tg.T, tg.t0 - 0.5, tg.T + 0.5):
+            assert np.array_equal(fld.evaluate_batch(t, pts), full.evaluate_batch(t, pts))
+
+    @pytest.mark.parametrize("grid, f, g", [
+        (SpaceGrid(((-3.0, 2.0, 41),)), make_zero(1), make_quadratic(1.0, 1)),
+        (SpaceGrid.symmetric(3.0, 41, 1), make_zero(1), make_quadratic(1.0, 1, kappa=[0.3])),
+        (SpaceGrid(((-3.0, 3.0, 41), (-2.0, 1.0, 31))), make_zero(2), make_quadratic(1.0, 2)),
+        (SpaceGrid.symmetric(3.0, 41, 2), make_zero(2), make_quadratic(1.0, 2, kappa=[0.2, -0.1])),
+    ], ids=["1d-asymmetric-grid", "1d-uneven-data", "2d-asymmetric-grid", "2d-uneven-data"])
+    def test_keeps_full_rows(self, grid, f, g):
+        fld = solve(model(f, g, dim=grid.dim), grid=grid, N=10)
+        assert fld.values.shape == (fld.tgrid.steps + 1,) + grid.shape + (grid.dim,)
+        assert np.array_equal(fld.level(3), fld.values[3])
+
+    @pytest.mark.parametrize("grid", ODD_GRIDS, ids=ODD_IDS)
+    def test_saved_bytes_equal_full_field(self, grid, tmp_path):
+        fld = odd_field(grid)
+        full = rebuilt_full(fld)
+        for name, f in (("odd", fld), ("full", full)):
+            save_field_binary(f, str(tmp_path / f"{name}.bin"))
+            for k in (0, fld.tgrid.steps):
+                export_field_csv_slice(f, str(tmp_path / f"{name}{k}.csv"), time_index=k)
+        for name in ["{}.bin"] + [f"{{}}{k}.csv" for k in (0, fld.tgrid.steps)]:
+            odd, whole = ((tmp_path / name.format(n)).read_bytes() for n in ("odd", "full"))
+            assert odd == whole
+        assert np.array_equal(load_field_binary(str(tmp_path / "odd.bin")).values, full.values)
 
 
 class TestOracle:
@@ -603,7 +691,7 @@ class TestExport:
         save_field_binary(fld, path)
         assert open(path, "rb").read(5) == b"MFGF\x02"
         back = load_field_binary(path)
-        assert np.array_equal(back.values, fld.values)
+        assert np.array_equal(back.values, full_values(fld))
         assert back.grid.axes == fld.grid.axes
         assert back.tgrid == fld.tgrid
         assert back.metadata["kind"] == "nplayer"

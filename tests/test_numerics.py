@@ -177,6 +177,37 @@ class TestRiccati:
                 riccati_backward(np.zeros((d, d)), np.eye(d), -3.0 * np.eye(d), grid)
             assert abs(exc.value.t - (5.0 - math.atanh(1.0 / 3.0))) <= grid.dt
 
+    def test_long_horizon_restarts(self):
+        # exp(H (t - T)) would overflow past |t - T| of about 700 here; the solve
+        # restarts from phi in shorter spans and tends to the stationary root 1
+        phi = riccati_backward([[0.0]], [[1.0]], [[2.0]], TimeGrid(0, 800, 4000))
+        assert abs(phi[0, 0, 0] - 1.0) < 1e-12
+        c = np.arctanh(0.5)     # phi = coth(T - t + artanh(1/2)) over the last span
+        tail = TimeGrid(0, 800, 4000).nodes[-10:]
+        assert np.max(np.abs(phi[-10:, 0, 0] - 1.0 / np.tanh(800.0 - tail + c))) < 1e-12
+
+    def test_long_horizon_2d_tends_to_care(self):
+        # the stabilizing root of P P - P b - b^T P - Q = 0, the algebraic Riccati equation
+        from scipy.linalg import solve_continuous_are
+        b = np.array([[0.1, 0.3], [-0.2, 0.4]])
+        Q = np.array([[2.0, 0.5], [0.5, 1.0]])
+        phi = riccati_backward(b, Q, np.eye(2), TimeGrid(0, 800, 4000))
+        ref = solve_continuous_are(b, np.eye(2), Q, np.eye(2))
+        assert np.max(np.abs(phi[:3000] - ref)) < 1e-12
+
+    def test_escape_after_restarts(self):
+        # phi' = (phi - b)^2 + 1 from phi(T) = b: phi = b + tan(t - T) escapes at
+        # T - pi/2, dozens of spans before T because |H|_1 is about 1e4
+        grid = TimeGrid(0, 10, 10000)
+        with pytest.raises(RiccatiEscape) as exc:
+            riccati_backward([[100.0]], [[-10001.0]], [[100.0]], grid)
+        assert abs(exc.value.t - (10.0 - math.pi / 2)) <= grid.dt
+        for d in (1, 2):
+            with pytest.raises(RiccatiEscape) as exc:
+                riccati_backward(np.zeros((d, d)), np.eye(d), -3.0 * np.eye(d),
+                                 TimeGrid(0, 800, 4000))
+            assert abs(exc.value.t - (800.0 - math.atanh(1.0 / 3.0))) <= 0.2
+
     def test_nonsymmetric_data_rejected(self):
         with pytest.raises(InvalidParameter):
             riccati_backward(np.zeros((2, 2)), np.array([[1.0, 1.0], [0.0, 1.0]]),
