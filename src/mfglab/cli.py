@@ -17,18 +17,13 @@ from .errors import MfgLabError
 from .experiments import (
     ScenarioConfig,
     build_grid,
+    field_for,
     parse_config_text,
     read_config_file,
     replay_row,
     run_scenario,
 )
-from .field import (
-    export_field_csv_slice,
-    load_field_binary,
-    save_field_binary,
-    solve_field,
-    stable_time_grid,
-)
+from .field import export_field_csv_slice, load_field_binary, save_field_binary
 
 EXIT_OK, EXIT_ERROR, EXIT_VERDICT = 0, 1, 2
 
@@ -128,11 +123,9 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "field":
-        grid = build_grid(cfg, spec)
-        tgrid = stable_time_grid(spec, grid, N=args.N, eps=args.eps)
-        fld = solve_field(spec, grid, tgrid, N=args.N, eps=args.eps)
+        fld = field_for(cfg, build_grid(cfg, spec), N=args.N, eps=args.eps)
         save_field_binary(fld, args.out)
-        print(f"wrote {args.out} ({tgrid.steps} levels, grid {grid.shape})")
+        print(f"wrote {args.out} ({fld.tgrid.steps} levels, grid {fld.grid.shape})")
         return EXIT_OK
 
     if args.command == "replay":

@@ -72,14 +72,16 @@ def trajectory_cost(spec: ModelSpec, grid: TimeGrid, m, beta) -> float:
 
 
 def _solve_each(jac, rhs):
-    """Solution of each system jac[i] x = rhs[i]; NaN where jac[i] is singular."""
-    try:
-        return np.linalg.solve(jac, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        if len(rhs) == 1:
-            return np.full_like(rhs, np.nan)
-        h = len(rhs) // 2
-        return np.concatenate([_solve_each(jac[:h], rhs[:h]), _solve_each(jac[h:], rhs[h:])])
+    """Solution of each system jac[i] x = rhs[i]; NaN where jac[i] is singular.
+
+    slogdet's sign is 0 exactly where the LU factorization that solve runs
+    meets a zero pivot, so those systems solve the identity and read NaN.
+    """
+    singular = np.linalg.slogdet(jac)[0] == 0
+    x = np.linalg.solve(np.where(singular[:, None, None], np.eye(jac.shape[-1]), jac),
+                        rhs[..., None])[..., 0]
+    x[singular] = np.nan
+    return x
 
 
 def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):

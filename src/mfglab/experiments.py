@@ -3,7 +3,11 @@
 Each scenario produces a ScenarioReport: one CSV row per N (or per epsilon)
 carrying its seed and the config hash for replay, plus a list of named
 verdicts checked against fixed thresholds.  Verdict logic is pure: the same
-report always yields the same pass/fail outcome.
+report always yields the same pass/fail outcome, read back from its columns.
+
+E1, E2, E4 and E5 run one sweep (`_sweep`): per N or eps it solves the
+field with `field_for`, which `mfglab field solve` uses too, runs the
+Euler-Maruyama ensemble on it and measures the terminal law.
 """
 
 from __future__ import annotations
@@ -181,8 +185,7 @@ def build_spec(cfg: ScenarioConfig) -> ModelSpec:
               "delta": cfg.getfloat("model.delta", 0.1)}
     gname = cfg.get("model.g", _DEFAULT_G[cfg.scenario])
     g = _catalogue("model.g", gname, dim, c=cfg.getfloat("model.c", 1.0),
-                   linear=cfg.get("model.linear") and cfg.getfloat("model.linear", 0.0),
-                   **params)
+                   linear=np.full(dim, cfg.getfloat("model.linear", 0.0)), **params)
     fname = cfg.get("model.f", "zero" if cfg.scenario in ("E1", "E3") else "cancel")
     if fname == "cancel":
         f = make_quadratic(-1.0, dim)
@@ -217,6 +220,7 @@ def default_domain_halfwidth(spec: ModelSpec) -> float:
 class ScenarioReport:
     scenario: str
     config_hash: str
+    seed: int
     columns: list
     rows: list = field(default_factory=list)      # list of dicts
     verdicts: list = field(default_factory=list)  # (name, passed, detail)
@@ -227,8 +231,11 @@ class ScenarioReport:
         return all(ok for _, ok, _ in self.verdicts)
 
     def add_row(self, **kw):
-        row = {c: kw.get(c, "") for c in self.columns}
-        self.rows.append(row)
+        kw = {"seed": self.seed, "config": self.config_hash, **kw}
+        self.rows.append({c: kw.get(c, "") for c in self.columns})
+
+    def column(self, name: str) -> list:
+        return [row[name] for row in self.rows]
 
     def verdict(self, name: str, ok: bool, detail: str):
         self.verdicts.append((name, bool(ok), detail))
@@ -260,11 +267,11 @@ def _sign_stats(mT: np.ndarray):
     return pos, se
 
 
-def _sign_band(cfg: ScenarioConfig, se: float) -> float:
+def _sign_band(cfg: ScenarioConfig, M: int) -> float:
     """Half-width of the band around 1/2 that a terminal-sign frequency must
-    stay in: verdict.band if set, else 3 binomial sigmas of the ensemble
-    size, never below SIGN_BAND."""
-    return cfg.getfloat("verdict.band", max(SIGN_BAND, 3.0 * se))
+    stay in: verdict.band if set, else 3 binomial sigmas of an ensemble of M
+    paths, never below SIGN_BAND."""
+    return cfg.getfloat("verdict.band", max(SIGN_BAND, 3.0 * math.sqrt(0.25 / M)))
 
 
 def _target_atom(cfg: ScenarioConfig):
@@ -287,10 +294,16 @@ def _check_domain(grid: SpaceGrid, atom: float):
 # --- scenarios --------------------------------------------------------------
 
 
-def _field_for(spec, grid, cfg, N=None, eps=None):
-    tgrid = stable_time_grid(spec, grid, N=N, eps=eps,
+def field_for(cfg: ScenarioConfig, grid: SpaceGrid, N: int = None, eps: float = None):
+    """Decoupling field of the config's model on `grid`, N-player (N) or
+    common-noise (eps), time-stepped at the stability bound times grid.safety."""
+    tgrid = stable_time_grid(cfg.spec, grid, N=N, eps=eps,
                              safety=cfg.getfloat("grid.safety", 0.9))
-    return solve_field(spec, grid, tgrid, N=N, eps=eps)
+    return solve_field(cfg.spec, grid, tgrid, N=N, eps=eps)
+
+
+def _report(cfg: ScenarioConfig, columns: list) -> ScenarioReport:
+    return ScenarioReport(cfg.scenario, cfg.config_hash, cfg.getint("run.seed", 1234), columns)
 
 
 def _note_exits(rep: ScenarioReport, ens, label: str):
@@ -299,17 +312,31 @@ def _note_exits(rep: ScenarioReport, ens, label: str):
         rep.notes.append(f"domain too small at {label}: exit fraction {ens.exit_fraction:.3g}")
 
 
+def _sweep(rep: ScenarioReport, cfg: ScenarioConfig, grid: SpaceGrid, M: int, key: str,
+           values: list, measure) -> np.ndarray:
+    """One report row per value of `key` ("N" or "eps"): solve its field, run
+    the M-path ensemble and add its exit fraction and the scalars of
+    measure(ensemble).  Every ensemble reads one draw of normals, sized for
+    the largest N, which is returned; each is dropped before the next solve."""
+    spec = cfg.spec
+    rows = (max(values) if key == "N" else 0) + _sim_steps(spec.T)
+    normals = _path_normals(rep.seed, M, rows, spec.dim)
+    for v in values:
+        ens = simulate_ensemble(field_for(cfg, grid, **{key: v}), spec, M=M, seed=rep.seed,
+                                normals=normals)
+        _note_exits(rep, ens, f"{key}={v}")
+        rep.add_row(**{key: v}, exit_fraction=ens.exit_fraction, **measure(ens))
+        del ens
+    return normals
+
+
 def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
     """Convergence of the ensemble-mean trajectory to the unique minimizer."""
     spec = cfg.spec
     if spec.g.quad_coeffs is None:
         raise ConfigError("E1 needs a convex quadratic terminal potential")
-    rep = ScenarioReport("E1", cfg.config_hash,
-                         ["N", "seed", "config", "sup_mean_error", "mean_T",
-                          "var_T", "exit_fraction"])
-    seed = cfg.getint("run.seed", 1234)
-    M = cfg.getint("run.M", 500)
-    Ns = cfg.getlist_int("run.N", [10, 100, 1000])
+    rep = _report(cfg, ["N", "seed", "config", "sup_mean_error", "mean_T", "var_T",
+                        "exit_fraction"])
     grid = build_grid(cfg, spec)
 
     # reference: deterministic limit flow driven by the reminder-free field
@@ -328,32 +355,23 @@ def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
             out.append(m.copy())
         return np.array(out)
 
-    # every ensemble below runs on this simulation grid and reads these normals
-    steps = _sim_steps(spec.T)
-    ref = limit_flow(TimeGrid(0.0, spec.T, steps).nodes)
-    normals = _path_normals(seed, M, max(Ns) + steps, spec.dim)
-    errors = []
-    for N in Ns:
-        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed,
-                                normals=normals)
-        _note_exits(rep, ens, f"N={N}")
-        mean_path = ens.paths.mean(axis=0)
-        err = float(np.max(np.abs(mean_path - ref)))
-        errors.append(err)
-        mT = ens.terminal
-        rep.add_row(N=N, seed=seed, config=cfg.config_hash, sup_mean_error=err,
-                    mean_T=float(mT.mean()), var_T=float(mT.var()),
-                    exit_fraction=ens.exit_fraction)
-        del ens, mT
+    ref = limit_flow(TimeGrid(0.0, spec.T, _sim_steps(spec.T)).nodes)   # the ensembles' grid
+
+    def measure(ens):
+        return {"sup_mean_error": float(np.max(np.abs(ens.paths.mean(axis=0) - ref))),
+                "mean_T": float(ens.terminal.mean()), "var_T": float(ens.terminal.var())}
+
+    normals = _sweep(rep, cfg, grid, cfg.getint("run.M", 500), "N",
+                     cfg.getlist_int("run.N", [10, 100, 1000]), measure)
+    errors = rep.column("sup_mean_error")
 
     # noise-off deterministic run, the N -> infinity analogue
-    ens_inf = simulate_ensemble(_field_for(spec, grid, cfg, eps=1e-3), spec, M=1, seed=seed,
+    ens_inf = simulate_ensemble(field_for(cfg, grid, eps=1e-3), spec, M=1, seed=rep.seed,
                                 noise_off=True, m0_override=spec.nu0, normals=normals[:1])
     _note_exits(rep, ens_inf, "N=inf")
     err_inf = float(np.max(np.abs(ens_inf.paths[0] - ref)))
-    rep.add_row(N="inf", seed=seed, config=cfg.config_hash, sup_mean_error=err_inf,
-                mean_T=float(ens_inf.terminal.mean()), var_T=0.0,
-                exit_fraction=ens_inf.exit_fraction)
+    rep.add_row(N="inf", sup_mean_error=err_inf, mean_T=float(ens_inf.terminal.mean()),
+                var_T=0.0, exit_fraction=ens_inf.exit_fraction)
 
     tol = cfg.getfloat("verdict.tol", 5e-2)
     rep.verdict("mean-error decreasing in N", errors == sorted(errors, reverse=True),
@@ -373,34 +391,24 @@ def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
     atom = _target_atom(cfg)
     if atom is None:
         raise ConfigError("E2 needs the log-cosh terminal with b = 0 and model.f = cancel")
-    rep = ScenarioReport("E2", cfg.config_hash,
-                         ["N", "seed", "config", "freq_pos", "freq_se", "w1",
-                          "mean_T", "var_T", "exit_fraction"])
-    seed = cfg.getint("run.seed", 1234)
+    rep = _report(cfg, ["N", "seed", "config", "freq_pos", "freq_se", "w1", "mean_T",
+                        "var_T", "exit_fraction"])
     M = cfg.getint("run.M", 2000)
-    Ns = cfg.getlist_int("run.N", [25, 100, 200, 400])
     grid = build_grid(cfg, spec)
     _check_domain(grid, atom)
 
-    normals = _path_normals(seed, M, max(Ns) + _sim_steps(spec.T), spec.dim)
-    freqs, w1s = [], []
-    for N in Ns:
-        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed,
-                                normals=normals)
-        _note_exits(rep, ens, f"N={N}")
+    def measure(ens):
         mT = ens.terminal[:, 0]
         pos, se = _sign_stats(mT)
         w1 = wasserstein1_1d(mT, [-atom, atom], [0.5, 0.5])
-        freqs.append(pos)
-        w1s.append(w1)
-        rep.add_row(N=N, seed=seed, config=cfg.config_hash, freq_pos=pos,
-                    freq_se=se, w1=w1, mean_T=float(mT.mean()),
-                    var_T=float(mT.var()), exit_fraction=ens.exit_fraction)
-        del ens, mT
+        return {"freq_pos": pos, "freq_se": se, "w1": w1, "mean_T": float(mT.mean()),
+                "var_T": float(mT.var())}
 
-    band = _sign_band(cfg, se)
-    in_band = [abs(p - 0.5) <= band for p in freqs]
-    rep.verdict("sign frequency in 0.5 band at every N", all(in_band),
+    _sweep(rep, cfg, grid, M, "N", cfg.getlist_int("run.N", [25, 100, 200, 400]), measure)
+    freqs, w1s = rep.column("freq_pos"), rep.column("w1")
+    band = _sign_band(cfg, M)
+    rep.verdict("sign frequency in 0.5 band at every N",
+                all(abs(p - 0.5) <= band for p in freqs),
                 f"freqs {['%.3f' % p for p in freqs]} band ±{band:.3f}")
     rep.verdict("W1 to two-atom target smaller at largest N than smallest",
                 w1s[-1] < w1s[0], f"W1 {w1s[0]:.4g} -> {w1s[-1]:.4g}")
@@ -413,10 +421,8 @@ def run_E3_delarue(cfg: ScenarioConfig) -> ScenarioReport:
     spec = cfg.spec
     if not spec.g.name.startswith("delarue") or spec.f.name != "zero":
         raise ConfigError("E3's closed form needs model.g = delarue and model.f = zero")
-    rep = ScenarioReport("E3", cfg.config_hash,
-                         ["branch", "seed", "config", "max_traj_error", "m_T",
-                          "cost", "classification"])
-    seed = cfg.getint("run.seed", 1234)
+    rep = _report(cfg, ["branch", "seed", "config", "max_traj_error", "m_T", "cost",
+                        "classification"])
 
     sset = enumerate_stationary(spec, 0.0, np.zeros(1))
     # closed form m^+_t = w_t * int_0^t w_s^{-2} ds on the Riccati grid of g
@@ -438,8 +444,7 @@ def run_E3_delarue(cfg: ScenarioConfig) -> ScenarioReport:
             ref = np.interp(sol.grid.nodes, rt.nodes, m_plus_ref)
             err = float(np.max(np.abs(sol.m[:, 0] - np.copysign(ref, mT))))
             max_errs[sgn] = err
-        rep.add_row(branch=sgn, seed=seed, config=cfg.config_hash,
-                    max_traj_error=err, m_T=mT, cost=float(sol.cost),
+        rep.add_row(branch=sgn, max_traj_error=err, m_T=mT, cost=float(sol.cost),
                     classification=sol.classification)
 
     both = "+" in max_errs and "-" in max_errs
@@ -456,10 +461,10 @@ def run_E3_delarue(cfg: ScenarioConfig) -> ScenarioReport:
         M = cfg.getint("run.M", 500)
         grid = SpaceGrid.symmetric(cfg.getfloat("grid.L", 2.0),
                                    cfg.getint("grid.nodes", 1601), 1)
-        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed)
+        ens = simulate_ensemble(field_for(cfg, grid, N=N), spec, M=M, seed=rep.seed)
         _note_exits(rep, ens, f"N={N}")
-        pos, se = _sign_stats(ens.terminal[:, 0])
-        band = _sign_band(cfg, se)
+        pos, _ = _sign_stats(ens.terminal[:, 0])
+        band = _sign_band(cfg, M)
         rep.verdict("terminal-sign frequency in 0.5 band",
                     abs(pos - 0.5) <= band, f"freq {pos:.3f} band ±{band:.3f}")
         rep.notes.append(f"selection run N={N} M={M} exit={ens.exit_fraction:.3g}")
@@ -475,31 +480,20 @@ def run_E4_sphere(cfg: ScenarioConfig) -> ScenarioReport:
     target = _target_atom(cfg)
     if target is None:
         raise ConfigError("E4 needs the radial log-cosh terminal with b = 0 and model.f = cancel")
-    rep = ScenarioReport("E4", cfg.config_hash,
-                         ["N", "seed", "config", "kuiper_V", "kuiper_p",
-                          "median_radius", "exit_fraction"])
-    seed = cfg.getint("run.seed", 1234)
-    M = cfg.getint("run.M", 2000)
-    Ns = cfg.getlist_int("run.N", [200, 400])
+    rep = _report(cfg, ["N", "seed", "config", "kuiper_V", "kuiper_p", "median_radius",
+                        "exit_fraction"])
     grid = build_grid(cfg, spec)
     _check_domain(grid, target)
 
-    normals = _path_normals(seed, M, max(Ns) + _sim_steps(spec.T), spec.dim)
-    ps, medians = [], []
-    for N in Ns:
-        ens = simulate_ensemble(_field_for(spec, grid, cfg, N=N), spec, M=M, seed=seed,
-                                normals=normals)
-        _note_exits(rep, ens, f"N={N}")
+    def measure(ens):
         mT = ens.terminal
-        angles = np.arctan2(mT[:, 1], mT[:, 0])
-        V, p = kuiper_uniformity(angles)
-        med = float(np.median(np.linalg.norm(mT, axis=1)))
-        ps.append(p)
-        medians.append(med)
-        rep.add_row(N=N, seed=seed, config=cfg.config_hash, kuiper_V=V,
-                    kuiper_p=p, median_radius=med, exit_fraction=ens.exit_fraction)
-        del ens, mT
+        V, p = kuiper_uniformity(np.arctan2(mT[:, 1], mT[:, 0]))
+        return {"kuiper_V": V, "kuiper_p": p,
+                "median_radius": float(np.median(np.linalg.norm(mT, axis=1)))}
 
+    _sweep(rep, cfg, grid, cfg.getint("run.M", 2000), "N", cfg.getlist_int("run.N", [200, 400]),
+           measure)
+    ps, medians = rep.column("kuiper_p"), rep.column("median_radius")
     rep.verdict("terminal angle uniform (Kuiper, 1% level) at every N",
                 all(p > 0.01 for p in ps), f"p-values {['%.3g' % p for p in ps]}")
     rep.verdict("median terminal radius near the selected ring",
@@ -516,39 +510,29 @@ def run_E5_common_noise(cfg: ScenarioConfig) -> ScenarioReport:
         raise ConfigError("run.eps must be strictly decreasing")
     spec = cfg.spec
     symmetric = spec.even_data and not np.any(spec.nu0 != 0.0)
-    rep = ScenarioReport("E5", cfg.config_hash,
-                         ["eps", "seed", "config", "freq_pos", "w1", "mean_T",
-                          "var_T", "exit_fraction"])
-    seed = cfg.getint("run.seed", 1234)
+    rep = _report(cfg, ["eps", "seed", "config", "freq_pos", "w1", "mean_T", "var_T",
+                        "exit_fraction"])
     M = cfg.getint("run.M", 2000)
     grid = build_grid(cfg, spec)
     atom = _target_atom(cfg)
     if symmetric and atom is not None:
         _check_domain(grid, atom)
 
-    normals = _path_normals(seed, M, _sim_steps(spec.T), spec.dim)
-    freqs, variances = [], []
-    for eps in eps_list:
-        ens = simulate_ensemble(_field_for(spec, grid, cfg, eps=eps), spec, M=M, seed=seed,
-                                normals=normals)
-        _note_exits(rep, ens, f"eps={eps}")
+    def measure(ens):
         mT = ens.terminal[:, 0]
-        pos, se = _sign_stats(mT)
         w1 = (wasserstein1_1d(mT, [-atom, atom], [0.5, 0.5])
               if (symmetric and atom is not None) else "")
-        freqs.append(pos)
-        variances.append(float(mT.var()))
-        rep.add_row(eps=eps, seed=seed, config=cfg.config_hash, freq_pos=pos,
-                    w1=w1, mean_T=float(mT.mean()), var_T=variances[-1],
-                    exit_fraction=ens.exit_fraction)
-        del ens, mT
+        return {"freq_pos": _sign_stats(mT)[0], "w1": w1, "mean_T": float(mT.mean()),
+                "var_T": float(mT.var())}
 
+    _sweep(rep, cfg, grid, M, "eps", eps_list, measure)
     if symmetric:
-        band = _sign_band(cfg, se)
+        freqs, band = rep.column("freq_pos"), _sign_band(cfg, M)
         rep.verdict("sign frequency in 0.5 band at every eps",
                     all(abs(p - 0.5) <= band for p in freqs),
                     f"freqs {['%.3f' % p for p in freqs]} band ±{band:.3f}")
     else:
+        variances = rep.column("var_T")
         rep.verdict("terminal variance strictly decreasing in eps",
                     all(b < a for a, b in zip(variances, variances[1:])),
                     f"variances {['%.3g' % v for v in variances]}")
@@ -558,10 +542,8 @@ def run_E5_common_noise(cfg: ScenarioConfig) -> ScenarioReport:
 def run_E6_field_convergence(cfg: ScenarioConfig) -> ScenarioReport:
     """Field values converge to the value-function gradient where it exists."""
     spec = cfg.spec
-    rep = ScenarioReport("E6", cfg.config_hash,
-                         ["N", "seed", "config", "probe", "field_value",
-                          "gradient_estimate", "gap"])
-    seed = cfg.getint("run.seed", 1234)
+    rep = _report(cfg, ["N", "seed", "config", "probe", "field_value", "gradient_estimate",
+                        "gap"])
     Ns = cfg.getlist_int("run.N", [25, 100, 400])
     grid = build_grid(cfg, spec)
     nu0 = cfg.getfloat("probe.nu0", 0.5)
@@ -577,14 +559,11 @@ def run_E6_field_convergence(cfg: ScenarioConfig) -> ScenarioReport:
         return rep
     D = float(probe["central"][0])
 
-    gaps = []
     for N in Ns:
-        fld = _field_for(spec, grid, cfg, N=N)
+        fld = field_for(cfg, grid, N=N)
         uval = float(fld.evaluate(0.0, point)[0])
-        gap = abs(uval - D)
-        gaps.append(gap)
-        rep.add_row(N=N, seed=seed, config=cfg.config_hash, probe=nu0,
-                    field_value=uval, gradient_estimate=D, gap=gap)
+        rep.add_row(N=N, probe=nu0, field_value=uval, gradient_estimate=D, gap=abs(uval - D))
+    gaps = rep.column("gap")
 
     tol = cfg.getfloat("verdict.tol", 5e-2)
     rep.verdict("gap decreasing in N", gaps == sorted(gaps, reverse=True),
@@ -595,8 +574,7 @@ def run_E6_field_convergence(cfg: ScenarioConfig) -> ScenarioReport:
     if spec.even_data:
         # fld is the field of the largest N
         center = float(np.max(np.abs(fld.evaluate(0.0, np.zeros(spec.dim)))))
-        rep.add_row(N=Ns[-1], seed=seed, config=cfg.config_hash, probe=0.0,
-                    field_value=center, gradient_estimate="", gap="")
+        rep.add_row(N=Ns[-1], probe=0.0, field_value=center)
         rep.verdict("field vanishes exactly at the symmetric kink", center == 0.0,
                     f"u(0,0) = {center}")
         rep.notes.append("at 0 the one-sided slopes are ±a-hat; the field sits at 0")

@@ -25,6 +25,8 @@ numpy is the only dependency.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -535,9 +537,12 @@ def load_field_binary(path: str) -> DecouplingField:
         grid = SpaceGrid(axes)
         tgrid = TimeGrid(t0, T, steps)
         shape = (steps + 1,) + grid.shape + (dim,)
-        values = np.frombuffer(read(8 * int(np.prod(shape))), dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise InvalidInput(f"{path} has bytes past its {int(np.prod(shape))} field values")
+        # checked before reading: a header may count more values than memory holds
+        size, left = 8 * math.prod(shape), os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != left:
+            raise InvalidInput(f"{path} holds {left} bytes of field values, "
+                               f"its header counts {size}")
+        values = np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).copy()
     meta = {"kind": "nplayer" if kind_flag == 0 else "common-noise", "model": model}
     if kind_flag == 0:
         meta["N"] = int(param)

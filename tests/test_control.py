@@ -228,6 +228,26 @@ class TestBatchedShooting:
         assert len(integrations) < sset.starts
 
 
+class TestSolveEach:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_singular_systems_read_nan(self, d):
+        # zero, rank-1 and regular systems in one stack, against one
+        # np.linalg.solve per system (NaN where it refuses the system)
+        rng = np.random.default_rng(7)
+        rank1 = np.array([[1.0, 2.0], [2.0, 4.0]]) if d == 2 else np.zeros((1, 1))
+        singular = [np.zeros((d, d)), rank1]
+        jac = np.stack(singular + list(rng.normal(size=(5, d, d))) + singular[::-1])
+        rhs = rng.normal(size=(len(jac), d))
+        got = control._solve_each(jac, rhs)
+        for j, r, x in zip(jac, rhs, got):
+            try:
+                want = np.linalg.solve(j, r)
+            except np.linalg.LinAlgError:
+                want = np.full(d, np.nan)
+            assert np.array_equal(x, want, equal_nan=True)
+        assert np.isnan(got[[0, 1, -2, -1]]).all() and np.isfinite(got[2:-2]).all()
+
+
 class TestValueFunction:
     def test_pure_lq(self):
         spec = model(make_zero(1), make_zero(1), nu0=0.7)

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from mfglab.experiments import (
     replay_row,
     run_scenario,
 )
-from mfglab.field import DecouplingField, save_field_binary
+from mfglab.field import DecouplingField, load_field_binary, save_field_binary, stable_time_grid
 from mfglab.numerics import SpaceGrid, TimeGrid
 
 E2_SMALL = """
@@ -87,6 +88,15 @@ class TestConfig:
         # validation builds the spec once and keeps it out of comparisons
         assert cfg.spec.g.name == spec.g.name
         assert cfg == ScenarioConfig.from_text("scenario = E2\n")
+
+    def test_linear_spread_over_axes(self):
+        # a scalar model.linear is the same coefficient on every axis, as
+        # model.nu0 is; in 2-d it used to fail the dimension check
+        spec = ScenarioConfig.from_text("scenario = E1\nmodel.dim = 2\nmodel.linear = 0.5\n").spec
+        assert spec.g.quad_coeffs[1].tolist() == [0.5, 0.5]
+        spec1 = ScenarioConfig.from_text("scenario = E1\nmodel.linear = 0.5\n").spec
+        assert spec1.g.name == "quadratic(c=1.0,kappa=[0.5])"
+        assert ScenarioConfig.from_text("scenario = E1\n").spec.g.name == "quadratic(c=1.0)"
 
     def test_build_grid_symmetric(self):
         cfg = ScenarioConfig.from_text(E2_SMALL)
@@ -202,10 +212,11 @@ class TestReports:
         wide = run_scenario(ScenarioConfig.from_text(small.replace("grid.L = 2.0", "grid.L = 4.0")))
         assert not any(n.startswith("domain too small") for n in wide.notes)
 
-    @pytest.mark.parametrize("scenario", ["E1", "E2", "E5"])
+    @pytest.mark.parametrize("scenario", ["E1", "E2", "E3", "E4", "E5", "E6"])
     def test_seeded_report_bytes_unchanged(self, tmp_path, scenario):
-        # recorded while every ensemble still drew its own per-path streams;
-        # the shared per-scenario normals must reproduce them byte for byte
+        # E1, E2 and E5 recorded while every ensemble still drew its own
+        # per-path streams, E3, E4 and E6 before the scenarios shared one
+        # sweep; the current code must reproduce them byte for byte
         out = tmp_path / "report.csv"
         run_scenario(ScenarioConfig.from_text(GOLDEN_CONFIG.format(scenario))).write_csv(str(out))
         assert out.read_bytes() == (GOLDEN / f"{scenario}_seed5.csv").read_bytes()
@@ -270,6 +281,29 @@ class TestComputedOnce:
         ((seed, M, rows, d),) = draws
         assert (seed, M, d) == (5, 100, 1)
         assert rows == {"E1": 40, "E2": 100, "E5": 0}[scenario] + 1000
+
+    @pytest.mark.parametrize("scenario, calls", [("E1", 4), ("E2", 4), ("E4", 2), ("E5", 4)])
+    def test_one_ensemble_alive_at_a_time(self, monkeypatch, scenario, calls):
+        # an E4 ensemble's paths are 32 MB at the defaults: each is dropped
+        # before the next field is solved
+        ensembles, seen = [], []
+
+        def entered(name):
+            original = getattr(experiments, name)
+
+            def wrapper(*args, **kwargs):
+                seen.append((name, [ref() is not None for ref in ensembles]))
+                out = original(*args, **kwargs)
+                if name == "simulate_ensemble":
+                    ensembles.append(weakref.ref(out))
+                return out
+            monkeypatch.setattr(experiments, name, wrapper)
+
+        entered("solve_field")
+        entered("simulate_ensemble")
+        run_scenario(ScenarioConfig.from_text(GOLDEN_CONFIG.format(scenario)))
+        assert [name for name, _ in seen] == ["solve_field", "simulate_ensemble"] * calls
+        assert not any(any(alive) for _, alive in seen)
 
     def test_e3_solves_riccati_once(self, monkeypatch):
         solves = count_calls(monkeypatch, "delarue_riccati", numerics, potentials, experiments)
@@ -398,6 +432,19 @@ class TestCli:
         assert cli_main(["field", "export", binp, "--out", csvp]) == 0
         assert open(csvp).readline().strip() == "m1,u1"
 
+    def test_field_solve_reads_safety(self, tmp_path, capsys):
+        # field solve used to step at the default safety whatever grid.safety said
+        text = "scenario = E2\ngrid.nodes = 41\ngrid.safety = 0.3\n"
+        cfg = ScenarioConfig.from_text(text)
+        grid = build_grid(cfg, cfg.spec)
+        steps = stable_time_grid(cfg.spec, grid, N=25, safety=0.3).steps
+        assert steps != stable_time_grid(cfg.spec, grid, N=25).steps
+        binp = str(tmp_path / "f.bin")
+        assert cli_main(["field", "solve", self.write(tmp_path, text), "--N", "25",
+                         "--out", binp]) == 0
+        assert f"({steps} levels" in capsys.readouterr().out
+        assert load_field_binary(binp).tgrid.steps == steps
+
     def test_field_export_truncated_exit_one(self, tmp_path, capsys):
         cfg = self.write(tmp_path, E2_SMALL)
         binp = tmp_path / "f.bin"
@@ -412,6 +459,8 @@ class TestCli:
         ("scenario = E2\n", ["field", "solve", "{cfg}", "--N", "0", "--out", "{dir}/f.bin"]),
         ("scenario = E6\nprobe.h = 0\n", ["run", "{cfg}", "--out-dir", "{dir}"]),
         ("scenario = E2\ngrid.safety = 0\n", ["run", "{cfg}", "--out-dir", "{dir}"]),
+        ("scenario = E2\ngrid.safety = 0\n", ["field", "solve", "{cfg}", "--N", "25",
+                                               "--out", "{dir}/f.bin"]),
         ("scenario = E2\n", ["field", "export", "{bin}", "--time-index", "100000",
                              "--out", "{dir}/f.csv"]),
         ("scenario = E2\n", ["field", "export", "{bin}", "--time-index", "-1",
@@ -426,9 +475,10 @@ class TestCli:
         # a non-finite --nu0 used to run a whole failing enumeration first
         ("scenario = E2\n", ["oc-value", "{cfg}", "--nu0", "nan"]),
         ("scenario = E2\n", ["oc-value", "{cfg}", "--nu0", "inf"]),
-    ], ids=["run-N-0", "solve-N-0", "probe-h-0", "safety-0", "index-past-end",
-            "index-negative", "sigma-nan", "sigma-inf", "kappa-nan", "eps-list-nan",
-            "solve-eps-nan", "solve-eps-inf", "oc-value-nu0-nan", "oc-value-nu0-inf"])
+    ], ids=["run-N-0", "solve-N-0", "probe-h-0", "safety-0", "solve-safety-0",
+            "index-past-end", "index-negative", "sigma-nan", "sigma-inf", "kappa-nan",
+            "eps-list-nan", "solve-eps-nan", "solve-eps-inf", "oc-value-nu0-nan",
+            "oc-value-nu0-inf"])
     def test_bad_numbers_exit_one(self, tmp_path, capsys, config, argv):
         binp = str(tmp_path / "tiny.bin")
         save_field_binary(DecouplingField(SpaceGrid.symmetric(1.0, 3, 1), TimeGrid(0.0, 1.0, 2),

@@ -749,6 +749,22 @@ class TestExport:
             with pytest.raises(InvalidInput):
                 load_field_binary(str(path))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_binary_rejects_header_past_file(self, tmp_path, dim):
+        # 2e9 nodes per axis: the size check comes before any read, so the
+        # values the header counts are never allocated
+        grid = SpaceGrid.symmetric(1.0, 3, dim)
+        fld = DecouplingField(grid, TimeGrid(0.0, 1.0, 2), np.zeros((3,) + grid.shape + (dim,)),
+                              {"kind": "nplayer", "N": 10})
+        path = tmp_path / "field.bin"
+        save_field_binary(fld, str(path))
+        data = bytearray(path.read_bytes())
+        for k in range(dim):    # the node count closes axis record k
+            struct.pack_into("<i", data, 9 + 20 * k + 16, 2_000_000_000)
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidInput, match="header counts"):
+            load_field_binary(str(path))
+
     def test_csv_slice(self, tmp_path):
         fld = solve(logcosh_spec(), N=50)
         path = str(tmp_path / "slice.csv")
