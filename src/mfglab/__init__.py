@@ -16,7 +16,6 @@ from .control import (
 from .errors import (
     CflViolation,
     ConfigError,
-    IntegrationDiverged,
     InvalidInput,
     InvalidOracle,
     InvalidParameter,

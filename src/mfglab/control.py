@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrationDiverged, InvalidParameter, InvalidReduction, NoStationaryPoint
+from .errors import InvalidParameter, InvalidReduction, NoStationaryPoint
 from .numerics import TimeGrid, integrate_ode
 from .potentials import ModelSpec
 
@@ -107,22 +107,16 @@ def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
         return np.concatenate([-eta, -(m + spec.f.gradient(m))], axis=1)
 
     def residual(rows, e0):
-        """Terminal residuals, trajectories and finite flags of the starts `rows` from e0."""
-        n = len(e0)
-        try:
-            traj = integrate_ode(rhs, np.concatenate([nu0[rows], e0], axis=1), grid)
-        except IntegrationDiverged:
-            if n == 1:
-                return (np.full((1, d), np.nan), np.full((grid.steps + 1, 1, 2 * d), np.nan),
-                        np.array([False]))
-            # integrate each half again to keep the rows that stay finite
-            lo, hi = residual(rows[:n // 2], e0[:n // 2]), residual(rows[n // 2:], e0[n // 2:])
-            return tuple(np.concatenate(p, axis=ax) for p, ax in zip(zip(lo, hi), (0, 1, 0)))
+        """Terminal residuals and trajectories of the starts `rows` from e0; the
+        residual of a start whose integration overflows is not finite."""
+        traj = integrate_ode(rhs, np.concatenate([nu0[rows], e0], axis=1), grid)
         mT, etaT = traj[-1, :, :d], traj[-1, :, d:]
-        return etaT - (mT + spec.g.gradient(mT)), traj, np.ones(n, dtype=bool)
+        with np.errstate(invalid="ignore"):     # inf - inf in g's gradient of such a row
+            return etaT - (mT + spec.g.gradient(mT)), traj
 
     eta0 = starts.copy()
-    res, traj, alive = residual(np.arange(S), eta0)
+    res, traj = residual(np.arange(S), eta0)
+    alive = np.isfinite(res).all(axis=1)
     converged = np.zeros(S, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
         nrm = np.linalg.norm(res, axis=1)
@@ -131,21 +125,22 @@ def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
         if act.size == 0:
             break
         # probe j of a start moves component j of its eta0 by FD_STEP
-        res_p, _, ok = residual(np.repeat(act, d),
-                                (eta0[act, None] + FD_STEP * np.eye(d)).reshape(-1, d))
+        res_p, _ = residual(np.repeat(act, d),
+                            (eta0[act, None] + FD_STEP * np.eye(d)).reshape(-1, d))
         jac = np.swapaxes(res_p.reshape(-1, d, d) - res[act, None], 1, 2) / FD_STEP
         step = _solve_each(jac, -res[act])
-        # a diverged probe or a singular Jacobian fails the start, and so does
+        # a non-finite probe or a singular Jacobian fails the start, and so does
         # a non-finite step, which leaves every candidate non-finite
-        ok = ok.reshape(-1, d).all(axis=1) & np.all(np.isfinite(step), axis=1)
+        ok = np.isfinite(res_p).reshape(-1, d * d).all(axis=1) & np.isfinite(step).all(axis=1)
         alive[act[~ok]] = False
         act, step = act[ok], step[ok]
         lam, todo = np.ones(act.size), np.arange(act.size)
         while todo.size:
             s = act[todo]
             cand = eta0[s] + lam[todo, None] * step[todo]
-            res_c, traj_c, ok = residual(s, cand)
-            ok &= np.linalg.norm(res_c, axis=1) < nrm[s]
+            res_c, traj_c = residual(s, cand)
+            # a non-finite residual norm is never below nrm
+            ok = np.linalg.norm(res_c, axis=1) < nrm[s]
             eta0[s[ok]], res[s[ok]], traj[:, s[ok]] = cand[ok], res_c[ok], traj_c[:, ok]
             lam[todo] *= 0.5
             todo = todo[~ok]

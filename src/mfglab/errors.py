@@ -5,14 +5,6 @@ class MfgLabError(Exception):
     pass
 
 
-class IntegrationDiverged(MfgLabError):
-    """ODE state became non-finite; carries the time of blow-up."""
-
-    def __init__(self, t):
-        self.t = t
-        super().__init__(f"integration diverged at t={t:.6g}")
-
-
 class RiccatiEscape(MfgLabError):
     """Riccati solution blew up before reaching the initial time."""
 

@@ -157,6 +157,12 @@ class ScenarioConfig:
         M = self.getint("run.M", 2000)
         if self.scenario in ("E2", "E4", "E5") and M < 100:
             raise ConfigError("statistical scenarios need run.M >= 100")
+        # keys the runners read only late, parsed here so a bad one fails before any solve
+        for key in ("verdict.band", "verdict.tol", "grid.safety", "probe.nu0", "probe.h"):
+            self.getfloat(key, 0.0)
+        self.getint("run.N_select", 100)
+        if self.get("run.selection", "on") not in ("on", "off"):
+            raise ConfigError(f"run.selection must be on or off, got {self.get('run.selection')!r}")
         object.__setattr__(self, "spec", build_spec(self))
 
 
@@ -200,8 +206,11 @@ def build_spec(cfg: ScenarioConfig) -> ModelSpec:
 
 
 def build_grid(cfg: ScenarioConfig, spec: ModelSpec) -> SpaceGrid:
-    L = cfg.getfloat("grid.L", default_domain_halfwidth(spec))
-    n = cfg.getint("grid.nodes", 201)
+    """Symmetric grid of grid.L and grid.nodes, by default [-2, 2] at 1601
+    nodes for E3's selection run and default_domain_halfwidth at 201 else."""
+    e3 = cfg.scenario == "E3"
+    L = cfg.getfloat("grid.L", 2.0 if e3 else default_domain_halfwidth(spec))
+    n = cfg.getint("grid.nodes", 1601 if e3 else 201)
     return SpaceGrid.symmetric(L, n, spec.dim)
 
 
@@ -365,9 +374,10 @@ def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
                      cfg.getlist_int("run.N", [10, 100, 1000]), measure)
     errors = rep.column("sup_mean_error")
 
-    # noise-off deterministic run, the N -> infinity analogue
+    # noise-off deterministic run, the N -> infinity analogue: a common-noise
+    # path starts at nu0, and zero normals drive it without noise
     ens_inf = simulate_ensemble(field_for(cfg, grid, eps=1e-3), spec, M=1, seed=rep.seed,
-                                noise_off=True, m0_override=spec.nu0, normals=normals[:1])
+                                normals=np.zeros_like(normals[:1]))
     _note_exits(rep, ens_inf, "N=inf")
     err_inf = float(np.max(np.abs(ens_inf.paths[0] - ref)))
     rep.add_row(N="inf", sup_mean_error=err_inf, mean_T=float(ens_inf.terminal.mean()),
@@ -459,9 +469,8 @@ def run_E3_delarue(cfg: ScenarioConfig) -> ScenarioReport:
     if cfg.get("run.selection", "on") != "off":
         N = cfg.getint("run.N_select", 100)
         M = cfg.getint("run.M", 500)
-        grid = SpaceGrid.symmetric(cfg.getfloat("grid.L", 2.0),
-                                   cfg.getint("grid.nodes", 1601), 1)
-        ens = simulate_ensemble(field_for(cfg, grid, N=N), spec, M=M, seed=rep.seed)
+        ens = simulate_ensemble(field_for(cfg, build_grid(cfg, spec), N=N), spec, M=M,
+                                seed=rep.seed)
         _note_exits(rep, ens, f"N={N}")
         pos, _ = _sign_stats(ens.terminal[:, 0])
         band = _sign_band(cfg, M)

@@ -434,36 +434,35 @@ def _path_normals(seed: int, M: int, rows: int, d: int) -> np.ndarray:
 
 
 def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
-                      noise_off: bool = False, m0_override=None,
                       normals: np.ndarray = None) -> PathEnsemble:
     """Euler-Maruyama ensemble of the mean process driven by the field.
 
     Path p reads row p of `normals` (M, rows, d), drawn from the stream
     RngStream(seed, p): for the N-player variant its first N rows are the
     initial states nu0 + clip(z, ±6), whose mean is m_0, the next its increments;
-    common noise and m0_override read increments only.  A scenario draws the
-    normals once, sized for its largest N, and passes them to each ensemble;
-    without them the call draws the rows it needs.  So a path depends on
-    (seed, p) alone, not on scheduling.  States are clamped to the field's
-    domain; the fraction of paths that ever exited is reported (> 1% earns a
-    domain-too-small flag).
+    a common-noise path starts at nu0 and reads increments only.  Zero normals
+    give the deterministic path.  A scenario draws the normals once, sized for
+    its largest N, and passes them to each ensemble; without them the call
+    draws the rows it needs.  So a path depends on (seed, p) alone, not on
+    scheduling.  States are clamped to the field's domain; the fraction of
+    paths that ever exited is reported (> 1% earns a domain-too-small flag).
     """
     if M < 1:
         raise InvalidParameter("need at least one path")
     meta = fld.metadata
-    noise_scale = 0.0 if noise_off else meta.get("noise_scale")
+    noise_scale = meta.get("noise_scale")
     if noise_scale is None:
         raise InvalidInput("the field carries no noise scale (a field loaded from a "
-                           "version 1 binary file does not); only a noise_off ensemble can use it")
+                           "version 1 binary file does not), so it drives no ensemble")
     d = spec.dim
     tg = TimeGrid(fld.tgrid.t0, fld.tgrid.T, _sim_steps(fld.tgrid.T - fld.tgrid.t0))
     dt, sq = tg.dt, np.sqrt(tg.dt)
-    n0 = meta["N"] if m0_override is None and meta.get("kind", "nplayer") == "nplayer" else 0
+    n0 = meta["N"] if meta.get("kind", "nplayer") == "nplayer" else 0
     z = _path_normals(seed, M, n0 + tg.steps, d) if normals is None else normals
     if z.ndim != 3 or z.shape[::2] != (M, d) or z.shape[1] < n0 + tg.steps:
         raise InvalidParameter(f"normals must be ({M}, >= {n0 + tg.steps}, {d}), got {z.shape}")
     m0 = np.empty((M, d))
-    m0[:] = spec.nu0 if m0_override is None else m0_override
+    m0[:] = spec.nu0
     if n0:      # in chunks of paths, which bound the temporary; z is never written
         for lo in range(0, M, 256):
             m0[lo:lo + 256] = (spec.nu0 + np.clip(z[lo:lo + 256, :n0], -6.0, 6.0)).mean(axis=1)

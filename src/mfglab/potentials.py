@@ -261,15 +261,16 @@ def make_delarue_terminal(b: float, T: float, delta: float,
     return _with(p, r_delta=r, rho=rho, riccati_grid=grid, w=w)
 
 
-def make_radial_terminal(gt, gt_p, gt_pp, dim: int, name: str = "radial",
-                         probe_radius: float = 6.0) -> Potential:
-    """g(m) = gt(|m|) for an elementwise array profile gt with gt'(0) = 0.
+def make_radial_logcosh(kappa: float, dim: int) -> Potential:
+    """g(m) = -kappa log cosh |m|, the log-cosh terminal as a radial potential.
 
-    The gradient gt'(|m|) m/|m| has a removable singularity at the origin and
-    the Hessian limit there is gt''(0) I.
+    The gradient -kappa tanh(|m|) m/|m| has a removable singularity at the
+    origin, where tanh 0 = 0 makes it continuous; the Hessian limit there is
+    -kappa I.
     """
-    if abs(gt_p(0.0)) > 1e-12:
-        raise InvalidParameter("radial profile needs gt'(0) = 0 for a continuous gradient")
+    if not 2 < kappa < math.inf:
+        raise InvalidParameter(f"radial logcosh needs finite kappa > 2, got {kappa}")
+    gt, gt_p, gt_pp = _logcosh_profile(kappa)
     I = np.eye(dim)
 
     def norm(m):
@@ -292,15 +293,8 @@ def make_radial_terminal(gt, gt_p, gt_pp, dim: int, name: str = "radial",
         H = gt_pp(rr) * P + (gt_p(rr) / rr) * (I - P)
         return np.where(near, gt_pp(0.0) * I, H)
 
-    return _build(name, dim, value, gradient, hessian, probe_radius, even=True)
-
-
-def make_radial_logcosh(kappa: float, dim: int) -> Potential:
-    if not 2 < kappa < math.inf:
-        raise InvalidParameter(f"radial logcosh needs finite kappa > 2, got {kappa}")
-    return _with(make_radial_terminal(*_logcosh_profile(kappa), dim,
-                                      name=f"radial_logcosh(kappa={kappa},d={dim})"),
-                 kappa=kappa)
+    return _with(_build(f"radial_logcosh(kappa={kappa},d={dim})", dim, value, gradient,
+                        hessian, probe_radius=6.0, even=True), kappa=kappa)
 
 
 def from_name(name: str, dim: int = 1, **params) -> Potential:

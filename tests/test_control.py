@@ -17,12 +17,7 @@ from mfglab.control import (
     symmetric_minimizer_root,
     value_function,
 )
-from mfglab.errors import (
-    IntegrationDiverged,
-    InvalidParameter,
-    InvalidReduction,
-    NoStationaryPoint,
-)
+from mfglab.errors import InvalidParameter, InvalidReduction, NoStationaryPoint
 from mfglab.potentials import (
     ModelSpec,
     make_delarue_terminal,
@@ -177,17 +172,14 @@ def assert_same_solutions(a, b):
 
 @pytest.fixture
 def integrations(monkeypatch):
-    """(rows, diverged) of each integrate_ode call that control makes."""
+    """(rows, diverged) of each integrate_ode call that control makes; a call
+    diverged when its last state is not finite."""
     calls = []
     inner = control.integrate_ode
 
     def integrate(rhs, x0, grid, *args, **kwargs):
-        try:
-            out = inner(rhs, x0, grid, *args, **kwargs)
-        except IntegrationDiverged:
-            calls.append((len(x0), True))
-            raise
-        calls.append((len(x0), False))
+        out = inner(rhs, x0, grid, *args, **kwargs)
+        calls.append((len(x0), not np.isfinite(out[-1]).all()))
         return out
 
     monkeypatch.setattr(control, "integrate_ode", integrate)
@@ -218,6 +210,20 @@ class TestBatchedShooting:
         integrations.clear()
         sset = enumerate_stationary(spec, 0.0, [nu0], start_grid=grown, steps_per_unit=250)
         assert integrations[0] == (len(grown), True)
+        assert_same_solutions(sset.solutions, base.solutions)
+        assert (sset.starts, sset.failed) == (base.starts + 2, base.failed + 2)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("spec, nu0", [(logcosh_model(nu0=0.5), 0.5), (delarue_model(), 0.0)])
+    def test_diverging_start_costs_no_integration(self, spec, nu0, integrations):
+        # a start that overflows fails inside the batch's own integrations
+        starts = default_start_grid(spec, [nu0])
+        base = enumerate_stationary(spec, 0.0, [nu0], start_grid=starts, steps_per_unit=250)
+        calls = len(integrations)
+        integrations.clear()
+        sset = enumerate_stationary(spec, 0.0, [nu0], start_grid=np.vstack(
+            [starts, [[1e300], [1e308]]]), steps_per_unit=250)
+        assert len(integrations) == calls
         assert_same_solutions(sset.solutions, base.solutions)
         assert (sset.starts, sset.failed) == (base.starts + 2, base.failed + 2)
 

@@ -126,6 +126,16 @@ class TestConfig:
             with pytest.raises(ConfigError, match=re.escape(key.split()[0])):
                 ScenarioConfig.from_text(f"scenario = {scenario}\n{key}\n")
 
+    @pytest.mark.parametrize("scenario, key, value", [
+        ("E2", "verdict.band", "abc"), ("E6", "verdict.tol", "x"), ("E3", "run.N_select", "1.5"),
+        ("E2", "grid.safety", "0.5 0.9"), ("E6", "probe.nu0", "nan"), ("E6", "probe.h", "small"),
+        ("E3", "run.selection", "no")])
+    def test_late_key_rejected_at_parse(self, scenario, key, value):
+        # these keys used to be parsed only when a runner reached them, after
+        # its solves, or (run.selection) never checked at all
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            ScenarioConfig.from_text(f"scenario = {scenario}\n{key} = {value}\n")
+
     def test_empty_list_rejected(self):
         for key in ("run.N", "run.eps"):
             with pytest.raises(ConfigError, match=re.escape(key)):
@@ -444,6 +454,21 @@ class TestCli:
                          "--out", binp]) == 0
         assert f"({steps} levels" in capsys.readouterr().out
         assert load_field_binary(binp).tgrid.steps == steps
+
+    def test_field_solve_writes_the_run_field(self, tmp_path, capsys, monkeypatch):
+        # E3's selection run solves on [-2, 2] at 1601 nodes; field solve used
+        # to write E3's field on the 201-node grid of the other scenarios
+        text = "scenario = E3\nrun.M = 100\nrun.N_select = 400\n"
+        ensembles = count_calls(monkeypatch, "simulate_ensemble", experiments)
+        run_scenario(ScenarioConfig.from_text(text))
+        (args,) = ensembles
+        assert args[0].grid.shape == (1601,)
+        ref, binp = str(tmp_path / "run.bin"), str(tmp_path / "f.bin")
+        save_field_binary(args[0], ref)
+        assert cli_main(["field", "solve", self.write(tmp_path, text), "--N", "400",
+                         "--out", binp]) == 0
+        assert "grid (1601,)" in capsys.readouterr().out
+        assert Path(binp).read_bytes() == Path(ref).read_bytes()
 
     def test_field_export_truncated_exit_one(self, tmp_path, capsys):
         cfg = self.write(tmp_path, E2_SMALL)

@@ -72,6 +72,12 @@ def solve(spec, grid=GRID, N=None, eps=None):
     return solve_field(spec, grid, tg, N=N, eps=eps)
 
 
+def zero_normals(fld, M=1):
+    """Normals that drive M paths of fld without noise, each from nu0."""
+    n0 = fld.metadata["N"] if fld.metadata["kind"] == "nplayer" else 0
+    return np.zeros((M, n0 + _sim_steps(fld.tgrid.T - fld.tgrid.t0), fld.grid.dim))
+
+
 def full_values(fld):
     """The field's levels on the whole grid, stacked: (steps+1, *grid.shape, d)."""
     return np.stack([fld.level(k) for k in range(fld.tgrid.steps + 1)])
@@ -553,14 +559,15 @@ class TestSimulate:
 
     def test_normals_shape_checked(self):
         spec = logcosh_spec()
-        fld = solve(spec, grid=SpaceGrid.symmetric(4.0, 41, 1), N=20)
+        grid = SpaceGrid.symmetric(4.0, 41, 1)
+        fld = solve(spec, grid=grid, N=20)
         rows = 20 + _sim_steps(spec.T)
         for shape in ((4, rows - 1, 1), (4, rows, 2), (5, rows, 1), (4, rows)):
             with pytest.raises(InvalidParameter):
                 simulate_ensemble(fld, spec, M=4, seed=0, normals=np.zeros(shape))
-        # increments only: common noise and m0_override read no initial rows
+        # increments only: a common-noise field reads no initial rows
         steps = np.zeros((4, rows - 20, 1))
-        simulate_ensemble(fld, spec, M=4, seed=0, m0_override=[0.0], normals=steps)
+        simulate_ensemble(solve(spec, grid=grid, eps=0.5), spec, M=4, seed=0, normals=steps)
         with pytest.raises(InvalidParameter):
             simulate_ensemble(fld, spec, M=4, seed=0, normals=steps)
 
@@ -585,8 +592,7 @@ class TestSimulate:
     def test_noise_off_matches_shooting(self):
         spec = logcosh_spec(nu0=0.5)
         fld = solve(spec, N=400)
-        ens = simulate_ensemble(fld, spec, M=1, seed=0, noise_off=True,
-                                m0_override=[0.5])
+        ens = simulate_ensemble(fld, spec, M=1, seed=0, normals=zero_normals(fld))
         sol = shoot(spec, 0.0, [0.5], [-2.0])
         ref = np.interp(ens.tgrid.nodes, sol.grid.nodes, sol.m[:, 0])
         assert np.max(np.abs(ens.paths[0, :, 0] - ref)) < 2e-2
@@ -616,8 +622,8 @@ class TestSimulate:
 
     def test_initial_exit_counted(self):
         fld = solve(logcosh_spec(), N=50)
-        ens = simulate_ensemble(fld, logcosh_spec(), M=4, seed=0,
-                                m0_override=[4.5], noise_off=True)
+        ens = simulate_ensemble(fld, logcosh_spec(nu0=4.5), M=4, seed=0,
+                                normals=zero_normals(fld, M=4))
         assert ens.exit_fraction == 1.0
         assert np.all(ens.paths[:, 0, 0] == 4.0)  # clamped to the boundary
 
@@ -654,8 +660,7 @@ class TestCost:
     def test_zero_everything(self):
         spec = model(make_zero(1), make_zero(1))
         fld = solve(spec, N=10)
-        ens = simulate_ensemble(fld, spec, M=2, seed=0, noise_off=True,
-                                m0_override=[0.0])
+        ens = simulate_ensemble(fld, spec, M=2, seed=0, normals=zero_normals(fld, M=2))
         costs = path_costs(fld, ens, spec)
         assert np.allclose(costs, 0.0, atol=1e-12)
 
@@ -677,8 +682,7 @@ class TestCost:
         from mfglab.control import value_function
         spec = logcosh_spec(nu0=0.5)
         fld = solve(spec, N=4000)
-        ens = simulate_ensemble(fld, spec, M=1, seed=0, noise_off=True,
-                                m0_override=[0.5])
+        ens = simulate_ensemble(fld, spec, M=1, seed=0, normals=zero_normals(fld))
         cost = path_costs(fld, ens, spec)[0]
         v = value_function(spec, 0.0, [0.5], cross_check=False)
         assert abs(cost - v) < 5e-2
@@ -710,16 +714,20 @@ class TestExport:
 
     def test_loaded_field_refuses_noisy_ensemble(self, tmp_path):
         # a version 1 file does not store the noise scale, so a field loaded
-        # from one must not silently simulate without noise
+        # from one must not silently simulate without noise; it still exports
         spec = logcosh_spec()
+        fld = solve(spec, N=50)
         path = tmp_path / "field.bin"
-        save_field_binary(solve(spec, N=50), str(path))
+        save_field_binary(fld, str(path))
         path.write_bytes(as_v1(path.read_bytes(), dim=1))
         back = load_field_binary(str(path))
         assert back.metadata["N"] == 50 and "noise_scale" not in back.metadata
-        with pytest.raises(InvalidInput):
-            simulate_ensemble(back, spec, M=4, seed=1)
-        assert simulate_ensemble(back, spec, M=4, seed=1, noise_off=True).paths.shape[0] == 4
+        for normals in (None, zero_normals(back, M=4)):
+            with pytest.raises(InvalidInput):
+                simulate_ensemble(back, spec, M=4, seed=1, normals=normals)
+        export_field_csv_slice(back, str(tmp_path / "v1.csv"), time_index=3)
+        export_field_csv_slice(fld, str(tmp_path / "v2.csv"), time_index=3)
+        assert (tmp_path / "v1.csv").read_text() == (tmp_path / "v2.csv").read_text()
 
     def test_binary_rejects_long_file_and_bad_noise(self, tmp_path):
         fld = solve(logcosh_spec(), N=50)

@@ -9,12 +9,7 @@ import pytest
 
 import mfglab
 from mfglab import numerics
-from mfglab.errors import (
-    IntegrationDiverged,
-    InvalidInput,
-    InvalidParameter,
-    RiccatiEscape,
-)
+from mfglab.errors import InvalidInput, InvalidParameter, RiccatiEscape
 from mfglab.experiments import ScenarioConfig
 from mfglab.field import riccati_field_oracle
 from mfglab.numerics import (
@@ -83,18 +78,26 @@ class TestIntegrateOde:
             errs.append(np.linalg.norm(out[-1] - expm(A) @ x0))
         assert errs[0] / errs[1] > 12  # ~16x for a 4th-order method
 
-    def test_divergence_raises(self):
-        with pytest.raises(IntegrationDiverged), np.errstate(over="ignore"):
-            integrate_ode(lambda t, x: x**3, [5.0], TimeGrid(0, 2, 200))
-
-    def test_divergence_node(self):
-        # the first non-finite node, with no overflow warning
+    def test_divergence_spares_other_rows(self):
+        # x' = x^3 from 5 blows up at t = 0.02; that row ends non-finite and
+        # the rows beside it equal their separate integrations
         grid = TimeGrid(0, 2, 200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IntegrationDiverged) as exc:
-                integrate_ode(lambda t, x: x**3, [5.0], grid)
-        assert exc.value.t == grid.nodes[4] == 0.04
+            out = integrate_ode(lambda t, x: x**3, [[5.0], [0.3], [-0.2]], grid)
+        assert not np.isfinite(out[-1, 0]).any()
+        for row, x0 in ((1, 0.3), (2, -0.2)):
+            assert np.array_equal(out[:, row], integrate_ode(lambda t, x: x**3, [x0], grid))
+
+    def test_divergence_node(self):
+        # non-finite from the first node past the blow-up on, with no overflow warning
+        grid = TimeGrid(0, 2, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = integrate_ode(lambda t, x: x**3, [5.0], grid)
+        finite = np.isfinite(out[:, 0])
+        assert finite[:4].all() and not finite[4:].any()
+        assert grid.nodes[4] == 0.04
 
 
 class TestSingleStepper:
