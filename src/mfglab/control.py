@@ -119,7 +119,8 @@ def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
     alive = np.isfinite(res).all(axis=1)
     converged = np.zeros(S, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
-        nrm = np.linalg.norm(res, axis=1)
+        with np.errstate(over="ignore"):    # a norm past 1e308 is inf, and that start fails
+            nrm = np.linalg.norm(res, axis=1)
         converged |= alive & (nrm < NEWTON_TOL)
         act = np.flatnonzero(alive & ~converged)
         if act.size == 0:
@@ -140,7 +141,8 @@ def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
             cand = eta0[s] + lam[todo, None] * step[todo]
             res_c, traj_c = residual(s, cand)
             # a non-finite residual norm is never below nrm
-            ok = np.linalg.norm(res_c, axis=1) < nrm[s]
+            with np.errstate(over="ignore"):
+                ok = np.linalg.norm(res_c, axis=1) < nrm[s]
             eta0[s[ok]], res[s[ok]], traj[:, s[ok]] = cand[ok], res_c[ok], traj_c[:, ok]
             lam[todo] *= 0.5
             todo = todo[~ok]

@@ -154,13 +154,21 @@ class ScenarioConfig:
         Ns = self.getlist_int("run.N", [25, 100, 400])
         if any(b <= a for a, b in zip(Ns, Ns[1:])):
             raise ConfigError("run.N must be strictly increasing")
+        if Ns[0] < 1:
+            raise ConfigError(f"run.N entries must be at least 1, got {Ns[0]}")
+        if min(self.getlist_float("run.eps", [1.0])) <= 0:
+            raise ConfigError("run.eps entries must be positive")
         M = self.getint("run.M", 2000)
         if self.scenario in ("E2", "E4", "E5") and M < 100:
             raise ConfigError("statistical scenarios need run.M >= 100")
         # keys the runners read only late, parsed here so a bad one fails before any solve
-        for key in ("verdict.band", "verdict.tol", "grid.safety", "probe.nu0", "probe.h"):
-            self.getfloat(key, 0.0)
-        self.getint("run.N_select", 100)
+        self.getfloat("probe.nu0", 0.0)
+        for key in ("verdict.band", "verdict.tol", "grid.safety", "probe.h"):
+            if self.getfloat(key, 1.0) <= 0:
+                raise ConfigError(f"{key} must be positive, got {self.get(key)!r}")
+        for key in ("run.M", "run.N_select"):
+            if self.getint(key, 1) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {self.get(key)!r}")
         if self.get("run.selection", "on") not in ("on", "off"):
             raise ConfigError(f"run.selection must be on or off, got {self.get('run.selection')!r}")
         object.__setattr__(self, "spec", build_spec(self))

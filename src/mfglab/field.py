@@ -12,15 +12,16 @@ on a truncated tensor grid with linear-extrapolation ghost nodes: one stencil
 per axis, two coefficient products of one raw difference, gives upwinded
 transport and centered diffusion, and every step writes into buffers
 allocated once per solve.  One implicit-in-diffusion step at the first
-backward level damps terminal-layer roughness; it is solved directly: a
-Thomas sweep in 1-d; in 2-d, 1-d sweeps on the edge lines and fast
-diagonalization of the interior.  2-d evaluation gathers each point's
-corners.  An odd field (even data on a symmetric grid, so u(t, -m) = -u(t, m))
-steps and stores only the first axis's rows up to its center, stepping with a
-reflected ghost row.  Evaluation maps each corner index into the stored half
-and negates the values it reflects, which is exact, so it agrees bit for bit
-with the full field; `DecouplingField.level` unfolds one level on demand.
-numpy is the only dependency.
+backward level damps terminal-layer roughness; it is solved directly, in
+every dimension, by fast diagonalization of the interior in the sine basis,
+the end faces of each axis solved first by the same recursion.  2-d
+evaluation gathers each point's corners.  An odd field (even data on a
+symmetric grid, so u(t, -m) = -u(t, m)) steps and stores only the first
+axis's rows up to its center, stepping with a reflected ghost row.
+Evaluation maps each corner index into the stored half and negates the values
+it reflects, which is exact, so it agrees bit for bit with the full field;
+`DecouplingField.level` unfolds one level on demand.  numpy is the only
+dependency.
 """
 
 from __future__ import annotations
@@ -156,41 +157,15 @@ def _stencil(u: np.ndarray, c: np.ndarray, nu: float, spacings, out: np.ndarray,
         o[1:] += np.multiply(cm, diff, out=prod)
 
 
-def _thomas(rhs: np.ndarray, r: float) -> np.ndarray:
-    """Solve (I - r T) x = rhs along axis 0, T = tridiag(1, -2, 1) with zero end rows.
-
-    The end rows are identity rows, so the interior is a constant-coefficient,
-    diagonally dominant system with the end values on its right-hand side: one
-    Thomas sweep per lane (the other axes), its pivots computed once.  The
-    sweeps run on Python floats, as numpy calls on rows of a few lanes cost
-    twenty times more.
-    """
-    n = len(rhs)
-    w = [0.0, 1.0 / (1.0 + 2.0 * r)]        # w[i]: inverse pivot of row i
-    for i in range(2, n - 1):
-        w.append(1.0 / (1.0 + 2.0 * r - r * r * w[i - 1]))
-    rw = [r * wi for wi in w]
-    lanes = np.reshape(rhs, (n, -1)).T.tolist()
-    for x in lanes:
-        x[1] += r * x[0]
-        x[-2] += r * x[-1]
-        x[1] *= w[1]
-        for i in range(2, n - 1):
-            x[i] = (x[i] + r * x[i - 1]) * w[i]
-        for i in range(n - 3, 0, -1):
-            x[i] += rw[i] * x[i + 1]
-    return np.array(lanes).T.reshape(np.shape(rhs))
-
-
-def _sine_transform(x: np.ndarray) -> np.ndarray:
-    """Q x along both grid axes of a (d, m0, m1) x, Q the sine basis of each axis.
+def _sine_transform(x: np.ndarray, axes) -> np.ndarray:
+    """Q x along each of `axes`, Q the sine basis of that axis.
 
     Q[j, k] = sqrt(2 / (m + 1)) sin(pi (j + 1) (k + 1) / (m + 1)) is
     orthonormal and symmetric, and diagonalizes the m-node Dirichlet second
     difference; Q x is the type-I discrete sine transform, one real FFT of
     the odd extension of x (no BLAS call, so no BLAS threads left spinning).
     """
-    for axis in (1, 2):
+    for axis in axes:
         x = np.moveaxis(x, axis, -1)
         m = x.shape[-1]
         zero = np.zeros(x.shape[:-1] + (1,))
@@ -200,30 +175,36 @@ def _sine_transform(x: np.ndarray) -> np.ndarray:
 
 
 def _implicit_solve(b: np.ndarray, coef: float, spacings) -> np.ndarray:
-    """Solve (I - coef L) x = b for a (d, *shape) b, L the Laplacian of `_stencil`.
+    """Solve (I - coef L) x = b over the last len(spacings) axes of b, L the
+    Laplacian of `_stencil`; any leading axes are independent lanes.
 
-    In 1-d this is one Thomas sweep.  In 2-d L's rows are zero at the ends of
-    their own axis only: the corners are identity rows, each edge line is a
-    1-d solve along its axis, and the interior is the Dirichlet system with
-    the edge values on its right-hand side, solved by fast diagonalization in
+    L's rows are zero at the ends of their own axis only, so the two end faces
+    of each axis solve the same problem over the other axes (a face with no
+    axes left is the identity), and the interior is the Dirichlet system with
+    the face values on its right-hand side, solved by fast diagonalization in
     each axis's sine basis (Lynch, Rice and Thomas, Numer. Math. 6, 1964).
     """
-    if len(spacings) == 1:
-        return _thomas(b.T, coef / spacings[0] ** 2).T
-    r0, r1 = (coef / dx**2 for dx in spacings)
-    x = np.empty_like(b)
-    x[:, [0, -1]] = np.moveaxis(_thomas(np.moveaxis(b[:, [0, -1]], 2, 0), r1), 0, 2)
-    x[:, :, [0, -1]] = np.moveaxis(_thomas(np.moveaxis(b[:, :, [0, -1]], 1, 0), r0), 0, 1)
-    rhs = b[:, 1:-1, 1:-1].copy()
-    rhs[:, 0] += r0 * x[:, 0, 1:-1]
-    rhs[:, -1] += r0 * x[:, -1, 1:-1]
-    rhs[:, :, 0] += r1 * x[:, 1:-1, 0]
-    rhs[:, :, -1] += r1 * x[:, 1:-1, -1]
-    # eigenvalues -4 / dx^2 sin^2(pi k / (2 (m + 1))), k = 1..m, of each axis's
-    # Dirichlet second difference, in the order of the sine basis
-    lam0, lam1 = (-4.0 / dx**2 * np.sin(0.5 * np.pi * np.arange(1, n - 1) / (n - 1)) ** 2
-                  for n, dx in zip(b.shape[1:], spacings))
-    x[:, 1:-1, 1:-1] = _sine_transform(_sine_transform(rhs) / (1.0 - coef * (lam0[:, None] + lam1)))
+    x = b.copy()
+    if not spacings:
+        return x
+    axes = range(b.ndim - len(spacings), b.ndim)
+    inner = (Ellipsis,) + (slice(1, -1),) * len(spacings)      # the interior nodes
+    rhs, lam = b[inner].copy(), 0.0
+    for i, (ax, dx) in enumerate(zip(axes, spacings)):
+        # the faces as lanes, (2, *lanes, *other axes); each adds coef / dx^2
+        # times its values to the interior next to it
+        faces = _implicit_solve(np.moveaxis(b, ax, 0)[[0, -1]], coef,
+                                spacings[:i] + spacings[i + 1:])
+        np.moveaxis(x, ax, 0)[[0, -1]] = faces
+        near = np.moveaxis(rhs, ax, 0)
+        near[0] += coef / dx**2 * faces[0][inner[:-1]]
+        near[-1] += coef / dx**2 * faces[1][inner[:-1]]
+        # eigenvalues -4 / dx^2 sin^2(pi k / (2 (m + 1))), k = 1..m, of the axis's
+        # Dirichlet second difference, in the order of the sine basis
+        n = b.shape[ax]
+        ev = -4.0 / dx**2 * np.sin(0.5 * np.pi * np.arange(1, n - 1) / (n - 1)) ** 2
+        lam = lam + ev.reshape((-1,) + (1,) * (b.ndim - 1 - ax))
+    x[inner] = _sine_transform(_sine_transform(rhs, axes) / (1.0 - coef * lam), axes)
     return x
 
 
@@ -450,14 +431,10 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
     if M < 1:
         raise InvalidParameter("need at least one path")
     meta = fld.metadata
-    noise_scale = meta.get("noise_scale")
-    if noise_scale is None:
-        raise InvalidInput("the field carries no noise scale (a field loaded from a "
-                           "version 1 binary file does not), so it drives no ensemble")
     d = spec.dim
     tg = TimeGrid(fld.tgrid.t0, fld.tgrid.T, _sim_steps(fld.tgrid.T - fld.tgrid.t0))
     dt, sq = tg.dt, np.sqrt(tg.dt)
-    n0 = meta["N"] if meta.get("kind", "nplayer") == "nplayer" else 0
+    n0 = meta["N"] if meta["kind"] == "nplayer" else 0
     z = _path_normals(seed, M, n0 + tg.steps, d) if normals is None else normals
     if z.ndim != 3 or z.shape[::2] != (M, d) or z.shape[1] < n0 + tg.steps:
         raise InvalidParameter(f"normals must be ({M}, >= {n0 + tg.steps}, {d}), got {z.shape}")
@@ -476,7 +453,7 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
     for k in range(tg.steps):
         eta = fld.evaluate_batch(nodes[k], m)
         m += dt * (m @ spec.b.T - eta) if drift else -dt * eta
-        m += noise_scale * (sq * z[:, n0 + k])
+        m += meta["noise_scale"] * (sq * z[:, n0 + k])
         outside |= (m < lows) | (m > highs)
         paths[:, k + 1] = np.minimum(np.maximum(m, lows, out=m), highs, out=m)
 
@@ -489,16 +466,16 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
 
 # --- export -----------------------------------------------------------------
 
-_MAGIC_V1, _MAGIC = b"MFGF\x01", b"MFGF\x02"
+_MAGIC = b"MFGF\x02"
 
 
 def save_field_binary(fld: DecouplingField, path: str):
     """Binary layout: header (dims, bounds, counts, variant, noise scale and
-    diffusion, NaN where unknown) + float64 payload of the whole-grid levels,
-    written one level at a time."""
+    diffusion) + float64 payload of the whole-grid levels, written one level
+    at a time."""
     meta = fld.metadata
-    kind = meta.get("kind", "nplayer")
-    param = float(meta.get("N", meta.get("eps", 0.0)))
+    nplayer = meta["kind"] == "nplayer"
+    param = float(meta["N"] if nplayer else meta["eps"])
     model = meta.get("model", "").encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -506,8 +483,8 @@ def save_field_binary(fld: DecouplingField, path: str):
         for lo, hi, n in fld.grid.axes:
             fh.write(struct.pack("<ddi", lo, hi, n))
         fh.write(struct.pack("<ddi", fld.tgrid.t0, fld.tgrid.T, fld.tgrid.steps))
-        fh.write(struct.pack("<bd", 0 if kind == "nplayer" else 1, param))
-        fh.write(struct.pack("<dd", meta.get("noise_scale", np.nan), meta.get("diffusion", np.nan)))
+        fh.write(struct.pack("<bd", 0 if nplayer else 1, param))
+        fh.write(struct.pack("<dd", meta["noise_scale"], meta["diffusion"]))
         fh.write(struct.pack("<i", len(model)))
         fh.write(model)
         for k in range(fld.tgrid.steps + 1):
@@ -515,7 +492,7 @@ def save_field_binary(fld: DecouplingField, path: str):
 
 
 def load_field_binary(path: str) -> DecouplingField:
-    """Read an MFGF v2 file, or a v1 file (no noise scale or diffusion stored)."""
+    """Read an MFGF version 2 file."""
     with open(path, "rb") as fh:
         def read(n):
             buf = fh.read(n)
@@ -524,13 +501,16 @@ def load_field_binary(path: str) -> DecouplingField:
             return buf
 
         magic = fh.read(5)
-        if magic not in (_MAGIC_V1, _MAGIC):
+        if magic == b"MFGF\x01":
+            raise InvalidInput(f"{path} is an MFGF version 1 field file, which stores no noise "
+                               "scale; solve the field again to write version 2")
+        if magic != _MAGIC:
             raise InvalidInput(f"{path} is not a field file")
         (dim,) = struct.unpack("<i", read(4))
         axes = tuple(struct.unpack("<ddi", read(20)) for _ in range(dim))
         t0, T, steps = struct.unpack("<ddi", read(20))
         kind_flag, param = struct.unpack("<bd", read(9))
-        noise = struct.unpack("<dd", read(16)) if magic == _MAGIC else (np.nan, np.nan)
+        noise = struct.unpack("<dd", read(16))
         (mlen,) = struct.unpack("<i", read(4))
         model = read(mlen).decode()
         grid = SpaceGrid(axes)
@@ -547,9 +527,9 @@ def load_field_binary(path: str) -> DecouplingField:
         meta["N"] = int(param)
     else:
         meta["eps"] = param
-    if not all(np.isnan(v) or 0 <= v < np.inf for v in noise):
+    if not all(0 <= v < np.inf for v in noise):
         raise InvalidInput(f"{path} stores a noise scale or diffusion outside [0, inf)")
-    meta.update((k, v) for k, v in zip(("noise_scale", "diffusion"), noise) if not np.isnan(v))
+    meta["noise_scale"], meta["diffusion"] = noise
     return DecouplingField(grid=grid, tgrid=tgrid, values=values, metadata=meta)
 
 

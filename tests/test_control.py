@@ -197,8 +197,8 @@ class TestBatchedShooting:
         assert_same_solutions(sset.solutions, shoot_each(spec, [nu0], starts, 250))
         assert (sset.starts, sset.failed) == (len(starts), 0)
 
-    # the residual norm of the 1e300 start overflows to inf, with numpy's warning
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # the residual norm of the 1e300 start overflows to inf, without a warning
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec, nu0", [(logcosh_model(nu0=0.5), 0.5), (delarue_model(), 0.0)])
     def test_diverging_start_changes_nothing(self, spec, nu0, integrations):
         starts = default_start_grid(spec, [nu0])
@@ -213,7 +213,7 @@ class TestBatchedShooting:
         assert_same_solutions(sset.solutions, base.solutions)
         assert (sset.starts, sset.failed) == (base.starts + 2, base.failed + 2)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec, nu0", [(logcosh_model(nu0=0.5), 0.5), (delarue_model(), 0.0)])
     def test_diverging_start_costs_no_integration(self, spec, nu0, integrations):
         # a start that overflows fails inside the batch's own integrations

@@ -129,10 +129,15 @@ class TestConfig:
     @pytest.mark.parametrize("scenario, key, value", [
         ("E2", "verdict.band", "abc"), ("E6", "verdict.tol", "x"), ("E3", "run.N_select", "1.5"),
         ("E2", "grid.safety", "0.5 0.9"), ("E6", "probe.nu0", "nan"), ("E6", "probe.h", "small"),
-        ("E3", "run.selection", "no")])
+        ("E3", "run.selection", "no"),
+        ("E2", "verdict.band", "-1"), ("E6", "verdict.tol", "0"), ("E3", "run.N_select", "0"),
+        ("E2", "grid.safety", "-0.5"), ("E6", "probe.h", "0"), ("E1", "run.M", "0"),
+        ("E1", "run.N", "0 10"), ("E5", "run.eps", "0.5 0")])
     def test_late_key_rejected_at_parse(self, scenario, key, value):
         # these keys used to be parsed only when a runner reached them, after
-        # its solves, or (run.selection) never checked at all
+        # its solves, or (run.selection) never checked at all; the values out
+        # of range (the last eight) used to validate, and a negative band ran
+        # E2's whole sweep before failing its verdict
         with pytest.raises(ConfigError, match=re.escape(key)):
             ScenarioConfig.from_text(f"scenario = {scenario}\n{key} = {value}\n")
 
@@ -507,7 +512,9 @@ class TestCli:
     def test_bad_numbers_exit_one(self, tmp_path, capsys, config, argv):
         binp = str(tmp_path / "tiny.bin")
         save_field_binary(DecouplingField(SpaceGrid.symmetric(1.0, 3, 1), TimeGrid(0.0, 1.0, 2),
-                                          np.zeros((3, 3, 1)), {"kind": "nplayer", "N": 10}),
+                                          np.zeros((3, 3, 1)),
+                                          {"kind": "nplayer", "N": 10, "noise_scale": 0.1,
+                                           "diffusion": 0.005}),
                           binp)
         cfg = self.write(tmp_path, config)
         args = [a.format(cfg=cfg, dir=tmp_path, bin=binp) for a in argv]

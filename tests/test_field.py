@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mfglab.cli import main as cli_main
 from mfglab.control import shoot
 from mfglab.errors import CflViolation, InvalidInput, InvalidOracle, InvalidParameter
 from mfglab.field import (
@@ -265,7 +266,9 @@ class TestImplicitSolve:
         ((1601,), (0.005,), 1),
         ((23, 31), (0.3, 0.17), 2),
         ((3, 5), (0.3, 0.17), 2),     # one interior row next to both edges
-    ], ids=["1d-41", "1d-1601", "2d-23x31", "2d-3x5"])
+        ((3,), (0.2,), 1),            # one interior node
+        ((3, 3), (0.3, 0.17), 2),
+    ], ids=["1d-41", "1d-1601", "2d-23x31", "2d-3x5", "1d-3", "2d-3x3"])
     @pytest.mark.parametrize("ratio", [0.05, CFL_DIFF, 3.0])
     def test_matches_dense_solve(self, shape, spacings, d, ratio):
         coef = ratio * min(spacings) ** 2
@@ -279,6 +282,15 @@ class TestImplicitSolve:
         lap = np.empty_like(x)
         _stencil(x, np.zeros_like(x), 1.0, spacings, lap, [])
         assert np.max(np.abs(x - coef * lap - b)) <= 1e-12
+
+    def test_leading_axes_are_lanes(self):
+        # the solve runs over the last len(spacings) axes; each lane of the
+        # leading ones is solved exactly as it would be alone
+        spacings, coef = (0.3, 0.17), CFL_DIFF * 0.17**2
+        b = np.random.default_rng(5).normal(size=(3, 2, 23, 31))
+        x = _implicit_solve(b, coef, spacings)
+        for lane in np.ndindex(b.shape[:2]):
+            assert np.array_equal(x[lane], _implicit_solve(b[lane], coef, spacings))
 
 
 def two_function_solve(spec, grid, tgrid, N):
@@ -712,30 +724,28 @@ class TestExport:
         back = simulate_ensemble(load_field_binary(path), spec, M=6, seed=4)
         assert np.array_equal(back.paths, simulate_ensemble(fld, spec, M=6, seed=4).paths)
 
-    def test_loaded_field_refuses_noisy_ensemble(self, tmp_path):
-        # a version 1 file does not store the noise scale, so a field loaded
-        # from one must not silently simulate without noise; it still exports
-        spec = logcosh_spec()
-        fld = solve(spec, N=50)
+    def test_loaded_field_refuses_noisy_ensemble(self, tmp_path, capsys):
+        # a version 1 file does not store the noise scale, so no field is
+        # loaded from one: it would drive an ensemble without its noise
+        fld = solve(logcosh_spec(), N=50)
         path = tmp_path / "field.bin"
         save_field_binary(fld, str(path))
         path.write_bytes(as_v1(path.read_bytes(), dim=1))
-        back = load_field_binary(str(path))
-        assert back.metadata["N"] == 50 and "noise_scale" not in back.metadata
-        for normals in (None, zero_normals(back, M=4)):
-            with pytest.raises(InvalidInput):
-                simulate_ensemble(back, spec, M=4, seed=1, normals=normals)
-        export_field_csv_slice(back, str(tmp_path / "v1.csv"), time_index=3)
-        export_field_csv_slice(fld, str(tmp_path / "v2.csv"), time_index=3)
-        assert (tmp_path / "v1.csv").read_text() == (tmp_path / "v2.csv").read_text()
+        with pytest.raises(InvalidInput, match="version 1"):
+            load_field_binary(str(path))
+        assert cli_main(["field", "export", str(path), "--out", str(tmp_path / "v1.csv")]) == 1
+        assert "version 1" in capsys.readouterr().err
+        assert not (tmp_path / "v1.csv").exists()
 
     def test_binary_rejects_long_file_and_bad_noise(self, tmp_path):
         fld = solve(logcosh_spec(), N=50)
         path = tmp_path / "field.bin"
         save_field_binary(fld, str(path))
         data, at = path.read_bytes(), noise_offset(1)
-        for bad in (data + b"\0", as_v1(data, dim=1) + b"\0" * 8,
-                    data[:at] + struct.pack("<d", -1.0) + data[at + 8:]):
+        for bad in (data + b"\0", as_v1(data, dim=1),
+                    data[:at] + struct.pack("<d", -1.0) + data[at + 8:],
+                    data[:at] + struct.pack("<d", np.nan) + data[at + 8:],
+                    data[:at + 8] + struct.pack("<d", np.nan) + data[at + 16:]):
             path.write_bytes(bad)
             with pytest.raises(InvalidInput):
                 load_field_binary(str(path))
@@ -763,7 +773,7 @@ class TestExport:
         # values the header counts are never allocated
         grid = SpaceGrid.symmetric(1.0, 3, dim)
         fld = DecouplingField(grid, TimeGrid(0.0, 1.0, 2), np.zeros((3,) + grid.shape + (dim,)),
-                              {"kind": "nplayer", "N": 10})
+                              {"kind": "nplayer", "N": 10, "noise_scale": 0.1, "diffusion": 0.005})
         path = tmp_path / "field.bin"
         save_field_binary(fld, str(path))
         data = bytearray(path.read_bytes())
