@@ -50,7 +50,6 @@ from .numerics import (
 from .potentials import (
     ModelSpec,
     Potential,
-    corrected_cost,
     corrected_gradient,
     from_name,
     make_delarue_terminal,
@@ -58,7 +57,6 @@ from .potentials import (
     make_quadratic,
     make_radial_logcosh,
     make_zero,
-    reminder,
 )
 
 __version__ = "0.1.0"

@@ -87,12 +87,15 @@ def _solve_each(jac, rhs):
 def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
     """Damped Newton shooting on the initial adjoint from each row of `starts`.
 
-    The starts, each from its row of nu0 (S, d) or all from one nu0 (d,), and
-    the forward-difference probes of their Jacobians advance together as one
-    (S, 2d) RK4 state.  Each start keeps its own residual, trajectory and step
-    length, halved until its residual decreases, so its result does not depend
-    on the other starts.  Returns per start an OCSolution, or None when Newton
-    stagnates or the integration diverges.
+    The starts, each from its row of nu0 (S, d) or all from one nu0 (d,),
+    advance together as one RK4 state, and each start and line-search candidate
+    carries the d forward-difference probes of its Jacobian as d more rows: a
+    Newton round integrates once per line-search try, and the accepted
+    candidate's probe residuals give the next round's Jacobian with no
+    integration of their own.  Each start keeps its own residual, trajectory
+    and step length, halved until its residual decreases, so its result does
+    not depend on the other starts.  Returns per start an OCSolution, or None
+    when Newton stagnates or the integration diverges.
     """
     S, d = starts.shape
     nu0 = np.broadcast_to(np.asarray(nu0, dtype=float), (S, d))
@@ -102,20 +105,28 @@ def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
 
     def rhs(t, z):
         m, eta = z[:, :d], z[:, d:]
-        if drift:
-            return np.concatenate([m @ b.T - eta, -(eta @ b + m + spec.f.gradient(m))], axis=1)
+        if drift:   # row-wise product-sums round alike at any batch size, unlike BLAS
+            bm, bte = (m[:, None] * b).sum(axis=2), (eta[:, None] * b.T).sum(axis=2)
+            return np.concatenate([bm - eta, -(bte + m + spec.f.gradient(m))], axis=1)
         return np.concatenate([-eta, -(m + spec.f.gradient(m))], axis=1)
 
     def residual(rows, e0):
-        """Terminal residuals and trajectories of the starts `rows` from e0; the
-        residual of a start whose integration overflows is not finite."""
-        traj = integrate_ode(rhs, np.concatenate([nu0[rows], e0], axis=1), grid)
+        """Terminal residuals (n, d), probe residuals (n, d, d) and trajectories
+        of the n starts `rows` from e0, where probe j of a start moves component
+        j of its e0 by FD_STEP; a row whose integration overflows has a residual
+        that is not finite."""
+        n = len(rows)
+        e = np.concatenate([e0, (e0[:, None] + FD_STEP * np.eye(d)).reshape(-1, d)])
+        traj = integrate_ode(rhs, np.concatenate([nu0[np.r_[rows, np.repeat(rows, d)]], e],
+                                                 axis=1), grid)
         mT, etaT = traj[-1, :, :d], traj[-1, :, d:]
         with np.errstate(invalid="ignore"):     # inf - inf in g's gradient of such a row
-            return etaT - (mT + spec.g.gradient(mT)), traj
+            r = etaT - (mT + spec.g.gradient(mT))
+        # a copy of the starts' own rows, so that no stored path keeps the probes'
+        return r[:n], r[n:].reshape(n, d, d), traj[:, :n].copy()
 
     eta0 = starts.copy()
-    res, traj = residual(np.arange(S), eta0)
+    res, res_p, traj = residual(np.arange(S), eta0)
     alive = np.isfinite(res).all(axis=1)
     converged = np.zeros(S, dtype=bool)
     for _ in range(NEWTON_MAX_ITER):
@@ -125,25 +136,23 @@ def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
         act = np.flatnonzero(alive & ~converged)
         if act.size == 0:
             break
-        # probe j of a start moves component j of its eta0 by FD_STEP
-        res_p, _ = residual(np.repeat(act, d),
-                            (eta0[act, None] + FD_STEP * np.eye(d)).reshape(-1, d))
-        jac = np.swapaxes(res_p.reshape(-1, d, d) - res[act, None], 1, 2) / FD_STEP
+        jac = np.swapaxes(res_p[act] - res[act, None], 1, 2) / FD_STEP
         step = _solve_each(jac, -res[act])
         # a non-finite probe or a singular Jacobian fails the start, and so does
         # a non-finite step, which leaves every candidate non-finite
-        ok = np.isfinite(res_p).reshape(-1, d * d).all(axis=1) & np.isfinite(step).all(axis=1)
+        ok = np.isfinite(res_p[act]).all(axis=(1, 2)) & np.isfinite(step).all(axis=1)
         alive[act[~ok]] = False
         act, step = act[ok], step[ok]
         lam, todo = np.ones(act.size), np.arange(act.size)
         while todo.size:
             s = act[todo]
             cand = eta0[s] + lam[todo, None] * step[todo]
-            res_c, traj_c = residual(s, cand)
+            res_c, res_pc, traj_c = residual(s, cand)
             # a non-finite residual norm is never below nrm
             with np.errstate(over="ignore"):
                 ok = np.linalg.norm(res_c, axis=1) < nrm[s]
-            eta0[s[ok]], res[s[ok]], traj[:, s[ok]] = cand[ok], res_c[ok], traj_c[:, ok]
+            eta0[s[ok]], res[s[ok]], res_p[s[ok]] = cand[ok], res_c[ok], res_pc[ok]
+            traj[:, s[ok]] = traj_c[:, ok]
             lam[todo] *= 0.5
             todo = todo[~ok]
             spent = lam[todo] <= 1e-6

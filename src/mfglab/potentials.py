@@ -1,4 +1,4 @@
-"""Catalogue of potential pairs, their N-corrected costs, and model assembly.
+"""Catalogue of potential pairs, their N-corrected cost gradients, and model assembly.
 
 A potential is a scalar function of the mean together with its gradient and
 Hessian.  All three take points as an array of shape (..., d) and return
@@ -6,9 +6,9 @@ arrays of shape (...), (..., d) and (..., d, d); a single point of shape (d,)
 is the case with no batch axis, and a last axis of another length raises
 InvalidParameter.  The corrected cost of the N-player mean problem is
 F_N(m) = |m|^2/2 + f(m) + R_f(m)/N  with the reminder
-R_f(m) = |grad f|^2/2 + m . grad f - f, and its gradient factorises as
-(I + hess f / N)(m + grad f); reminder, corrected_cost and corrected_gradient
-follow the same (..., d) contract.
+R_f(m) = |grad f|^2/2 + m . grad f - f.  The solvers need only its gradient,
+which factorises as (I + hess f / N)(m + grad f); corrected_gradient computes
+it under the same (..., d) contract.
 """
 
 from __future__ import annotations
@@ -89,21 +89,8 @@ def _with(p: Potential, **data) -> Potential:
     return p
 
 
-def reminder(p: Potential, m):
-    """R_p(m) = |grad p(m)|^2 / 2 + m . grad p(m) - p(m)."""
-    m = _points(m, p.dim)
-    g = p.gradient(m)
-    return _dot(0.5 * g, g) + _dot(m, g) - p.value(m)
-
-
-def corrected_cost(p: Potential, N: int, m):
-    """F_N-style cost |m|^2/2 + p(m) + R_p(m)/N."""
-    m = _points(m, p.dim)
-    return _dot(0.5 * m, m) + p.value(m) + reminder(p, m) / N
-
-
 def corrected_gradient(p: Potential, N: int, m) -> np.ndarray:
-    """(I + hess p / N)(m + grad p), the gradient of corrected_cost."""
+    """(I + hess p / N)(m + grad p), the gradient of the corrected cost of p."""
     if N < 1:
         raise InvalidParameter("N must be at least 1")
     m = _points(m, p.dim)

@@ -39,8 +39,8 @@ from mfglab.potentials import (
     make_quadratic,
     make_radial_logcosh,
     make_zero,
-    reminder,
 )
+from reference_costs import reminder
 
 AHAT = symmetric_minimizer_root(4.0)
 

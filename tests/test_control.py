@@ -150,6 +150,14 @@ def delarue_model():
     return model(make_zero(1), make_delarue_terminal(0.0, 1.0, 0.1))
 
 
+def drift_model():
+    # a 2-d model with drift b != 0, whose shooting right-hand side takes
+    # products with b; the short horizon keeps every start converging fast
+    return ModelSpec(dim=2, b=np.array([[0.3, 0.1], [-0.2, 0.25]]), sigma=1.0, T=0.25,
+                     f=make_quadratic(0.5, 2), g=make_radial_logcosh(4.0, 2),
+                     nu0=np.array([0.3, -0.2]))
+
+
 def shoot_each(spec, nu0, starts, steps_per_unit):
     """The stationary set rebuilt from one shoot per start, deduplicated in
     lexicographic start order and sorted by cost, as enumerate_stationary does."""
@@ -190,11 +198,15 @@ class TestBatchedShooting:
     # enumerate_stationary shoots all its starts as one batched state; the
     # batch must neither mix the starts nor let one start's failure spread
 
-    @pytest.mark.parametrize("spec, nu0", [(logcosh_model(nu0=0.5), 0.5), (delarue_model(), 0.0)])
+    @pytest.mark.parametrize("spec, nu0", [(logcosh_model(nu0=0.5), 0.5), (delarue_model(), 0.0),
+                                           pytest.param(drift_model(), (0.3, -0.2), id="drift-2d")])
     def test_batch_equals_single_starts(self, spec, nu0):
-        starts = default_start_grid(spec, [nu0])
-        sset = enumerate_stationary(spec, 0.0, [nu0], steps_per_unit=250)
-        assert_same_solutions(sset.solutions, shoot_each(spec, [nu0], starts, 250))
+        # the 2-d case shoots every 7th start of its lattice at 100 steps per unit
+        every, steps = (1, 250) if spec.dim == 1 else (7, 100)
+        nu0 = np.atleast_1d(nu0)
+        starts = default_start_grid(spec, nu0)[::every]
+        sset = enumerate_stationary(spec, 0.0, nu0, start_grid=starts, steps_per_unit=steps)
+        assert_same_solutions(sset.solutions, shoot_each(spec, nu0, starts, steps))
         assert (sset.starts, sset.failed) == (len(starts), 0)
 
     # the residual norm of the 1e300 start overflows to inf, without a warning
@@ -209,7 +221,8 @@ class TestBatchedShooting:
         grown = np.vstack([starts, [[1e300], [1e308]]])
         integrations.clear()
         sset = enumerate_stationary(spec, 0.0, [nu0], start_grid=grown, steps_per_unit=250)
-        assert integrations[0] == (len(grown), True)
+        # each start carries its d Jacobian probes
+        assert integrations[0] == ((spec.dim + 1) * len(grown), True)
         assert_same_solutions(sset.solutions, base.solutions)
         assert (sset.starts, sset.failed) == (base.starts + 2, base.failed + 2)
 
@@ -232,6 +245,16 @@ class TestBatchedShooting:
         # one start per integration would take 21 integrations before any Newton step
         assert sset.starts == 21
         assert len(integrations) < sset.starts
+
+    def test_one_integration_per_newton_round(self, integrations):
+        # the candidates carry their Jacobian probes, so a Newton round costs one
+        # integration per line-search try and none for its Jacobian: E6's
+        # default probe and E3's enumeration
+        differentiability_probe(logcosh_model(nu0=0.5), 0.0, [0.5], h=1e-3, steps_per_unit=1000)
+        assert len(integrations) == 8
+        integrations.clear()
+        enumerate_stationary(delarue_model(), 0.0, [0.0])
+        assert len(integrations) == 3
 
 
 class TestSolveEach:

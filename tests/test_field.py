@@ -31,8 +31,8 @@ from mfglab.potentials import (
     make_quadratic,
     make_radial_logcosh,
     make_zero,
-    reminder,
 )
+from reference_costs import reminder
 
 
 def model(f, g, dim=1, b=0.0, nu0=0.0, sigma=1.0):

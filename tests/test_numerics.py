@@ -115,7 +115,6 @@ class TestSingleStepper:
         allowed = {
             "control.shoot": "the benchmark's shooting counters wrap it",
             "control.static_U_minimize": "acceptance criterion 4 checks the reduction with it",
-            "potentials.corrected_cost": "the reference corrected_gradient is tested against",
         }
         trees = {p.stem: ast.parse(p.read_text())
                  for p in sorted(Path(mfglab.__file__).parent.glob("*.py"))

@@ -6,7 +6,6 @@ import pytest
 from mfglab.errors import InvalidParameter, KinkQuery
 from mfglab.potentials import (
     ModelSpec,
-    corrected_cost,
     corrected_gradient,
     from_name,
     make_delarue_terminal,
@@ -14,8 +13,8 @@ from mfglab.potentials import (
     make_quadratic,
     make_radial_logcosh,
     make_zero,
-    reminder,
 )
+from reference_costs import corrected_cost, reminder
 
 
 def fd_gradient(p, m, h=1e-4):
@@ -119,7 +118,8 @@ class TestReminder:
         p = make_quadratic(-1.0, 1)
         for m in (-2.0, 0.0, 1.3):
             assert corrected_cost(p, 10, [m]) + 0.0 == pytest.approx(0.0)
-            # wait: corrected_cost includes +|m|^2/2, f = -|m|^2/2, R_f = 0
+            # f = -|m|^2/2 cancels |m|^2/2, and with grad f = -m its reminder
+            # |m|^2/2 - |m|^2 + |m|^2/2 vanishes
             assert reminder(p, [m]) == pytest.approx(0.0)
 
 
