@@ -8,8 +8,6 @@ from .control import (
     differentiability_probe,
     enumerate_stationary,
     shoot,
-    static_U,
-    static_U_minimize,
     symmetric_minimizer_root,
     value_function,
 )
@@ -19,7 +17,6 @@ from .errors import (
     InvalidInput,
     InvalidOracle,
     InvalidParameter,
-    InvalidReduction,
     KinkQuery,
     MfgLabError,
     NoStationaryPoint,

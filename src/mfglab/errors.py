@@ -25,10 +25,6 @@ class KinkQuery(MfgLabError):
     """Hessian requested exactly at a kink of an unmollified potential."""
 
 
-class InvalidReduction(MfgLabError):
-    """Static reduction requested for a model where it does not apply."""
-
-
 class InvalidOracle(MfgLabError):
     """Closed-form Riccati oracle requested for non-quadratic data."""
 

@@ -163,12 +163,12 @@ class ScenarioConfig:
             raise ConfigError("statistical scenarios need run.M >= 100")
         # keys the runners read only late, parsed here so a bad one fails before any solve
         self.getfloat("probe.nu0", 0.0)
-        for key in ("verdict.band", "verdict.tol", "grid.safety", "probe.h"):
+        for key in ("verdict.band", "verdict.tol", "grid.safety", "probe.h", "grid.L"):
             if self.getfloat(key, 1.0) <= 0:
                 raise ConfigError(f"{key} must be positive, got {self.get(key)!r}")
-        for key in ("run.M", "run.N_select"):
-            if self.getint(key, 1) < 1:
-                raise ConfigError(f"{key} must be at least 1, got {self.get(key)!r}")
+        for key, least in (("run.M", 1), ("run.N_select", 1), ("grid.nodes", 3)):
+            if self.getint(key, least) < least:
+                raise ConfigError(f"{key} must be at least {least}, got {self.get(key)!r}")
         if self.get("run.selection", "on") not in ("on", "off"):
             raise ConfigError(f"run.selection must be on or off, got {self.get('run.selection')!r}")
         object.__setattr__(self, "spec", build_spec(self))

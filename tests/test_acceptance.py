@@ -12,7 +12,6 @@ import pytest
 
 from mfglab.control import (
     enumerate_stationary,
-    static_U_minimize,
     symmetric_minimizer_root,
     value_function,
 )
@@ -40,7 +39,7 @@ from mfglab.potentials import (
     make_radial_logcosh,
     make_zero,
 )
-from reference_costs import reminder
+from reference_costs import reminder, static_U_minimize
 
 AHAT = symmetric_minimizer_root(4.0)
 

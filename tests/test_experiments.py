@@ -132,14 +132,20 @@ class TestConfig:
         ("E3", "run.selection", "no"),
         ("E2", "verdict.band", "-1"), ("E6", "verdict.tol", "0"), ("E3", "run.N_select", "0"),
         ("E2", "grid.safety", "-0.5"), ("E6", "probe.h", "0"), ("E1", "run.M", "0"),
-        ("E1", "run.N", "0 10"), ("E5", "run.eps", "0.5 0")])
-    def test_late_key_rejected_at_parse(self, scenario, key, value):
+        ("E1", "run.N", "0 10"), ("E5", "run.eps", "0.5 0"),
+        ("E3", "grid.nodes", "abc"), ("E3", "grid.L", "nan"), ("E3", "grid.L", "-1"),
+        ("E3", "grid.nodes", "2")])
+    def test_late_key_rejected_at_parse(self, monkeypatch, scenario, key, value):
         # these keys used to be parsed only when a runner reached them, after
         # its solves, or (run.selection) never checked at all; the values out
-        # of range (the last eight) used to validate, and a negative band ran
-        # E2's whole sweep before failing its verdict
+        # of range used to validate, and a negative band ran E2's whole sweep
+        # before failing its verdict; E3 read grid.L and grid.nodes only after
+        # its shooting, and ran grid.nodes = 2 silently on a 3-node grid
+        calls = []
+        monkeypatch.setattr(control, "integrate_ode", lambda *args: calls.append(args))
         with pytest.raises(ConfigError, match=re.escape(key)):
             ScenarioConfig.from_text(f"scenario = {scenario}\n{key} = {value}\n")
+        assert calls == []
 
     def test_empty_list_rejected(self):
         for key in ("run.N", "run.eps"):
@@ -343,13 +349,12 @@ class TestImportCost:
         assert self.fresh_interpreter(probe).strip() == "[]"
 
     def test_solvers_load_no_scipy(self):
-        # nor does a solver import one lazily: a 1-d and a 2-d field solve, the
-        # static reduction and the closed-form Riccati solves (the field oracle
-        # and the Delarue terminal) leave sys.modules free of scipy
+        # nor does a solver import one lazily: a 1-d and a 2-d field solve and
+        # the closed-form Riccati solves (the field oracle and the Delarue
+        # terminal) leave sys.modules free of scipy
         probe = textwrap.dedent("""
             import sys
             import numpy as np
-            from mfglab.control import static_U_minimize
             from mfglab.field import riccati_field_oracle, solve_field, stable_time_grid
             from mfglab.numerics import SpaceGrid, TimeGrid
             from mfglab.potentials import (ModelSpec, make_delarue_terminal,
@@ -360,7 +365,6 @@ class TestImportCost:
                                  f=make_quadratic(-1.0, dim), g=g, nu0=np.zeros(dim))
                 grid = SpaceGrid.symmetric(3.0, 21, dim)
                 solve_field(spec, grid, stable_time_grid(spec, grid, N=25), N=25)
-            static_U_minimize(spec, 0.0, np.zeros(2))
             riccati_field_oracle(ModelSpec(dim=1, b=np.zeros((1, 1)), sigma=1.0, T=1.0,
                                            f=make_quadratic(-1.0, 1), g=make_quadratic(1.0, 1),
                                            nu0=np.zeros(1)), TimeGrid(0.0, 1.0, 100), eps=1.0)

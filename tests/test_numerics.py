@@ -109,16 +109,21 @@ class TestSingleStepper:
         text = "".join(p.read_text() for p in sorted(Path(mfglab.__file__).parent.glob("*.py")))
         assert [m.group(0) for m in update.finditer(text)] == ["k1 + 2 * k2 + 2 * k3 + k4"]
 
+    @staticmethod
+    def package_trees():
+        """The parsed module of each package file but __init__.py, by module name."""
+        return {p.stem: ast.parse(p.read_text())
+                for p in sorted(Path(mfglab.__file__).parent.glob("*.py"))
+                if p.name != "__init__.py"}
+
     def test_public_functions_have_src_callers(self):
         # a public top-level function that nothing in the package calls is
         # dead weight; the exceptions are used from outside the package
         allowed = {
-            "control.shoot": "the benchmark's shooting counters wrap it",
-            "control.static_U_minimize": "acceptance criterion 4 checks the reduction with it",
+            "control.shoot": "perfbench/spans.py counts control.shoots through it, and "
+                             "without it the benchmark self-test raises TypeError on None > 0",
         }
-        trees = {p.stem: ast.parse(p.read_text())
-                 for p in sorted(Path(mfglab.__file__).parent.glob("*.py"))
-                 if p.name != "__init__.py"}
+        trees = self.package_trees()
         public = {(mod, node.name): node for mod, tree in trees.items() for node in tree.body
                   if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
 
@@ -132,6 +137,19 @@ class TestSingleStepper:
         unused = sorted(f"{mod}.{name}" for (mod, name), node in public.items()
                         if not referenced(name, node))
         assert unused == sorted(allowed)
+
+    def test_error_types_are_raised_in_src(self):
+        # an error type that no package code raises is dead weight, like one
+        # left behind when the code that raised it moved out of the package
+        trees = self.package_trees()
+        kinds = {node.name for node in trees["errors"].body if isinstance(node, ast.ClassDef)}
+        raised = set()
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Raise) and node.exc is not None:
+                    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                    raised.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+        assert sorted(kinds - raised) == ["MfgLabError"]     # the base is only caught
 
 
 class TestRiccati:
