@@ -17,7 +17,6 @@ from .errors import (
     InvalidInput,
     InvalidOracle,
     InvalidParameter,
-    KinkQuery,
     MfgLabError,
     NoStationaryPoint,
     PdeDiverged,

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 all verdicts pass, 2 a statistical verdict failed,
-1 configuration or numerical error.
+1 configuration or numerical error, or an unreadable input or unwritable output.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ import sys
 import numpy as np
 
 from .control import enumerate_stationary, value_function
-from .errors import MfgLabError
+from .errors import InvalidInput, MfgLabError
 from .experiments import (
     ScenarioConfig,
     build_grid,
     field_for,
     parse_config_text,
-    read_config_file,
+    read_text,
     replay_row,
     run_scenario,
 )
@@ -72,9 +72,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(path: str, seed_override) -> ScenarioConfig:
     if seed_override is None:
         return ScenarioConfig.from_file(path)
-    raw = parse_config_text(read_config_file(path))
+    raw = parse_config_text(read_text(path, "config"))
     raw["run.seed"] = str(seed_override)
     return ScenarioConfig.from_text("".join(f"{k} = {v}\n" for k, v in raw.items()))
+
+
+def _on_file(verb: str, path: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with an OSError on `path` reported as an InvalidInput."""
+    try:
+        return fn(*args, **kwargs)
+    except OSError as exc:
+        raise InvalidInput(f"cannot {verb} {path}: {exc.strerror or exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -88,25 +96,26 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "field" and args.field_command == "export":
-        fld = load_field_binary(args.binary)
-        export_field_csv_slice(fld, args.out, time_index=args.time_index)
+        fld = _on_file("read", args.binary, load_field_binary, args.binary)
+        _on_file("write", args.out, export_field_csv_slice, fld, args.out,
+                 time_index=args.time_index)
         print(f"wrote {args.out}")
         return EXIT_OK
     cfg = _load_config(args.config, getattr(args, "seed", None))
     spec = cfg.spec
 
     if args.command == "run":
+        _on_file("write", args.out_dir, os.makedirs, args.out_dir, exist_ok=True)
         rep = run_scenario(cfg)
-        os.makedirs(args.out_dir, exist_ok=True)
         csv_path = os.path.join(args.out_dir,
                                 f"{rep.scenario}_{rep.config_hash}.csv")
-        rep.write_csv(csv_path)
+        _on_file("write", csv_path, rep.write_csv, csv_path)
         print(rep.summary())
         print(f"wrote {csv_path}")
         return EXIT_OK if rep.passed else EXIT_VERDICT
 
     if args.command == "oc-enumerate":
-        sset = enumerate_stationary(spec, 0.0, spec.nu0)
+        sset = enumerate_stationary(spec, spec.nu0)
         print(f"{sset.starts} start(s), {sset.failed} failed, "
               f"{len(sset.solutions)} distinct stationary solution(s), "
               f"min cost {sset.min_cost:.8g}, multiplicity {sset.multiplicity}")
@@ -118,13 +127,15 @@ def _dispatch(args) -> int:
 
     if args.command == "oc-value":
         nu0 = spec.nu0 if args.nu0 is None else np.full(spec.dim, args.nu0)
-        v = value_function(spec, 0.0, nu0)
+        v = value_function(spec, nu0)
         print(f"v(0, {np.array2string(nu0, precision=6)}) = {v:.10g}")
         return EXIT_OK
 
     if args.command == "field":
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise InvalidInput(f"cannot write {args.out}: no such directory")
         fld = field_for(cfg, build_grid(cfg, spec), N=args.N, eps=args.eps)
-        save_field_binary(fld, args.out)
+        _on_file("write", args.out, save_field_binary, fld, args.out)
         print(f"wrote {args.out} ({fld.tgrid.steps} levels, grid {fld.grid.shape})")
         return EXIT_OK
 

@@ -1,5 +1,6 @@
 """Deterministic limit control problem: shooting, enumeration, value function.
 
+Every problem starts from its initial mean nu0 at time 0 and runs to T.
 The first-order system is
     mdot   = b m - eta
     etadot = -(b^T eta + m + grad f(m))
@@ -82,7 +83,7 @@ def _solve_each(jac, rhs):
     return x
 
 
-def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
+def _newton(spec: ModelSpec, nu0, starts, steps_per_unit):
     """Damped Newton shooting on the initial adjoint from each row of `starts`.
 
     The starts, each from its row of nu0 (S, d) or all from one nu0 (d,),
@@ -99,7 +100,7 @@ def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
     nu0 = np.broadcast_to(np.asarray(nu0, dtype=float), (S, d))
     b = spec.b
     drift = bool(np.any(b != 0.0))
-    grid = TimeGrid(t0, spec.T, max(int(round(steps_per_unit * (spec.T - t0))), 16))
+    grid = TimeGrid(0.0, spec.T, max(int(round(steps_per_unit * spec.T)), 16))
 
     def rhs(t, z):
         m, eta = z[:, :d], z[:, d:]
@@ -166,7 +167,7 @@ def _newton(spec: ModelSpec, t0, nu0, starts, steps_per_unit):
     return sols
 
 
-def shoot(spec: ModelSpec, t0, nu0, eta0_guess, steps_per_unit: int = 1000):
+def shoot(spec: ModelSpec, nu0, eta0_guess, steps_per_unit: int = 1000):
     """Newton shooting on the initial adjoint from one guess.
 
     Returns an OCSolution on success, None when Newton stagnates or the
@@ -174,7 +175,7 @@ def shoot(spec: ModelSpec, t0, nu0, eta0_guess, steps_per_unit: int = 1000):
     enumerate_stationary runs on all of its starts at once.
     """
     guess = np.atleast_1d(np.asarray(eta0_guess, dtype=float))
-    return _newton(spec, t0, nu0, guess[None, :], steps_per_unit)[0]
+    return _newton(spec, nu0, guess[None, :], steps_per_unit)[0]
 
 
 def default_start_grid(spec: ModelSpec, nu0):
@@ -195,7 +196,7 @@ def _initial_means(spec: ModelSpec, nu0):
     return nu0
 
 
-def _stationary_sets(spec: ModelSpec, t0, points, start_grid, steps_per_unit) -> list:
+def _stationary_sets(spec: ModelSpec, points, start_grid, steps_per_unit) -> list:
     """The StationarySet of each row of `points`, all shot as one Newton."""
     grids = []
     for p in points:
@@ -208,8 +209,7 @@ def _stationary_sets(spec: ModelSpec, t0, points, start_grid, steps_per_unit) ->
         # independent of the order the guesses came in
         grids.append(starts[np.lexsort(starts.T[::-1])])
     sizes = [len(g) for g in grids]
-    sols = _newton(spec, t0, np.repeat(points, sizes, axis=0), np.concatenate(grids),
-                   steps_per_unit)
+    sols = _newton(spec, np.repeat(points, sizes, axis=0), np.concatenate(grids), steps_per_unit)
 
     ssets = []
     for lo, n in zip(np.cumsum([0] + sizes), sizes):
@@ -231,17 +231,17 @@ def _stationary_sets(spec: ModelSpec, t0, points, start_grid, steps_per_unit) ->
     return ssets
 
 
-def enumerate_stationary(spec: ModelSpec, t0, nu0, start_grid=None,
+def enumerate_stationary(spec: ModelSpec, nu0, start_grid=None,
                          steps_per_unit: int = 1000) -> StationarySet:
     """Batched multi-start shooting, deduplicated by initial adjoint and sorted by cost."""
     nu0 = _initial_means(spec, nu0)
-    return _stationary_sets(spec, t0, nu0[None], start_grid, steps_per_unit)[0]
+    return _stationary_sets(spec, nu0[None], start_grid, steps_per_unit)[0]
 
 
 # --- discretized-control descent (independent cross-check) ------------------
 
 
-def discrete_cost_and_gradient(spec: ModelSpec, t0, nu0, beta):
+def discrete_cost_and_gradient(spec: ModelSpec, nu0, beta):
     """Cost and exact gradient of the Euler-discretized control functional.
 
     beta is piecewise constant on K uniform steps; the gradient is the exact
@@ -250,7 +250,7 @@ def discrete_cost_and_gradient(spec: ModelSpec, t0, nu0, beta):
     """
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
     K, d = beta.shape
-    dt = (spec.T - t0) / K
+    dt = spec.T / K
     b = spec.b
     m = np.empty((K + 1, d))
     m[0] = nu0
@@ -270,10 +270,10 @@ def discrete_cost_and_gradient(spec: ModelSpec, t0, nu0, beta):
     return cost, grad
 
 
-def descend_discrete(spec: ModelSpec, t0, nu0, beta0):
+def descend_discrete(spec: ModelSpec, nu0, beta0):
     """Backtracking gradient descent on the discretized functional."""
     beta = np.array(beta0, dtype=float)
-    cost, grad = discrete_cost_and_gradient(spec, t0, nu0, beta)
+    cost, grad = discrete_cost_and_gradient(spec, nu0, beta)
     step = 1.0
     for _ in range(DESCENT_MAX_ITER):
         gnorm = float(np.linalg.norm(grad))
@@ -281,7 +281,7 @@ def descend_discrete(spec: ModelSpec, t0, nu0, beta0):
             break
         while step > 1e-12:
             cand = beta - step * grad
-            c_new, g_new = discrete_cost_and_gradient(spec, t0, nu0, cand)
+            c_new, g_new = discrete_cost_and_gradient(spec, nu0, cand)
             if c_new < cost - 0.25 * step * gnorm**2:
                 beta, cost, grad = cand, c_new, g_new
                 step = min(step * 2.0, 1e3)
@@ -292,7 +292,7 @@ def descend_discrete(spec: ModelSpec, t0, nu0, beta0):
     return beta, cost, grad
 
 
-def _cross_check(spec: ModelSpec, t0, point, v):
+def _cross_check(spec: ModelSpec, point, v):
     """Warn when gradient descent on a discretized control beats the value v."""
     gen = np.random.default_rng(CHECK_SEED)
     scale = float(np.linalg.norm(point)) + spec.g.grad_sup + 1.0
@@ -301,7 +301,7 @@ def _cross_check(spec: ModelSpec, t0, point, v):
         beta0 = gen.uniform(-scale, scale, size=(1, spec.dim)) * np.ones(
             (CHECK_CONTROL_STEPS, spec.dim))
         beta0 += 0.1 * gen.normal(size=beta0.shape)
-        _, c, _ = descend_discrete(spec, t0, point, beta0)
+        _, c, _ = descend_discrete(spec, point, beta0)
         best = min(best, c)
     if abs(best - v) > CHECK_REL_TOL * max(1.0, abs(v)) and best < v:
         warnings.warn(
@@ -309,7 +309,7 @@ def _cross_check(spec: ModelSpec, t0, point, v):
             stacklevel=3)
 
 
-def value_function(spec: ModelSpec, t0, nu0, cross_check: bool = True,
+def value_function(spec: ModelSpec, nu0, cross_check: bool = True,
                    steps_per_unit: int = 1000, start_grid=None):
     """Minimal cost over the stationary enumeration at each point of nu0.
 
@@ -320,20 +320,16 @@ def value_function(spec: ModelSpec, t0, nu0, cross_check: bool = True,
     """
     nu0 = _initial_means(spec, nu0)
     points = nu0.reshape(-1, spec.dim)
-    if t0 >= spec.T:
-        # empty horizon: nothing to control, only the terminal cost remains
-        v = (0.5 * points[:, None, :] @ points[:, :, None])[:, 0, 0] + spec.g.value(points)
-    else:
-        ssets = _stationary_sets(spec, t0, points, start_grid, steps_per_unit)
-        v = np.array([sset.min_cost for sset in ssets])
-        if cross_check:
-            for point, vp in zip(points, v):
-                _cross_check(spec, t0, point, vp)
+    ssets = _stationary_sets(spec, points, start_grid, steps_per_unit)
+    v = np.array([sset.min_cost for sset in ssets])
+    if cross_check:
+        for point, vp in zip(points, v):
+            _cross_check(spec, point, vp)
     v = v.reshape(nu0.shape[:-1])
     return float(v) if v.ndim == 0 else v
 
 
-def differentiability_probe(spec: ModelSpec, t0, nu0, h: float = 1e-3, **vf_kwargs):
+def differentiability_probe(spec: ModelSpec, nu0, h: float = 1e-3, **vf_kwargs):
     """One-sided and central difference quotients of the value function per axis.
 
     Verdict "kink" when any axis's one-sided quotients differ by more than a
@@ -348,8 +344,7 @@ def differentiability_probe(spec: ModelSpec, t0, nu0, h: float = 1e-3, **vf_kwar
     vf_kwargs.setdefault("cross_check", False)
     d = spec.dim
     steps = h * np.eye(d)[:, None, :] * np.array([1.0, -1.0, 2.0])[:, None]
-    v = value_function(spec, t0, np.concatenate([nu0[None], (nu0 + steps).reshape(-1, d)]),
-                       **vf_kwargs)
+    v = value_function(spec, np.concatenate([nu0[None], (nu0 + steps).reshape(-1, d)]), **vf_kwargs)
     v0, (v_p, v_m, v_pp) = v[0], v[1:].reshape(d, 3).T
     right = (v_p - v0) / h
     left = (v0 - v_m) / h

@@ -21,10 +21,6 @@ class InvalidInput(MfgLabError):
     pass
 
 
-class KinkQuery(MfgLabError):
-    """Hessian requested exactly at a kink of an unmollified potential."""
-
-
 class InvalidOracle(MfgLabError):
     """Closed-form Riccati oracle requested for non-quadratic data."""
 

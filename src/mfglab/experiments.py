@@ -65,13 +65,13 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def read_config_file(path: str) -> str:
-    """Text of a config file; a file that cannot be read is a ConfigError."""
+def read_text(path: str, what: str) -> str:
+    """Text of a file; a file that cannot be read is a ConfigError naming `what`."""
     try:
         with open(path) as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}")
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}")
 
 
 def canonical_text(cfg: dict) -> str:
@@ -117,7 +117,7 @@ class ScenarioConfig:
 
     @staticmethod
     def from_file(path: str) -> "ScenarioConfig":
-        return ScenarioConfig.from_text(read_config_file(path))
+        return ScenarioConfig.from_text(read_text(path, "config"))
 
     def get(self, key: str, default=None) -> str:
         return self.raw.get(key, default)
@@ -166,7 +166,7 @@ class ScenarioConfig:
         for key in ("verdict.band", "verdict.tol", "grid.safety", "probe.h", "grid.L"):
             if self.getfloat(key, 1.0) <= 0:
                 raise ConfigError(f"{key} must be positive, got {self.get(key)!r}")
-        for key, least in (("run.M", 1), ("run.N_select", 1), ("grid.nodes", 3)):
+        for key, least in (("run.M", 1), ("run.N_select", 1), ("grid.nodes", 3), ("run.seed", 0)):
             if self.getint(key, least) < least:
                 raise ConfigError(f"{key} must be at least {least}, got {self.get(key)!r}")
         if self.get("run.selection", "on") not in ("on", "off"):
@@ -437,12 +437,12 @@ def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
 def run_E3_delarue(cfg: ScenarioConfig) -> ScenarioReport:
     """Two selected trajectories plus the non-selected middle equilibrium."""
     spec = cfg.spec
-    if not spec.g.name.startswith("delarue") or spec.f.name != "zero":
-        raise ConfigError("E3's closed form needs model.g = delarue and model.f = zero")
+    if not spec.g.name.startswith("delarue") or spec.f.name != "zero" or np.any(spec.nu0 != 0):
+        raise ConfigError("E3's closed form needs model.g = delarue, model.f = zero, model.nu0 = 0")
     rep = _report(cfg, ["branch", "seed", "config", "max_traj_error", "m_T", "cost",
                         "classification"])
 
-    sset = enumerate_stationary(spec, 0.0, np.zeros(1))
+    sset = enumerate_stationary(spec, spec.nu0)
     # closed form m^+_t = w_t * int_0^t w_s^{-2} ds on the Riccati grid of g
     rt, w = spec.g.riccati_grid, spec.g.w
     winv2 = w ** (-2.0)
@@ -569,7 +569,7 @@ def run_E6_field_convergence(cfg: ScenarioConfig) -> ScenarioReport:
     # the field's first component is compared with the central slope of the
     # value function along the first axis, at the point the probe checks
     point = np.array([nu0] + [0.0] * (spec.dim - 1))
-    probe = differentiability_probe(spec, 0.0, point, h=h)
+    probe = differentiability_probe(spec, point, h=h)
     if probe["verdict"] != "differentiable":
         rep.notes.append(f"probe at {point} is a kink; convergence verdict skipped")
         rep.verdict("probe point differentiable", False, f"verdict {probe['verdict']}")
@@ -609,8 +609,7 @@ def run_scenario(cfg: ScenarioConfig) -> ScenarioReport:
 
 def replay_row(cfg: ScenarioConfig, report_csv: str, row_index: int) -> bool:
     """Re-run the scenario and compare the requested CSV row field-by-field."""
-    with open(report_csv) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = [ln for ln in read_text(report_csv, "report").split("\n") if ln.strip()]
     header = lines[0].split(",")
     if not (1 <= row_index + 1 < len(lines)):
         raise ConfigError(f"report has no row {row_index}")

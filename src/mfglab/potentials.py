@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InvalidParameter, KinkQuery
+from .errors import InvalidParameter
 from .numerics import TimeGrid, delarue_riccati
 
 
@@ -197,32 +197,25 @@ def make_delarue_terminal(b: float, T: float, delta: float,
 
     grad g(m) = -m/r on |m| <= r and -sign(m) outside, with r = r_delta from
     the scalar Riccati data on DELARUE_RICCATI_STEPS steps; the kinks at +-r
-    are mollified by convolution with a quartic bump of width rho (default
-    r/50).  The displayed coupling is odd, so g itself is even.  rho = 0 keeps
-    the exact piecewise form and refuses Hessian queries at the kink.  The
-    potential carries r_delta, rho and the Riccati data: riccati_grid and w.
+    are mollified by convolution with a quartic bump of width rho, with
+    0 < rho < r (default r/50), so g is C^2.  The displayed coupling is odd,
+    so g itself is even.  The potential carries r_delta, rho and the Riccati
+    data: riccati_grid and w.
     """
     grid = TimeGrid(0.0, T, DELARUE_RICCATI_STEPS)
     _, w, r = delarue_riccati(b, grid, delta)
     if rho is None:
         rho = r / 50.0
-    if rho < 0:
-        raise InvalidParameter("mollification width must be nonnegative")
+    if not rho > 0:
+        raise InvalidParameter(f"mollification width must be positive, got {rho}")
     if rho >= r:
         raise InvalidParameter("mollification width must be below r_delta")
 
     def gradient(m):
-        if rho == 0.0:
-            return np.where(np.abs(m) <= r, -m / r, -np.sign(m))
         return -m / r + (_relu_smooth(m - r, rho) - _relu_smooth(-m - r, rho)) / r
 
     def hessian(m):
-        if rho == 0.0:
-            if np.any(np.abs(np.abs(m) - r) < 1e-14):
-                raise KinkQuery(f"Hessian undefined at the kink |m| = r = {r:.6g}")
-            h = np.where(np.abs(m) < r, -1.0 / r, 0.0)
-        else:
-            h = (-1.0 + _relu_smooth_deriv(m - r, rho) + _relu_smooth_deriv(-m - r, rho)) / r
+        h = (-1.0 + _relu_smooth_deriv(m - r, rho) + _relu_smooth_deriv(-m - r, rho)) / r
         return h[..., None]
 
     def gauss(lo, hi):
@@ -235,8 +228,6 @@ def make_delarue_terminal(b: float, T: float, delta: float,
         x = np.abs(m[..., 0])
         # exact antiderivative of the unmollified gradient from 0
         exact = np.where(x <= r, -x * x / (2.0 * r), -r / 2.0 - (x - r))[()]
-        if rho == 0.0:
-            return exact
         # the mollified and exact gradients differ only on [r - rho, r + rho],
         # by a polynomial of degree 6 on each side of r; the clip makes the
         # correction 0 below the band and the full-band integral above it

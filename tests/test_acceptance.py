@@ -138,7 +138,7 @@ def test_acceptance_4_constant_control_reduction():
     worst_drift, worst_gap = 0.0, 0.0
     for nu0 in (0.0, 0.5):
         spec = logcosh_spec(nu0=nu0)
-        sset = enumerate_stationary(spec, 0.0, [nu0])
+        sset = enumerate_stationary(spec, [nu0])
         for sol in sset.solutions:
             worst_drift = max(worst_drift, float(np.max(np.abs(sol.eta - sol.eta0))))
         _, best, _ = static_U_minimize(spec, 0.0, [nu0])
@@ -147,7 +147,7 @@ def test_acceptance_4_constant_control_reduction():
     spec2 = logcosh_spec(dim=2)
     ax = np.linspace(-4.0, 4.0, 7)
     starts = np.column_stack([g.ravel() for g in np.meshgrid(ax, ax, indexing="ij")])
-    sset2 = enumerate_stationary(spec2, 0.0, np.zeros(2), start_grid=starts,
+    sset2 = enumerate_stationary(spec2, np.zeros(2), start_grid=starts,
                                  steps_per_unit=250)
     for sol in sset2.solutions:
         worst_drift = max(worst_drift, float(np.max(np.abs(sol.eta - sol.eta0))))
@@ -206,8 +206,8 @@ def test_acceptance_6_vanishing_common_noise():
 def test_acceptance_7_field_convergence():
     spec = logcosh_spec(nu0=0.5)
     h = 1e-3
-    vp = value_function(spec, 0.0, [0.5 + h], cross_check=False)
-    vm = value_function(spec, 0.0, [0.5 - h], cross_check=False)
+    vp = value_function(spec, [0.5 + h], cross_check=False)
+    vm = value_function(spec, [0.5 - h], cross_check=False)
     D = (vp - vm) / (2 * h)
     grid = SpaceGrid.symmetric(4.0, 201, 1)
     gaps, center = [], None

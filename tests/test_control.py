@@ -48,13 +48,13 @@ FAST = {"steps_per_unit": 250, "start_grid": np.linspace(-5.0, 5.0, 9)[:, None]}
 class TestShoot:
     def test_null_system(self):
         spec = model(make_zero(1), make_zero(1))
-        sol = shoot(spec, 0.0, [0.0], [0.0])
+        sol = shoot(spec, [0.0], [0.0])
         assert sol is not None
         assert np.all(sol.m == 0.0) and np.all(sol.eta == 0.0)
         assert sol.terminal_residual == 0.0
 
     def test_logcosh_constant_adjoint(self):
-        sol = shoot(logcosh_model(), 0.0, [0.0], [-2.0])
+        sol = shoot(logcosh_model(), [0.0], [-2.0])
         assert sol is not None
         assert sol.eta0[0] == pytest.approx(-AHAT, abs=1e-8)
         assert np.max(np.abs(sol.eta - sol.eta0)) < 1e-8
@@ -78,7 +78,7 @@ class TestShoot:
             symmetric_minimizer_root(kappa)
 
     def test_dynamics_residual(self):
-        sol = shoot(logcosh_model(nu0=0.5), 0.0, [0.5], [-2.0])
+        sol = shoot(logcosh_model(nu0=0.5), [0.5], [-2.0])
         dt = sol.grid.dt
         mdot = np.diff(sol.m, axis=0) / dt
         beta_mid = -0.5 * (sol.eta[1:] + sol.eta[:-1])
@@ -87,7 +87,7 @@ class TestShoot:
     def test_delarue_closed_form(self):
         g = make_delarue_terminal(0.0, 1.0, 0.1)
         spec = model(make_zero(1), g)
-        sol = shoot(spec, 0.0, [0.0], [-0.5])
+        sol = shoot(spec, [0.0], [-0.5])
         ref = math.exp(-1.0) * np.sinh(sol.grid.nodes)  # w_t int_0^t w^-2, b=0
         assert sol is not None
         assert np.max(np.abs(sol.m[:, 0] - ref)) < 1e-3
@@ -97,13 +97,13 @@ class TestShoot:
 class TestEnumerate:
     def test_convex_unique(self):
         spec = model(make_zero(1), make_quadratic(1.0, 1), nu0=1.0)
-        sset = enumerate_stationary(spec, 0.0, [1.0])
+        sset = enumerate_stationary(spec, [1.0])
         assert len(sset.solutions) == 1
         assert sset.multiplicity == 1
         assert sset.solutions[0].classification == "minimizer"
 
     def test_logcosh_three_points(self):
-        sset = enumerate_stationary(logcosh_model(), 0.0, [0.0])
+        sset = enumerate_stationary(logcosh_model(), [0.0])
         assert len(sset.solutions) == 3
         assert sset.multiplicity == 2
         etas = sorted(float(s.eta0[0]) for s in sset.solutions)
@@ -116,12 +116,12 @@ class TestEnumerate:
         assert abs(zero.eta0[0]) < 1e-6
 
     def test_negation_symmetry_of_set(self):
-        sset = enumerate_stationary(logcosh_model(), 0.0, [0.0])
+        sset = enumerate_stationary(logcosh_model(), [0.0])
         etas = sorted(float(s.eta0[0]) for s in sset.solutions)
         assert etas == pytest.approx([-e for e in etas[::-1]], abs=1e-8)
 
     def test_tilted_start_unique_minimizer(self):
-        sset = enumerate_stationary(logcosh_model(nu0=0.5), 0.0, [0.5])
+        sset = enumerate_stationary(logcosh_model(nu0=0.5), [0.5])
         mins = [s for s in sset.solutions if s.classification == "minimizer"]
         assert len(mins) == 1
         assert mins[0].m[-1, 0] > 0
@@ -129,7 +129,7 @@ class TestEnumerate:
         assert all(s.cost > sset.min_cost for s in others)
 
     def test_sorted_by_cost(self):
-        sset = enumerate_stationary(logcosh_model(), 0.0, [0.0])
+        sset = enumerate_stationary(logcosh_model(), [0.0])
         costs = [s.cost for s in sset.solutions]
         assert costs == sorted(costs)
 
@@ -138,7 +138,7 @@ class TestEnumerate:
         grid = default_start_grid(spec, [0.0])
         shuffled = grid[np.random.default_rng(4).permutation(len(grid))]
         etas = [sorted(float(s.eta0[0]) for s in enumerate_stationary(
-                    spec, 0.0, [0.0], start_grid=g, steps_per_unit=250).solutions)
+                    spec, [0.0], start_grid=g, steps_per_unit=250).solutions)
                 for g in (grid, grid[::-1], shuffled)]
         assert etas[1] == pytest.approx(etas[0], abs=1e-12)
         assert etas[2] == pytest.approx(etas[0], abs=1e-12)
@@ -162,7 +162,7 @@ def shoot_each(spec, nu0, starts, steps_per_unit):
     lexicographic start order and sorted by cost, as enumerate_stationary does."""
     found = []
     for guess in starts[np.lexsort(starts.T[::-1])]:
-        sol = shoot(spec, 0.0, nu0, guess, steps_per_unit=steps_per_unit)
+        sol = shoot(spec, nu0, guess, steps_per_unit=steps_per_unit)
         if sol is not None and not any(
                 np.linalg.norm(sol.eta0 - s.eta0) < DEDUP_TOL for s in found):
             found.append(sol)
@@ -204,7 +204,7 @@ class TestBatchedShooting:
         every, steps = (1, 250) if spec.dim == 1 else (7, 100)
         nu0 = np.atleast_1d(nu0)
         starts = default_start_grid(spec, nu0)[::every]
-        sset = enumerate_stationary(spec, 0.0, nu0, start_grid=starts, steps_per_unit=steps)
+        sset = enumerate_stationary(spec, nu0, start_grid=starts, steps_per_unit=steps)
         assert_same_solutions(sset.solutions, shoot_each(spec, nu0, starts, steps))
         assert (sset.starts, sset.failed) == (len(starts), 0)
 
@@ -213,13 +213,13 @@ class TestBatchedShooting:
     @pytest.mark.parametrize("spec, nu0", [(logcosh_model(nu0=0.5), 0.5), (delarue_model(), 0.0)])
     def test_diverging_start_changes_nothing(self, spec, nu0, integrations):
         starts = default_start_grid(spec, [nu0])
-        base = enumerate_stationary(spec, 0.0, [nu0], start_grid=starts, steps_per_unit=250)
+        base = enumerate_stationary(spec, [nu0], start_grid=starts, steps_per_unit=250)
         assert not any(diverged for _, diverged in integrations)
         # at 1e300 a probe's FD_STEP vanishes, so the Jacobian is singular;
         # at 1e308 the RK4 update overflows in its first step
         grown = np.vstack([starts, [[1e300], [1e308]]])
         integrations.clear()
-        sset = enumerate_stationary(spec, 0.0, [nu0], start_grid=grown, steps_per_unit=250)
+        sset = enumerate_stationary(spec, [nu0], start_grid=grown, steps_per_unit=250)
         # each start carries its d Jacobian probes
         assert integrations[0] == ((spec.dim + 1) * len(grown), True)
         assert_same_solutions(sset.solutions, base.solutions)
@@ -230,17 +230,17 @@ class TestBatchedShooting:
     def test_diverging_start_costs_no_integration(self, spec, nu0, integrations):
         # a start that overflows fails inside the batch's own integrations
         starts = default_start_grid(spec, [nu0])
-        base = enumerate_stationary(spec, 0.0, [nu0], start_grid=starts, steps_per_unit=250)
+        base = enumerate_stationary(spec, [nu0], start_grid=starts, steps_per_unit=250)
         calls = len(integrations)
         integrations.clear()
-        sset = enumerate_stationary(spec, 0.0, [nu0], start_grid=np.vstack(
+        sset = enumerate_stationary(spec, [nu0], start_grid=np.vstack(
             [starts, [[1e300], [1e308]]]), steps_per_unit=250)
         assert len(integrations) == calls
         assert_same_solutions(sset.solutions, base.solutions)
         assert (sset.starts, sset.failed) == (base.starts + 2, base.failed + 2)
 
     def test_fewer_integrations_than_starts(self, integrations):
-        sset = enumerate_stationary(logcosh_model(nu0=0.5), 0.0, [0.5])
+        sset = enumerate_stationary(logcosh_model(nu0=0.5), [0.5])
         # one start per integration would take 21 integrations before any Newton step
         assert sset.starts == 21
         assert len(integrations) < sset.starts
@@ -249,10 +249,10 @@ class TestBatchedShooting:
         # the candidates carry their Jacobian probes, so a Newton round costs one
         # integration per line-search try and none for its Jacobian: E6's
         # default probe and E3's enumeration
-        differentiability_probe(logcosh_model(nu0=0.5), 0.0, [0.5], h=1e-3, steps_per_unit=1000)
+        differentiability_probe(logcosh_model(nu0=0.5), [0.5], h=1e-3, steps_per_unit=1000)
         assert len(integrations) == 8
         integrations.clear()
-        enumerate_stationary(delarue_model(), 0.0, [0.0])
+        enumerate_stationary(delarue_model(), [0.0])
         assert len(integrations) == 3
 
 
@@ -280,24 +280,19 @@ class TestValueFunction:
     def test_pure_lq(self):
         spec = model(make_zero(1), make_zero(1), nu0=0.7)
         # P == 1 is the stationary Riccati point, so v = |nu0|^2 / 2
-        assert value_function(spec, 0.0, [0.7], cross_check=False) == pytest.approx(
+        assert value_function(spec, [0.7], cross_check=False) == pytest.approx(
             0.5 * 0.49, abs=1e-6)
 
     def test_logcosh_value_at_zero(self):
-        v = value_function(logcosh_model(), 0.0, [0.0], cross_check=False)
+        v = value_function(logcosh_model(), [0.0], cross_check=False)
         expect = AHAT**2 - 4.0 * math.log(math.cosh(AHAT))
         assert v == pytest.approx(expect, abs=1e-6)
-
-    def test_empty_horizon(self):
-        spec = logcosh_model()
-        v = value_function(spec, 1.0, [0.8])
-        assert v == pytest.approx(0.5 * 0.64 + spec.g.value([0.8]))
 
     def test_even_in_nu0(self):
         spec = logcosh_model()
         for x in (0.3, 0.9):
-            vp = value_function(spec, 0.0, [x], cross_check=False, **FAST)
-            vm = value_function(spec, 0.0, [-x], cross_check=False, **FAST)
+            vp = value_function(spec, [x], cross_check=False, **FAST)
+            vm = value_function(spec, [-x], cross_check=False, **FAST)
             assert vp == pytest.approx(vm, abs=1e-8)
 
     @pytest.mark.parametrize("kwargs", [FAST, {"steps_per_unit": 250}],
@@ -308,33 +303,25 @@ class TestValueFunction:
         # the points are shot as one Newton, but never mix: each value is the
         # one its point gets alone, bit for bit
         points = np.array([[-1.0], [0.0], [0.3], [1.0]])
-        v = value_function(spec, 0.0, points, cross_check=False, **kwargs)
+        v = value_function(spec, points, cross_check=False, **kwargs)
         assert v.shape == (4,)
-        single = [value_function(spec, 0.0, p, cross_check=False, **kwargs) for p in points]
+        single = [value_function(spec, p, cross_check=False, **kwargs) for p in points]
         assert all(isinstance(x, float) for x in single)
         assert v.tolist() == single
 
-    def test_empty_horizon_batch(self):
-        spec = model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2)
-        points = np.random.default_rng(0).normal(size=(3, 4, 2)) * 3
-        v = value_function(spec, 1.0, points)
-        assert v.shape == (3, 4)
-        assert v.ravel().tolist() == [value_function(spec, 1.0, p) for p in points.reshape(-1, 2)]
-
-    @pytest.mark.parametrize("t0", [0.0, 1.0], ids=["horizon", "empty-horizon"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_nu0_fails_before_shooting(self, t0, bad, integrations):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan-horizon", "inf-horizon"])
+    def test_non_finite_nu0_fails_before_shooting(self, bad, integrations):
         with pytest.raises(InvalidParameter, match="nu0"):
-            value_function(logcosh_model(), t0, [[0.5], [bad]])
+            value_function(logcosh_model(), [[0.5], [bad]])
         with pytest.raises(InvalidParameter, match="nu0"):
-            enumerate_stationary(logcosh_model(), t0, [bad])
+            enumerate_stationary(logcosh_model(), [bad])
         assert integrations == []
 
     def test_cross_check_agrees(self):
         import warnings
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            value_function(logcosh_model(nu0=0.5), 0.0, [0.5])
+            value_function(logcosh_model(nu0=0.5), [0.5])
 
 
 class TestDiscreteDescent:
@@ -342,22 +329,22 @@ class TestDiscreteDescent:
         spec = logcosh_model(nu0=0.4)
         gen = np.random.default_rng(0)
         beta = gen.normal(size=(40, 1))
-        _, grad = discrete_cost_and_gradient(spec, 0.0, [0.4], beta)
+        _, grad = discrete_cost_and_gradient(spec, [0.4], beta)
         h = 1e-6
         for idx in [(0, 0), (17, 0), (39, 0)]:
             bp = beta.copy(); bp[idx] += h
             bm = beta.copy(); bm[idx] -= h
-            cp, _ = discrete_cost_and_gradient(spec, 0.0, [0.4], bp)
-            cm, _ = discrete_cost_and_gradient(spec, 0.0, [0.4], bm)
+            cp, _ = discrete_cost_and_gradient(spec, [0.4], bp)
+            cm, _ = discrete_cost_and_gradient(spec, [0.4], bm)
             assert grad[idx] == pytest.approx((cp - cm) / (2 * h), abs=1e-8)
 
     def test_descent_from_shooting_control_has_tiny_gradient(self):
         # the discrete functional's own optimum sits within a short polish of
         # the sampled continuous optimum
         spec = logcosh_model(nu0=0.5)
-        sol = shoot(spec, 0.0, [0.5], [-2.0], steps_per_unit=200)
+        sol = shoot(spec, [0.5], [-2.0], steps_per_unit=200)
         beta0 = -sol.eta[:-1]
-        _, cost, grad = descend_discrete(spec, 0.0, [0.5], beta0)
+        _, cost, grad = descend_discrete(spec, [0.5], beta0)
         assert float(np.linalg.norm(grad)) < 1e-6
         assert cost == pytest.approx(sol.cost, abs=1e-3)
 
@@ -366,17 +353,17 @@ class TestDifferentiability:
     def test_quadratic_differentiable(self):
         spec = model(make_zero(1), make_quadratic(1.0, 1), nu0=0.4)
         for x in (-0.5, 0.0, 0.8):
-            assert differentiability_probe(spec, 0.0, [x], **FAST)["verdict"] == "differentiable"
+            assert differentiability_probe(spec, [x], **FAST)["verdict"] == "differentiable"
 
     def test_logcosh_kink_at_zero(self):
-        probe = differentiability_probe(logcosh_model(), 0.0, [0.0], **FAST)
+        probe = differentiability_probe(logcosh_model(), [0.0], **FAST)
         assert probe["verdict"] == "kink"
         # two distinct one-sided slopes near ±a-hat
         assert probe["right"][0] == pytest.approx(-AHAT, abs=0.05)
         assert probe["left"][0] == pytest.approx(AHAT, abs=0.05)
 
     def test_logcosh_smooth_off_zero(self):
-        probe = differentiability_probe(logcosh_model(nu0=0.5), 0.0, [0.5], **FAST)
+        probe = differentiability_probe(logcosh_model(nu0=0.5), [0.5], **FAST)
         assert probe["verdict"] == "differentiable"
 
     def test_probe_equals_separate_calls_2d(self):
@@ -387,10 +374,10 @@ class TestDifferentiability:
         starts = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
         kwargs = {"steps_per_unit": 100, "cross_check": False, "start_grid": starts}
         x, h = np.array([0.3, -0.2]), 1e-3
-        probe = differentiability_probe(spec, 0.0, x, h=h, **kwargs)
-        v0 = value_function(spec, 0.0, x, **kwargs)
+        probe = differentiability_probe(spec, x, h=h, **kwargs)
+        v0 = value_function(spec, x, **kwargs)
         for k, e in enumerate(h * np.eye(2)):
-            v_p, v_m = (value_function(spec, 0.0, p, **kwargs) for p in (x + e, x - e))
+            v_p, v_m = (value_function(spec, p, **kwargs) for p in (x + e, x - e))
             assert probe["right"][k] == (v_p - v0) / h
             assert probe["left"][k] == (v0 - v_m) / h
             assert probe["central"][k] == (v_p - v_m) / (2.0 * h)
@@ -400,12 +387,12 @@ class TestDifferentiability:
         # the probe's Newton takes as many integrations as its slowest point
         # alone, not the sum over its 4 points
         h = 1e-3
-        differentiability_probe(logcosh_model(nu0=x), 0.0, [x], h=h, **FAST)
+        differentiability_probe(logcosh_model(nu0=x), [x], h=h, **FAST)
         probe_calls = len(integrations)
         alone = []
         for p in (x, x + h, x - h, x + 2 * h):
             integrations.clear()
-            value_function(logcosh_model(nu0=x), 0.0, [p], cross_check=False, **FAST)
+            value_function(logcosh_model(nu0=x), [p], cross_check=False, **FAST)
             alone.append(len(integrations))
         assert probe_calls <= max(alone)
 
@@ -413,9 +400,9 @@ class TestDifferentiability:
         # the probe's central slope is the gradient estimate of E6: it must be
         # the central difference of two direct value_function calls, bit for bit
         spec, x, h = logcosh_model(nu0=0.5), 0.5, 1e-3
-        probe = differentiability_probe(spec, 0.0, [x], h=h, **FAST)
-        v_p = value_function(spec, 0.0, [x + h], cross_check=False, **FAST)
-        v_m = value_function(spec, 0.0, [x - h], cross_check=False, **FAST)
+        probe = differentiability_probe(spec, [x], h=h, **FAST)
+        v_p = value_function(spec, [x + h], cross_check=False, **FAST)
+        v_m = value_function(spec, [x - h], cross_check=False, **FAST)
         assert probe["central"].shape == (1,)
         assert probe["central"][0] == (v_p - v_m) / (2.0 * h)
 
@@ -454,7 +441,7 @@ class TestStaticReduction:
     def test_matches_shooting_minimum(self):
         for nu0 in (0.0, 0.5):
             spec = logcosh_model(nu0=nu0)
-            sset = enumerate_stationary(spec, 0.0, [nu0])
+            sset = enumerate_stationary(spec, [nu0])
             _, best, _ = static_U_minimize(spec, 0.0, [nu0])
             assert abs(best - sset.min_cost) < 1e-6
 

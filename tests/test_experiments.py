@@ -134,7 +134,7 @@ class TestConfig:
         ("E2", "grid.safety", "-0.5"), ("E6", "probe.h", "0"), ("E1", "run.M", "0"),
         ("E1", "run.N", "0 10"), ("E5", "run.eps", "0.5 0"),
         ("E3", "grid.nodes", "abc"), ("E3", "grid.L", "nan"), ("E3", "grid.L", "-1"),
-        ("E3", "grid.nodes", "2")])
+        ("E3", "grid.nodes", "2"), ("E2", "run.seed", "-1")])
     def test_late_key_rejected_at_parse(self, monkeypatch, scenario, key, value):
         # these keys used to be parsed only when a runner reached them, after
         # its solves, or (run.selection) never checked at all; the values out
@@ -202,6 +202,17 @@ class TestReports:
         with pytest.raises(ConfigError):
             run_scenario(ScenarioConfig.from_text(
                 "scenario = E3\nmodel.g = logcosh\nrun.selection = off\n"))
+
+    def test_e3_requires_nu0_zero(self, monkeypatch):
+        # E3 used to shoot from 0 whatever model.nu0 said, then run its
+        # selection ensemble from nu0 and report its frequency
+        calls = []
+        monkeypatch.setattr(control, "integrate_ode", lambda *args: calls.append(args))
+        cfg = ScenarioConfig.from_text(
+            "scenario = E3\nmodel.nu0 = 0.5\nrun.M = 200\ngrid.nodes = 401\n")
+        with pytest.raises(ConfigError, match="model.nu0"):
+            run_scenario(cfg)
+        assert calls == []
 
     def test_e2_requires_logcosh_target(self):
         # the two-atom target a-hat T belongs to the log-cosh terminal only
@@ -273,14 +284,14 @@ class TestComputedOnce:
         # N, the u(0, 0) row included
         (args,) = values
         x, h = 0.5, 1e-3
-        assert np.array_equal(args[2], [[x], [x + h], [x - h], [x + 2 * h]])
+        assert np.array_equal(args[1], [[x], [x + h], [x - h], [x + 2 * h]])
         assert len(solves) == 2
         assert [r["probe"] for r in rep.rows] == [0.5, 0.5, 0.0]
 
     def test_e6_probes_where_it_estimates(self, monkeypatch):
         seen = []
 
-        def kink(spec, t0, nu0, h=1e-3, **kwargs):
+        def kink(spec, nu0, h=1e-3, **kwargs):
             seen.append((np.array(nu0, dtype=float), h))
             return {"verdict": "kink"}
 
@@ -374,6 +385,15 @@ class TestImportCost:
         assert self.fresh_interpreter(probe).strip() == "[]"
 
 
+def save_tiny_field(path):
+    """A valid field file on a 3-node grid with 2 time steps."""
+    save_field_binary(DecouplingField(SpaceGrid.symmetric(1.0, 3, 1), TimeGrid(0.0, 1.0, 2),
+                                      np.zeros((3, 3, 1)),
+                                      {"kind": "nplayer", "N": 10, "noise_scale": 0.1,
+                                       "diffusion": 0.005}),
+                      path)
+
+
 class TestCli:
     def write(self, tmp_path, text, name="cfg.txt"):
         p = tmp_path / name
@@ -422,6 +442,26 @@ class TestCli:
         for argv in (["run", missing], ["oc-value", missing]):
             assert cli_main(argv) == 1
             assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["field", "export", "{dir}/missing.bin", "--out", "{dir}/f.csv"],
+        ["field", "export", "{bin}", "--out", "{dir}/missing/f.csv"],
+        ["replay", "{cfg}", "{dir}/missing.csv"],
+        ["field", "solve", "{cfg}", "--N", "25", "--out", "{dir}/missing/f.bin"],
+        ["run", "{cfg}", "--out-dir", "{cfg}/out"],
+    ], ids=["export-missing-binary", "export-no-out-dir", "replay-missing-report",
+            "solve-no-out-dir", "run-uncreatable-out-dir"])
+    def test_file_errors_exit_one(self, tmp_path, capsys, monkeypatch, argv):
+        # each used to end in an OSError traceback, field solve and run only
+        # after the whole solve or scenario
+        binp = str(tmp_path / "tiny.bin")
+        save_tiny_field(binp)
+        cfg = self.write(tmp_path, E2_SMALL)
+        solves = count_calls(monkeypatch, "solve_field", experiments)
+        assert cli_main([a.format(cfg=cfg, dir=tmp_path, bin=binp) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot ") and "Traceback" not in err
+        assert solves == []
 
     def test_seed_flag_overrides(self, tmp_path, capsys):
         cfg = self.write(tmp_path, E2_SMALL)
@@ -509,17 +549,15 @@ class TestCli:
         # a non-finite --nu0 used to run a whole failing enumeration first
         ("scenario = E2\n", ["oc-value", "{cfg}", "--nu0", "nan"]),
         ("scenario = E2\n", ["oc-value", "{cfg}", "--nu0", "inf"]),
+        # a negative seed used to reach numpy's SeedSequence and end in a traceback
+        ("scenario = E2\n", ["run", "{cfg}", "--out-dir", "{dir}", "--seed", "-2"]),
     ], ids=["run-N-0", "solve-N-0", "probe-h-0", "safety-0", "solve-safety-0",
             "index-past-end", "index-negative", "sigma-nan", "sigma-inf", "kappa-nan",
             "eps-list-nan", "solve-eps-nan", "solve-eps-inf", "oc-value-nu0-nan",
-            "oc-value-nu0-inf"])
+            "oc-value-nu0-inf", "seed-negative"])
     def test_bad_numbers_exit_one(self, tmp_path, capsys, config, argv):
         binp = str(tmp_path / "tiny.bin")
-        save_field_binary(DecouplingField(SpaceGrid.symmetric(1.0, 3, 1), TimeGrid(0.0, 1.0, 2),
-                                          np.zeros((3, 3, 1)),
-                                          {"kind": "nplayer", "N": 10, "noise_scale": 0.1,
-                                           "diffusion": 0.005}),
-                          binp)
+        save_tiny_field(binp)
         cfg = self.write(tmp_path, config)
         args = [a.format(cfg=cfg, dir=tmp_path, bin=binp) for a in argv]
         assert cli_main(args) == 1

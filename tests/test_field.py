@@ -605,7 +605,7 @@ class TestSimulate:
         spec = logcosh_spec(nu0=0.5)
         fld = solve(spec, N=400)
         ens = simulate_ensemble(fld, spec, M=1, seed=0, normals=zero_normals(fld))
-        sol = shoot(spec, 0.0, [0.5], [-2.0])
+        sol = shoot(spec, [0.5], [-2.0])
         ref = np.interp(ens.tgrid.nodes, sol.grid.nodes, sol.m[:, 0])
         assert np.max(np.abs(ens.paths[0, :, 0] - ref)) < 2e-2
 
@@ -696,7 +696,7 @@ class TestCost:
         fld = solve(spec, N=4000)
         ens = simulate_ensemble(fld, spec, M=1, seed=0, normals=zero_normals(fld))
         cost = path_costs(fld, ens, spec)[0]
-        v = value_function(spec, 0.0, [0.5], cross_check=False)
+        v = value_function(spec, [0.5], cross_check=False)
         assert abs(cost - v) < 5e-2
 
 

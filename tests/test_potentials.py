@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mfglab.errors import InvalidParameter, KinkQuery
+from mfglab.errors import InvalidParameter
 from mfglab.potentials import (
     ModelSpec,
     corrected_gradient,
@@ -201,8 +201,8 @@ class TestDelarue:
     def test_gradient_examples(self):
         assert self.p.gradient([0.0])[0] == 0.0
         assert self.p.gradient([self.r / 2])[0] == pytest.approx(-0.5, abs=1e-9)
-        sharp = make_delarue_terminal(0.0, 1.0, 0.1, rho=0.0)
-        assert sharp.gradient([2 * self.r])[0] == -1.0
+        # the mollification leaves the gradient exact beyond r + rho
+        assert self.p.gradient([2 * self.r])[0] == -1.0
 
     def test_gradient_odd_and_bounded(self):
         for m in np.linspace(0.01, 2, 100):
@@ -215,10 +215,10 @@ class TestDelarue:
         for m in np.linspace(-2, 2, 401):
             assert abs(self.p.hessian([m])[0, 0]) <= 1.0 / self.r + 1e-9
 
-    def test_kink_query(self):
-        sharp = make_delarue_terminal(0.0, 1.0, 0.1, rho=0.0)
-        with pytest.raises(KinkQuery):
-            sharp.hessian([sharp.r_delta])
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan])
+    def test_mollification_width_must_be_positive(self, rho):
+        with pytest.raises(InvalidParameter, match="positive"):
+            make_delarue_terminal(0.0, 1.0, 0.1, rho=rho)
 
     def test_even_value(self):
         for m in (0.2, self.r, 1.5):
