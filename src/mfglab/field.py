@@ -73,33 +73,78 @@ class DecouplingField:
         """Level k on the whole grid, (*grid.shape, d): an odd field's is unfolded."""
         return _unfold(self.values[k]) if self._odd else self.values[k]
 
-    def evaluate_batch(self, t: float, points: np.ndarray) -> np.ndarray:
-        """Multilinear in space, linear in time, at query points (n, d)."""
-        tg = self.tgrid
+    def evaluate_batch(self, t: float, points: np.ndarray, out: np.ndarray = None,
+                       bufs: dict = None) -> np.ndarray:
+        """Multilinear in space, linear in time, at query points (n, d), into `out` if given.
+
+        The first call fills `bufs`, a dict, with the lookup's scratch arrays;
+        later calls on as many points reuse them, so a loop of lookups
+        allocates nothing.
+        """
+        tg, grid = self.tgrid, self.grid
         # times outside [t0, T] take the nearest end level, never extrapolate
         s = min(max((t - tg.t0) / tg.dt, 0.0), tg.steps)
         k = min(int(s), tg.steps - 1)
         w = s - k
-        idx, frac = _cells(self.grid, points)
-        if self.grid.dim == 1:      # a 1-d level is small: blend it whole
-            (i,), (wx,) = idx, frac
-            level = (1.0 - w) * self.values[k] + w * self.values[k + 1]
-            if self._odd:
-                level = _unfold(level)
-            return (1.0 - wx) * level.take(i, axis=0) + wx * level.take(i + 1, axis=0)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        n, d = pts.shape
+        b = {} if bufs is None else bufs
+        if not b:   # per axis a cell index, its fraction and 1 - fraction; 2^d corners
+            b.update(idx=np.empty((d, n), np.intp), frac=np.empty((d, n, 1)),
+                     rest=np.empty((d, n, 1)), c=np.empty((2**d, n, d)))
+            if d == 1:
+                b.update(level=np.empty(grid.shape + (1,)), blend=np.empty(self.values.shape[1:]))
+            else:
+                n1 = grid.shape[1]
+                b.update(blend=np.empty((4, n, d)), rows=np.empty((4, n), np.intp),
+                         offsets=np.array([[n1], [1], [n1 + 1]]), folded=np.empty((4, n), np.intp),
+                         sign=np.empty((n, 1)), weight=np.empty((n, 1)))
+        out = np.empty((n, d)) if out is None else out
+        for ax, (lo, hi, nodes) in enumerate(grid.axes):
+            i, f = b["idx"][ax], b["frac"][ax, :, 0]
+            np.subtract(pts[:, ax], lo, out=f)
+            f /= (hi - lo) / (nodes - 1)
+            np.minimum(np.maximum(f, 0.0, out=f), nodes - 1 - 1e-12, out=f)
+            i[...] = f      # f >= 0, so truncation is the floor
+            f -= i
+            np.subtract(1.0, b["frac"][ax], out=b["rest"][ax])
+        # every index is in range but a NaN point's, whose weights are NaN; so
+        # take's "clip" mode, which writes straight into its buffer, clips nothing
+        c = b["c"]
+        if d == 1:      # a 1-d level is small: blend it whole
+            level, rows, i = b["level"], self.values.shape[1], b["idx"][0]
+            np.multiply(self.values[k], 1.0 - w, out=level[:rows])
+            level[:rows] += np.multiply(self.values[k + 1], w, out=b["blend"])
+            if self._odd:   # rows h + 1.. are minus rows h - 1..0
+                np.negative(level[rows - 2::-1], out=level[rows:])
+            level.take(i, axis=0, out=c[0], mode="clip")
+            level[1:].take(i, axis=0, out=c[1], mode="clip")      # rows i + 1
+            c[0] *= b["rest"][0]
+            c[1] *= b["frac"][0]
+            return np.add(c[0], c[1], out=out)
         # 2-d: blend in time only each point's corners (i, j), (i+1, j), (i, j+1)
         # and (i+1, j+1), rows i n1 + j + (0, n1, 1, n1 + 1) of the flat levels
-        (i, j), (wx, wy), n1 = idx, frac, self.grid.shape[1]
-        rows = i * n1 + j + np.array([[0], [n1], [1], [n1 + 1]])      # (4, n)
-        wi, wi1 = 1.0 - wx, wx      # the weights of rows i and i + 1
+        (i, j), (wx, wy), (rx, ry), rows = b["idx"], b["frac"], b["rest"], b["rows"]
+        np.multiply(i, grid.shape[1], out=rows[0])
+        rows[0] += j
+        np.add(rows[0], b["offsets"], out=rows[1:])
+        wi, wi1 = rx, wx        # the weights of rows i and i + 1
         if self._odd:   # a negated corner value is a negated weight, exactly
             table, sign = self._fold
-            rows = table.take(rows)
-            wi, wi1 = wi * sign.take(i)[:, None], wi1 * sign.take(i + 1)[:, None]
-        flat = self.values.reshape(tg.steps + 1, -1, self.grid.dim)
-        c = (1.0 - w) * flat[k].take(rows, axis=0) + w * flat[k + 1].take(rows, axis=0)
-        return (wi * (1.0 - wy) * c[0] + wi1 * (1.0 - wy) * c[1]
-                + wi * wy * c[2] + wi1 * wy * c[3])
+            rows = table.take(rows, out=b["folded"], mode="clip")
+            wi *= sign.take(i, out=b["sign"][:, 0], mode="clip")[:, None]
+            wi1 *= sign[1:].take(i, out=b["sign"][:, 0], mode="clip")[:, None]
+        flat = self.values.reshape(tg.steps + 1, -1, d)
+        flat[k].take(rows, axis=0, out=c, mode="clip")
+        c *= 1.0 - w
+        c += np.multiply(flat[k + 1].take(rows, axis=0, out=b["blend"], mode="clip"), w,
+                         out=b["blend"])
+        for q, (wa, wb) in enumerate(((wi, ry), (wi1, ry), (wi, wy), (wi1, wy))):
+            c[q] *= np.multiply(wa, wb, out=b["weight"])
+        np.add(c[0], c[1], out=out)
+        out += c[2]
+        out += c[3]
+        return out
 
     def evaluate(self, t: float, m) -> np.ndarray:
         return self.evaluate_batch(t, np.atleast_2d(np.asarray(m, dtype=float)))[0]
@@ -110,20 +155,6 @@ def _unfold(half: np.ndarray) -> np.ndarray:
     h + 1.. are minus rows h - 1..0 with their later space axes reversed."""
     mirror = half[(slice(-2, None, -1),) + (slice(None, None, -1),) * (half.ndim - 2)]
     return np.concatenate([half, -mirror])
-
-
-def _cells(grid: SpaceGrid, points: np.ndarray):
-    """Per axis, the lower node index of each point's cell and the fraction (n, 1) into it."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    idx, frac = [], []
-    for ax in range(grid.dim):
-        lo, hi, n = grid.axes[ax]
-        dx = (hi - lo) / (n - 1)
-        s = np.minimum(np.maximum((pts[:, ax] - lo) / dx, 0.0), n - 1 - 1e-12)
-        i = s.astype(np.intp)       # s >= 0, so truncation is the floor
-        idx.append(i)
-        frac.append((s - i)[:, None])
-    return idx, frac
 
 
 def _stencil(u: np.ndarray, c: np.ndarray, nu: float, spacings, out: np.ndarray, bufs: list):
@@ -405,13 +436,14 @@ def _sim_steps(duration: float) -> int:
 def _path_normals(seed: int, M: int, rows: int, d: int) -> np.ndarray:
     """(M, rows, d) standard normals, row p the first of RngStream(seed, p).
 
-    A stream's numbers do not depend on how its draws are split, so an array
-    with more rows serves every ensemble that reads fewer.
+    The memory is time-major, (rows, M, d), so an ensemble step reads one
+    contiguous slice.  A stream's numbers do not depend on how its draws are
+    split, so an array with more rows serves every ensemble that reads fewer.
     """
-    z = np.empty((M, rows, d))
+    z = np.empty((rows, M, d))
     for p in range(M):
-        z[p] = RngStream(seed, p).generator().normal(size=(rows, d))
-    return z
+        z[:, p] = RngStream(seed, p).generator().normal(size=(rows, d))
+    return z.transpose(1, 0, 2)
 
 
 def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
@@ -427,6 +459,10 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
     draws the rows it needs.  So a path depends on (seed, p) alone, not on
     scheduling.  States are clamped to the field's domain; the fraction of
     paths that ever exited is reported (> 1% earns a domain-too-small flag).
+
+    The paths are stepped time-major, (steps+1, M, d), each step writing one
+    contiguous slice with a field lookup into buffers allocated once;
+    `paths` is their (M, steps+1, d) view.
     """
     if M < 1:
         raise InvalidParameter("need at least one path")
@@ -440,27 +476,46 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
         raise InvalidParameter(f"normals must be ({M}, >= {n0 + tg.steps}, {d}), got {z.shape}")
     m0 = np.empty((M, d))
     m0[:] = spec.nu0
-    if n0:      # in chunks of paths, which bound the temporary; z is never written
+    if n0:      # in blocks of paths, copied to one C-order buffer; z is never written
+        block = np.empty((min(M, 256), n0, d))
         for lo in range(0, M, 256):
-            m0[lo:lo + 256] = (spec.nu0 + np.clip(z[lo:lo + 256, :n0], -6.0, 6.0)).mean(axis=1)
+            x = block[:min(M - lo, 256)]
+            # the C order sums each mean in the same order whatever the layout of z
+            np.clip(z[lo:lo + 256, :n0], -6.0, 6.0, out=x)
+            x += spec.nu0
+            m0[lo:lo + 256] = x.mean(axis=1)
+        del block, x    # freed before the paths are allocated
 
     lows, highs = np.array([ax[:2] for ax in fld.grid.axes]).T
-    paths = np.empty((M, tg.steps + 1, d))
-    outside = (m0 < lows) | (m0 > highs)
-    m = paths[:, 0] = np.minimum(np.maximum(m0, lows), highs)
-    nodes = tg.nodes
+    paths = np.empty((tg.steps + 1, M, d))
+    # each path's extremes before clamping: it exited iff they leave the domain
+    smallest, largest = m0.copy(), m0.copy()
+    np.minimum(np.maximum(m0, lows, out=m0), highs, out=paths[0])
+    zt = z.transpose(1, 0, 2)
+    nodes, scale = tg.nodes, meta["noise_scale"]
+    eta, step, bufs = np.empty((M, d)), np.empty((M, d)), {}
     drift = bool(np.any(spec.b))    # with b == 0, m + dt (0 - eta) is m - dt eta
     for k in range(tg.steps):
-        eta = fld.evaluate_batch(nodes[k], m)
-        m += dt * (m @ spec.b.T - eta) if drift else -dt * eta
-        m += meta["noise_scale"] * (sq * z[:, n0 + k])
-        outside |= (m < lows) | (m > highs)
-        paths[:, k + 1] = np.minimum(np.maximum(m, lows, out=m), highs, out=m)
+        m, new = paths[k], paths[k + 1]
+        fld.evaluate_batch(nodes[k], m, out=eta, bufs=bufs)
+        if drift:
+            np.subtract(np.matmul(m, spec.b.T, out=step), eta, out=step)
+            step *= dt
+        else:
+            np.multiply(eta, -dt, out=step)
+        np.add(m, step, out=new)
+        np.multiply(zt[n0 + k], sq, out=step)
+        step *= scale
+        new += step
+        np.fmin(smallest, new, out=smallest)       # fmin and fmax pass over NaN, as
+        np.fmax(largest, new, out=largest)         # the comparisons below do
+        np.minimum(np.maximum(new, lows, out=new), highs, out=new)
 
+    outside = (smallest < lows) | (largest > highs)
     exit_fraction = float(np.mean(np.any(outside, axis=1)))
     meta_out = dict(meta)
     meta_out["domain_too_small"] = exit_fraction > 0.01
-    return PathEnsemble(tgrid=tg, paths=paths, seed=seed,
+    return PathEnsemble(tgrid=tg, paths=paths.transpose(1, 0, 2), seed=seed,
                         exit_fraction=exit_fraction, metadata=meta_out)
 
 

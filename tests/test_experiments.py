@@ -253,6 +253,15 @@ class TestReports:
         run_scenario(ScenarioConfig.from_text(GOLDEN_CONFIG.format(scenario))).write_csv(str(out))
         assert out.read_bytes() == (GOLDEN / f"{scenario}_seed5.csv").read_bytes()
 
+    def test_single_n_skips_cross_n_verdicts(self):
+        # with one N the W1 verdict compared that N's W1 with itself and always failed
+        rep = run_scenario(ScenarioConfig.from_text(
+            "scenario = E2\nrun.M = 100\nrun.N = 25\ngrid.nodes = 61\n"))
+        name = "W1 to two-atom target smaller at largest N than smallest"
+        assert rep.passed
+        assert name not in [v[0] for v in rep.verdicts]
+        assert f"one sweep value: verdict '{name}' skipped" in rep.notes
+
     def test_e5_eps_must_decrease(self):
         with pytest.raises(ConfigError):
             run_scenario(ScenarioConfig.from_text(

@@ -395,8 +395,11 @@ class TestEvaluate:
                             [-9.0, -9.0]])
         edges = np.array([[2.0, 0.3], [-1.2, 4.0], [2.0, 4.0], [-3.0, -1.0], [-3.0, 4.0]])
         pts = np.vstack([inside, outside, edges])
+        out, bufs = np.empty_like(pts), {}
         for t in (0.2, 0.5, 0.5 + 3 * tg.dt, 0.917, 1.5, 1.9):
-            assert np.array_equal(fld.evaluate_batch(t, pts), blend_then_interpolate(fld, t, pts))
+            ref = blend_then_interpolate(fld, t, pts)
+            assert np.array_equal(fld.evaluate_batch(t, pts), ref)
+            assert np.array_equal(fld.evaluate_batch(t, pts, out=out, bufs=bufs), ref)
         for t, m in ((0.73, [0.4, 1.1]), (1.5, [2.0, 4.0]), (0.1, [-5.0, 0.0])):
             assert np.array_equal(fld.evaluate(t, m), blend_then_interpolate(fld, t, m)[0])
 
@@ -450,8 +453,12 @@ class TestFoldedStorage:
                              np.where(gen.uniform(size=(20, dim)) < 0.5, lo - 1.0, hi + 1.0)])
         pts = np.vstack([random, nodes] + lines + [outside])
         tg = fld.tgrid
+        out, bufs = np.empty_like(pts), {}      # reused across times, as an ensemble does
         for t in (tg.t0 + 0.3 * tg.dt, tg.T - 0.4 * tg.dt, tg.T, tg.t0 - 0.5, tg.T + 0.5):
-            assert np.array_equal(fld.evaluate_batch(t, pts), full.evaluate_batch(t, pts))
+            ref = full.evaluate_batch(t, pts)
+            assert np.array_equal(fld.evaluate_batch(t, pts), ref)
+            assert fld.evaluate_batch(t, pts, out=out, bufs=bufs) is out
+            assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("grid, f, g", [
         (SpaceGrid(((-3.0, 2.0, 41),)), make_zero(1), make_quadratic(1.0, 1)),
@@ -568,6 +575,28 @@ class TestSimulate:
             assert np.array_equal(sliced.paths, fresh.paths)
             assert sliced.exit_fraction == fresh.exit_fraction
         assert np.array_equal(shared, before)
+
+    @pytest.mark.parametrize("spec, grid, variant", [
+        (logcosh_spec(), SpaceGrid.symmetric(3.0, 41, 1), {"N": 20}),
+        (logcosh_spec(), SpaceGrid.symmetric(3.0, 41, 1), {"eps": 0.5}),
+        (lq_spec(b=0.3, nu0=0.2), SpaceGrid(((-3.0, 2.0, 41),)), {"N": 20}),
+        (model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2),
+         SpaceGrid.symmetric(3.0, 41, 2), {"N": 20}),
+    ], ids=["1d-odd", "1d-common-noise", "1d-drift", "2d-odd"])
+    def test_normals_layout_does_not_matter(self, spec, grid, variant):
+        # the drawn normals are time-major; a C-order copy, read path by path,
+        # must step the same paths bit for bit.  M > 256 spans two blocks of m_0
+        fld = solve(spec, grid=grid, **variant)
+        M, rows = 300, variant.get("N", 0) + _sim_steps(spec.T)
+        drawn = _path_normals(3, M, rows, spec.dim)
+        copy = np.ascontiguousarray(drawn)
+        assert not drawn.flags.c_contiguous and drawn.transpose(1, 0, 2).flags.c_contiguous
+        a = simulate_ensemble(fld, spec, M=M, seed=3, normals=drawn)
+        b = simulate_ensemble(fld, spec, M=M, seed=3, normals=copy)
+        assert a.paths.shape == (M, _sim_steps(spec.T) + 1, spec.dim)
+        assert np.array_equal(a.paths, b.paths)
+        assert a.exit_fraction == b.exit_fraction
+        assert np.array_equal(drawn, copy)
 
     def test_normals_shape_checked(self):
         spec = logcosh_spec()
