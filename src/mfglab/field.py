@@ -15,13 +15,16 @@ allocated once per solve.  One implicit-in-diffusion step at the first
 backward level damps terminal-layer roughness; it is solved directly, in
 every dimension, by fast diagonalization of the interior in the sine basis,
 the end faces of each axis solved first by the same recursion.  2-d
-evaluation gathers each point's corners.  An odd field (even data on a
-symmetric grid, so u(t, -m) = -u(t, m)) steps and stores only the first
-axis's rows up to its center, stepping with a reflected ghost row.
-Evaluation maps each corner index into the stored half and negates the values
-it reflects, which is exact, so it agrees bit for bit with the full field;
-`DecouplingField.level` unfolds one level on demand.  numpy is the only
-dependency.
+evaluation gathers each point's corners.  With even data (unchanged under
+each coordinate sign flip), a diagonal b and a symmetric grid, flipping one
+coordinate maps the field to itself with that coordinate's component
+negated.  Such a field is mirror-folded: it steps and stores only indices
+0..h of each axis, h the center (half of a 1-d grid, a quarter of a 2-d one),
+stepping with one reflected ghost per axis.  Evaluation maps each corner
+index into the stored part, axis by axis, and folds the reflected components'
+signs into the weights, which is exact, so it agrees bit for bit with the
+full field; `DecouplingField.level` unfolds one level on demand.  numpy is
+the only dependency.
 """
 
 from __future__ import annotations
@@ -48,30 +51,35 @@ VELOCITY_MARGIN = 2.0    # stable_time_grid's factor on the terminal advection s
 class DecouplingField:
     grid: SpaceGrid
     tgrid: TimeGrid
-    # (steps+1, *grid.shape, d); an odd field stores rows 0..h of the first
-    # axis only, h its center row: (steps+1, h+1, *grid.shape[1:], d)
+    # (steps+1, *grid.shape, d); a mirror-folded field stores indices 0..h of
+    # each axis only, h its center: (steps+1, h0+1[, h1+1], d)
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     @property
-    def _odd(self) -> bool:
-        return self.values.shape[1] != self.grid.shape[0]
+    def _folded(self) -> bool:
+        return self.values.shape[1:-1] != self.grid.shape
 
     @cached_property
-    def _fold(self):
-        """Row of each flat 2-d node in the stored half, and the sign of each first-axis row.
+    def _corners(self):
+        """Per axis, for each cell i, the stored indices of nodes i and i + 1 and the
+        signs of that axis's component there, each (2, nodes - 1).
 
-        The point reflection of flat node f = i n1 + j is N - 1 - f, N = n0 n1,
-        so the nodes past row h read their mirror image, negated.
+        Past its center h an axis reads its mirror image, index n - 1 - i, with
+        the axis's own component negated.  The first axis's indices are scaled
+        by the stored row length, so a corner's flat index is their sum.
         """
-        n0, n1 = self.grid.shape
-        f, h = np.arange(n0 * n1), n0 // 2
-        return (np.where(f >= (h + 1) * n1, n0 * n1 - 1 - f, f),
-                np.where(np.arange(n0) > h, -1.0, 1.0))
+        stored = self.values.shape[1:-1]
+        pairs = []
+        for n, s, pitch in zip(self.grid.shape, stored, stored[1:] + (1,)):
+            i = np.arange(n)
+            index, sign = np.where(i < s, i, n - 1 - i) * pitch, np.where(i < s, 1.0, -1.0)
+            pairs.append((np.stack([index[:-1], index[1:]]), np.stack([sign[:-1], sign[1:]])))
+        return pairs
 
     def level(self, k: int) -> np.ndarray:
-        """Level k on the whole grid, (*grid.shape, d): an odd field's is unfolded."""
-        return _unfold(self.values[k]) if self._odd else self.values[k]
+        """Level k on the whole grid, (*grid.shape, d): a folded field's is unfolded."""
+        return _unfold(self.values[k], self.grid.shape) if self._folded else self.values[k]
 
     def evaluate_batch(self, t: float, points: np.ndarray, out: np.ndarray = None,
                        bufs: dict = None) -> np.ndarray:
@@ -89,25 +97,24 @@ class DecouplingField:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n, d = pts.shape
         b = {} if bufs is None else bufs
-        if not b:   # per axis a cell index, its fraction and 1 - fraction; 2^d corners
-            b.update(idx=np.empty((d, n), np.intp), frac=np.empty((d, n, 1)),
-                     rest=np.empty((d, n, 1)), c=np.empty((2**d, n, d)))
+        if not b:   # per axis a cell index and the weights of its nodes i, i + 1; 2^d corners
+            b.update(idx=np.empty((d, n), np.intp), w=np.empty((d, 2, n, 1)),
+                     c=np.empty((2**d, n, d)))
             if d == 1:
                 b.update(level=np.empty(grid.shape + (1,)), blend=np.empty(self.values.shape[1:]))
             else:
-                n1 = grid.shape[1]
-                b.update(blend=np.empty((4, n, d)), rows=np.empty((4, n), np.intp),
-                         offsets=np.array([[n1], [1], [n1 + 1]]), folded=np.empty((4, n), np.intp),
-                         sign=np.empty((n, 1)), weight=np.empty((n, 1)))
+                b.update(blend=np.empty((4, n, d)), ends=np.empty((2, 2, n), np.intp),
+                         rows=np.empty((2, 2, n), np.intp), sign=np.empty((2, 2, n)),
+                         prod=np.empty((2, 2, n)), weight=np.empty((2, 2, n, d)))
         out = np.empty((n, d)) if out is None else out
         for ax, (lo, hi, nodes) in enumerate(grid.axes):
-            i, f = b["idx"][ax], b["frac"][ax, :, 0]
+            i, f = b["idx"][ax], b["w"][ax, 1, :, 0]
             np.subtract(pts[:, ax], lo, out=f)
             f /= (hi - lo) / (nodes - 1)
             np.minimum(np.maximum(f, 0.0, out=f), nodes - 1 - 1e-12, out=f)
             i[...] = f      # f >= 0, so truncation is the floor
             f -= i
-            np.subtract(1.0, b["frac"][ax], out=b["rest"][ax])
+            np.subtract(1.0, f, out=b["w"][ax, 0, :, 0])
         # every index is in range but a NaN point's, whose weights are NaN; so
         # take's "clip" mode, which writes straight into its buffer, clips nothing
         c = b["c"]
@@ -115,32 +122,33 @@ class DecouplingField:
             level, rows, i = b["level"], self.values.shape[1], b["idx"][0]
             np.multiply(self.values[k], 1.0 - w, out=level[:rows])
             level[:rows] += np.multiply(self.values[k + 1], w, out=b["blend"])
-            if self._odd:   # rows h + 1.. are minus rows h - 1..0
+            if self._folded:    # rows h + 1.. are minus rows h - 1..0
                 np.negative(level[rows - 2::-1], out=level[rows:])
             level.take(i, axis=0, out=c[0], mode="clip")
             level[1:].take(i, axis=0, out=c[1], mode="clip")      # rows i + 1
-            c[0] *= b["rest"][0]
-            c[1] *= b["frac"][0]
+            c[0] *= b["w"][0, 0]
+            c[1] *= b["w"][0, 1]
             return np.add(c[0], c[1], out=out)
         # 2-d: blend in time only each point's corners (i, j), (i+1, j), (i, j+1)
-        # and (i+1, j+1), rows i n1 + j + (0, n1, 1, n1 + 1) of the flat levels
-        (i, j), (wx, wy), (rx, ry), rows = b["idx"], b["frac"], b["rest"], b["rows"]
-        np.multiply(i, grid.shape[1], out=rows[0])
-        rows[0] += j
-        np.add(rows[0], b["offsets"], out=rows[1:])
-        wi, wi1 = rx, wx        # the weights of rows i and i + 1
-        if self._odd:   # a negated corner value is a negated weight, exactly
-            table, sign = self._fold
-            rows = table.take(rows, out=b["folded"], mode="clip")
-            wi *= sign.take(i, out=b["sign"][:, 0], mode="clip")[:, None]
-            wi1 *= sign[1:].take(i, out=b["sign"][:, 0], mode="clip")[:, None]
+        # and (i+1, j+1).  Corner a + 2 b is stored at flat index ends[0][a] +
+        # ends[1][b], and its weight is w[0][a] w[1][b]; a negated corner value
+        # is a negated weight, exactly, so each component's weight takes the
+        # sign of the axis that reflects that component
+        ends, sign = b["ends"], b["sign"]
+        for ax, (index, signs) in enumerate(self._corners):
+            index.take(b["idx"][ax], axis=1, out=ends[ax], mode="clip")
+            signs.take(b["idx"][ax], axis=1, out=sign[ax], mode="clip")
+        rows = np.add(ends[0], ends[1][:, None], out=b["rows"]).reshape(4, n)
+        prod = np.multiply(b["w"][0, ..., 0], b["w"][1, :, None, :, 0], out=b["prod"])
+        weight = b["weight"]
+        np.multiply(prod, sign[0], out=weight[..., 0])
+        np.multiply(prod, sign[1][:, None], out=weight[..., 1])
         flat = self.values.reshape(tg.steps + 1, -1, d)
         flat[k].take(rows, axis=0, out=c, mode="clip")
         c *= 1.0 - w
         c += np.multiply(flat[k + 1].take(rows, axis=0, out=b["blend"], mode="clip"), w,
                          out=b["blend"])
-        for q, (wa, wb) in enumerate(((wi, ry), (wi1, ry), (wi, wy), (wi1, wy))):
-            c[q] *= np.multiply(wa, wb, out=b["weight"])
+        c *= weight.reshape(4, n, d)
         np.add(c[0], c[1], out=out)
         out += c[2]
         out += c[3]
@@ -150,11 +158,17 @@ class DecouplingField:
         return self.evaluate_batch(t, np.atleast_2d(np.asarray(m, dtype=float)))[0]
 
 
-def _unfold(half: np.ndarray) -> np.ndarray:
-    """An odd level (*shape, d) from its rows 0..h (h + 1, *shape[1:], d): rows
-    h + 1.. are minus rows h - 1..0 with their later space axes reversed."""
-    mirror = half[(slice(-2, None, -1),) + (slice(None, None, -1),) * (half.ndim - 2)]
-    return np.concatenate([half, -mirror])
+def _unfold(part: np.ndarray, shape) -> np.ndarray:
+    """The whole-grid (*shape, d) array of a mirror-folded `part`, which holds
+    indices 0..h of each space axis, h its center, and maybe a ghost h + 1:
+    along each axis, indices h + 1.. are h - 1..0 with that axis's component
+    negated."""
+    for ax, n in enumerate(shape):
+        h, lead = n // 2, (slice(None),) * ax
+        mirror = part[lead + (slice(h - 1, None, -1),)].copy()
+        np.negative(mirror[..., ax], out=mirror[..., ax])
+        part = np.concatenate([part[lead + (slice(h + 1),)], mirror], axis=ax)
+    return part
 
 
 def _stencil(u: np.ndarray, c: np.ndarray, nu: float, spacings, out: np.ndarray, bufs: list):
@@ -267,11 +281,6 @@ def _variant(spec: ModelSpec, N, eps):
     return nu, cost_gradient, meta
 
 
-def _mirror(x: np.ndarray, rows) -> np.ndarray:
-    """The view x[:, rows] of a (d, *shape) x with its later space axes reversed."""
-    return x[(slice(None), rows) + (slice(None, None, -1),) * (x.ndim - 2)]
-
-
 def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
                 N: int = None, eps: float = None) -> DecouplingField:
     """Backward finite-difference solve of the decoupling-field system.
@@ -280,49 +289,65 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
     variant.  Stability of the explicit scheme (CFL_DIFF, CFL_ADV) is checked
     before and during stepping; violations raise CflViolation.
 
-    With even data on a symmetric grid the field is odd: rows 0..h of the first
-    axis are stepped, h the center row, with a ghost row h + 1 reflecting row
-    h - 1; row h is projected onto odd rows (u(t, 0) = 0), and each level keeps
-    rows 0..h only.
+    With even data (unchanged under each coordinate sign flip), a diagonal b
+    and a symmetric grid, each coordinate reflection maps the field to itself
+    with that coordinate's component negated.  Then only indices 0..h of each
+    axis are stepped, h its center, with a ghost h + 1 that is index h - 1
+    with the axis's component negated; on each center line the component that
+    flips there is projected to zero, and each level keeps indices 0..h only:
+    one half of a 1-d grid, one quarter of a 2-d one.
     """
     nu, cost_gradient, meta = _variant(spec, N, eps)
     if grid.dim != spec.dim:
         raise InvalidParameter("space grid dimension must match the model")
 
-    spacings, dt = grid.spacings, tgrid.dt
+    spacings, dt, d = grid.spacings, tgrid.dt, spec.dim
     for dx in spacings:
         ratio = nu * dt / dx**2
         if ratio > CFL_DIFF + 1e-12:
             raise CflViolation("diffusion", ratio, CFL_DIFF)
 
+    folded = (spec.even_data and grid.is_symmetric()
+              and np.array_equal(spec.b, np.diag(np.diag(spec.b))))
+    h = tuple(n // 2 for n in grid.shape)   # the centers; is_symmetric means odd counts
+    # the stepped block: indices 0..h + 1 of each axis when folded, else the grid
+    coords = [grid.axis_nodes(ax)[:h[ax] + 2 if folded else None] for ax in range(d)]
     # the stepping state is component-major, (d, *shape), so each component
     # is contiguous and each advection component c[i] broadcasts over all d
-    mgrid = np.stack(grid.meshgrid(), axis=-1)              # (*shape, d)
+    mgrid = np.stack(np.meshgrid(*coords, indexing="ij"), axis=-1)     # (*block, d)
     bm = np.moveaxis(np.einsum("ij,...j->...i", spec.b, mgrid), -1, 0).copy()
     source = np.moveaxis(cost_gradient(spec.f, mgrid), -1, 0).copy()
-    symmetric = spec.even_data and grid.is_symmetric()
     drift = bool(np.any(spec.b))    # with b == 0 the b^T u term adds exact zeros
 
     # the terminal layer stays exactly the corrected gradient at the nodes
     u = np.moveaxis(cost_gradient(spec.g, mgrid), -1, 0).copy()
-    rows = grid.shape[0]    # of the first axis, stored per level
-    if symmetric:       # the slab of rows 0..h + 1; is_symmetric means an odd row count
-        h = rows // 2
-        rows = h + 1
-        u, bm, source = (x[:, :h + 2].copy() for x in (u, bm, source))
+    stored = tuple(x + 1 for x in h) if folded else grid.shape
+    keep = tuple(map(slice, (d,) + stored))
     steps = tgrid.steps
-    values = np.empty((steps + 1, rows) + grid.shape[1:] + (spec.dim,))
-    levels = np.moveaxis(values, -1, 1)     # (steps+1, d, rows, ...) views of the levels
-    levels[steps] = u[:, :rows]
+    values = np.empty((steps + 1,) + stored + (d,))
+    levels = np.moveaxis(values, -1, 1)     # (steps+1, d, *stored) views of the levels
+    levels[steps] = u[keep]
 
     # stepping buffers, allocated once: per-step temporaries cost page faults
     c, k1, k2, stage, unext = (np.empty_like(u) for _ in range(5))
     bufs = []
 
+    def at(ax, i, comp=slice(None)):
+        """Index i of space axis ax in a (d, *block) array, of one component or all."""
+        return (comp,) + (slice(None),) * ax + (i,)
+
+    # per axis its ghost h + 1 and the source h - 1, all components and the
+    # axis's own (the last axis's ghost first, so the corner ghost reflects
+    # through both), and the center line of the axis's own component
+    ghosts = [(at(ax, h[ax] + 1), at(ax, h[ax] - 1), at(ax, h[ax] + 1, ax), at(ax, h[ax] - 1, ax))
+              for ax in reversed(range(d))] if folded else []
+    centers = [at(ax, h[ax], ax) for ax in range(d)] if folded else []
+
     def rhs(u, diffusion, out):
-        """((transport + diffusion Lap u) + b^T u) + source, into out; sets u's ghost row."""
-        if symmetric:
-            np.negative(_mirror(u, h - 1), out=u[:, h + 1])
+        """((transport + diffusion Lap u) + b^T u) + source, into out; sets u's ghosts."""
+        for ghost, src, ghost_own, src_own in ghosts:     # index h - 1, own component negated
+            u[ghost] = u[src]
+            u[ghost_own] = -u[src_own]
         np.subtract(bm, u, out=c)
         cmax = max(float(c.max()), -float(c.min()))
         for dx in spacings:
@@ -338,20 +363,20 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
         # explicit Euler stage; the first level then solves diffusion implicitly, the rest Heun
         first = k == steps - 1
         np.add(u, np.multiply(dt, rhs(u, 0.0 if first else nu, k1), out=stage), out=stage)
-        if first:   # the implicit solve couples all rows, so a slab's stage is unfolded
-            full = (np.concatenate([stage[:, :h + 1], -_mirror(stage, slice(h - 1, None, -1))],
-                                   axis=1) if symmetric else stage)
-            unext[...] = _implicit_solve(full, nu * dt, spacings)[:, :u.shape[1]]
+        if first:   # the implicit solve couples all nodes, so a folded stage is unfolded
+            full = (np.moveaxis(_unfold(np.moveaxis(stage, 0, -1), grid.shape), -1, 0)
+                    if folded else stage)
+            unext[...] = _implicit_solve(full, nu * dt, spacings)[tuple(map(slice, u.shape))]
         else:       # u + 0.5 dt (k1 + k2), k2 the slope at the stage
             k1 += rhs(stage, nu, k2)
             k1 *= 0.5 * dt
             np.add(u, k1, out=unext)
         u, unext = unext, u
-        if symmetric:       # row h is its own mirror image: project it, 0.5 (x - flip x)
-            u[:, h] = 0.5 * (u[:, h] - _mirror(u, h))
+        for line in centers:    # there the component is its own negative: 0.5 (x - x)
+            u[line] = 0.5 * (u[line] - u[line])
         if not np.all(np.isfinite(u)):
             raise PdeDiverged(tgrid.nodes[k])
-        levels[k] = u[:, :rows]
+        levels[k] = u[keep]
 
     return DecouplingField(grid=grid, tgrid=tgrid, values=values, metadata=meta)
 

@@ -107,7 +107,8 @@ class RngStream:
     index: int = 0
 
     def generator(self) -> np.random.Generator:
-        return np.random.default_rng(np.random.SeedSequence((self.seed, self.index)))
+        # default_rng's own PCG64 over the same SeedSequence, built directly
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence((self.seed, self.index))))
 
 
 def integrate_ode(rhs, x0, grid: TimeGrid) -> np.ndarray:

@@ -32,6 +32,8 @@ class Potential:
     hessian: Callable        # (..., d) -> (..., d, d)
     grad_sup: float          # a-priori bound on |grad| over the probe box
     probe_radius: float
+    # unchanged when any one coordinate changes sign, m_i -> -m_i (in 1-d,
+    # p(-m) = p(m)); with a diagonal b the field then keeps each mirror symmetry
     even: bool = False
     # (C, k) when value(m) = m.C m / 2 + k.m; enables the Riccati oracle
     quad_coeffs: Optional[tuple] = None

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from mfglab.cli import main as cli_main
 from mfglab.control import shoot
 from mfglab.errors import CflViolation, InvalidInput, InvalidOracle, InvalidParameter
+from mfglab.experiments import ScenarioConfig
 from mfglab.field import (
     CFL_DIFF,
     DecouplingField,
@@ -79,6 +81,19 @@ def zero_normals(fld, M=1):
     return np.zeros((M, n0 + _sim_steps(fld.tgrid.T - fld.tgrid.t0), fld.grid.dim))
 
 
+def oracle_error(spec, fld, N):
+    """Worst relative error against `riccati_field_oracle` on |m| <= 2, at t0 and a third in."""
+    P, r, _ = riccati_field_oracle(spec, fld.tgrid, N=N)
+    m = np.stack(fld.grid.meshgrid(), axis=-1)
+    inner = np.all(np.abs(m) <= 2.0, axis=-1)
+    worst = 0.0
+    for k in (0, fld.tgrid.steps // 3):
+        exact = m[inner] @ P[k].T + r[k]
+        got = fld.level(k)[inner]
+        worst = max(worst, np.max(np.abs(got - exact) / np.maximum(np.abs(exact), 1e-8)))
+    return worst
+
+
 def full_values(fld):
     """The field's levels on the whole grid, stacked: (steps+1, *grid.shape, d)."""
     return np.stack([fld.level(k) for k in range(fld.tgrid.steps + 1)])
@@ -91,7 +106,7 @@ class TestSolveField:
         fld = solve(spec, N=N)
         x = GRID.axis_nodes(0)
         expect = np.array([corrected_gradient(spec.g, N, [xx]) for xx in x])
-        # an odd field stores rows 0..h, the exact corrected gradient; the rows
+        # a folded 1-d field stores rows 0..h, the exact corrected gradient; the rows
         # past the center are their exact negated mirror, which the corrected
         # gradient at the mirrored nodes matches to rounding only
         h = GRID.shape[0] // 2
@@ -125,17 +140,8 @@ class TestSolveField:
         # no default config has b != 0, so this is the test of the b^T u term;
         # without it the worst relative error is 0.12-0.19
         spec = model(make_zero(dim), make_quadratic(1.0, dim), dim=dim, b=b)
-        grid = SpaceGrid.symmetric(4.0, nodes, dim)
-        fld = solve(spec, grid=grid, N=10)
-        P, r, _ = riccati_field_oracle(spec, fld.tgrid, N=10)
-        m = np.stack(grid.meshgrid(), axis=-1)
-        inner = np.all(np.abs(m) <= 2.0, axis=-1)
-        worst = 0.0
-        for k in (0, fld.tgrid.steps // 3):
-            exact = m[inner] @ P[k].T + r[k]
-            got = fld.level(k)[inner]
-            worst = max(worst, np.max(np.abs(got - exact) / np.maximum(np.abs(exact), 1e-8)))
-        assert worst < 1e-4
+        fld = solve(spec, grid=SpaceGrid.symmetric(4.0, nodes, dim), N=10)
+        assert oracle_error(spec, fld, N=10) < 1e-4
 
     def test_odd_symmetry_even_data(self):
         fld = solve(logcosh_spec(), N=100)
@@ -149,7 +155,7 @@ class TestSolveField:
         spec = model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2)
         fld = solve(spec, grid=SpaceGrid.symmetric(3.0, 61, 2), N=50)
         v = full_values(fld)
-        # the projection flips both space axes, never the component axis
+        # the two mirror symmetries compose to the point reflection, exactly
         assert np.array_equal(v[:-1], -v[:-1, ::-1, ::-1])
         assert np.all(v[:-1, 30, 30] == 0.0)
 
@@ -323,8 +329,8 @@ def two_function_solve(spec, grid, tgrid, N):
 
 
 class TestStencilSolve:
-    # with even data on a symmetric grid solve_field steps only rows 0..h of
-    # the first axis and stores only those; level(k) unfolds them by the point reflection
+    # with even data on a symmetric grid solve_field steps only indices 0..h of
+    # each axis and stores only those; level(k) unfolds them axis by axis
     @pytest.mark.parametrize("grid", [
         SpaceGrid.symmetric(4.0, 201, 1),
         SpaceGrid.symmetric(3.0, 41, 2),
@@ -424,14 +430,30 @@ def odd_field(grid):
 
 
 class TestFoldedStorage:
-    # an odd field stores rows 0..h of the first axis; its lookups map corner
-    # indices into that half and negate, which must equal the full field's bit for bit
+    # a mirror-folded field stores indices 0..h of each axis; its lookups map
+    # corner indices into that part and negate the component of each axis
+    # reflected, which must equal the full field's bit for bit
     @pytest.mark.parametrize("grid", ODD_GRIDS, ids=ODD_IDS)
     def test_stores_half_rows(self, grid):
+        # half the rows of a 1-d grid, (h0 + 1, h1 + 1) of a 2-d one
         fld = odd_field(grid)
-        n0, h = grid.shape[0], grid.shape[0] // 2
-        assert fld.values.shape == (fld.tgrid.steps + 1, h + 1) + grid.shape[1:] + (grid.dim,)
-        assert fld.values.nbytes * n0 == rebuilt_full(fld).values.nbytes * (h + 1)
+        stored = tuple(n // 2 + 1 for n in grid.shape)
+        assert fld.values.shape == (fld.tgrid.steps + 1,) + stored + (grid.dim,)
+        assert (fld.values.nbytes * math.prod(grid.shape)
+                == rebuilt_full(fld).values.nbytes * math.prod(stored))
+
+    @pytest.mark.parametrize("grid", ODD_GRIDS[1:], ids=ODD_IDS[1:])
+    def test_e4_levels_mirror_each_axis(self, grid):
+        # each coordinate flip negates its own component and keeps the other, exactly
+        spec = ScenarioConfig.from_text("scenario = E4\n").spec
+        v = full_values(solve(spec, grid=grid, N=50))
+        h0, h1 = (n // 2 for n in grid.shape)
+        assert np.array_equal(v[:, ::-1, :, 0], -v[..., 0])
+        assert np.array_equal(v[:, ::-1, :, 1], v[..., 1])
+        assert np.array_equal(v[:, :, ::-1, 0], v[..., 0])
+        assert np.array_equal(v[:, :, ::-1, 1], -v[..., 1])
+        assert np.all(v[:, h0, :, 0] == 0.0)      # u1 on the center row
+        assert np.all(v[:, :, h1, 1] == 0.0)      # u2 on the center column
 
     @pytest.mark.parametrize("grid", ODD_GRIDS, ids=ODD_IDS)
     def test_lookup_equals_full_field(self, grid):
@@ -460,16 +482,25 @@ class TestFoldedStorage:
             assert fld.evaluate_batch(t, pts, out=out, bufs=bufs) is out
             assert np.array_equal(out, ref)
 
-    @pytest.mark.parametrize("grid, f, g", [
-        (SpaceGrid(((-3.0, 2.0, 41),)), make_zero(1), make_quadratic(1.0, 1)),
-        (SpaceGrid.symmetric(3.0, 41, 1), make_zero(1), make_quadratic(1.0, 1, kappa=[0.3])),
-        (SpaceGrid(((-3.0, 3.0, 41), (-2.0, 1.0, 31))), make_zero(2), make_quadratic(1.0, 2)),
-        (SpaceGrid.symmetric(3.0, 41, 2), make_zero(2), make_quadratic(1.0, 2, kappa=[0.2, -0.1])),
-    ], ids=["1d-asymmetric-grid", "1d-uneven-data", "2d-asymmetric-grid", "2d-uneven-data"])
-    def test_keeps_full_rows(self, grid, f, g):
-        fld = solve(model(f, g, dim=grid.dim), grid=grid, N=10)
+    @pytest.mark.parametrize("grid, f, g, b", [
+        (SpaceGrid(((-3.0, 2.0, 41),)), make_zero(1), make_quadratic(1.0, 1), None),
+        (SpaceGrid.symmetric(3.0, 41, 1), make_zero(1), make_quadratic(1.0, 1, kappa=[0.3]), None),
+        (SpaceGrid(((-3.0, 3.0, 41), (-2.0, 1.0, 31))), make_zero(2), make_quadratic(1.0, 2), None),
+        (SpaceGrid.symmetric(3.0, 41, 2), make_zero(2), make_quadratic(1.0, 2, kappa=[0.2, -0.1]),
+         None),
+        (SpaceGrid.symmetric(4.0, 81, 2), make_zero(2), make_quadratic(1.0, 2),
+         [[0.1, 0.3], [-0.2, 0.4]]),
+    ], ids=["1d-asymmetric-grid", "1d-uneven-data", "2d-asymmetric-grid", "2d-uneven-data",
+            "2d-nondiagonal-drift"])
+    def test_keeps_full_rows(self, grid, f, g, b):
+        spec = model(f, g, dim=grid.dim)
+        if b is not None:   # b m keeps the point symmetry of even data, not the mirror ones
+            spec = dataclasses.replace(spec, b=np.array(b))
+        fld = solve(spec, grid=grid, N=10)
         assert fld.values.shape == (fld.tgrid.steps + 1,) + grid.shape + (grid.dim,)
         assert np.array_equal(fld.level(3), fld.values[3])
+        if b is not None:
+            assert oracle_error(spec, fld, N=10) < 1e-4
 
     @pytest.mark.parametrize("grid", ODD_GRIDS, ids=ODD_IDS)
     def test_saved_bytes_equal_full_field(self, grid, tmp_path):

@@ -309,6 +309,13 @@ class TestRng:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("seed, index", [(1, 0), (1, 10**6), (42, 3), (0, 0), (2**40, 17)])
+    def test_stream_is_default_rng_of_seed_sequence(self, seed, index):
+        # the addressing that every recorded ensemble was drawn with
+        a = RngStream(seed, index).generator().normal(size=50)
+        b = np.random.default_rng(np.random.SeedSequence((seed, index))).normal(size=50)
+        assert np.array_equal(a, b)
+
 
 class TestWasserstein:
     def test_identical(self):
