@@ -136,7 +136,7 @@ def _dispatch(args) -> int:
             raise InvalidInput(f"cannot write {args.out}: no such directory")
         fld = field_for(cfg, build_grid(cfg, spec), N=args.N, eps=args.eps)
         _on_file("write", args.out, save_field_binary, fld, args.out)
-        print(f"wrote {args.out} ({fld.tgrid.steps} levels, grid {fld.grid.shape})")
+        print(f"wrote {args.out} ({fld.tgrid.steps + 1} levels, grid {fld.grid.shape})")
         return EXIT_OK
 
     if args.command == "replay":

@@ -28,22 +28,73 @@ from .field import (
     stable_time_grid,
 )
 from .numerics import SpaceGrid, TimeGrid, kuiper_uniformity, wasserstein1_1d
-from .potentials import (
-    ModelSpec,
-    from_name,
-    make_quadratic,
-)
-
-SCENARIOS = ("E1", "E2", "E3", "E4", "E5", "E6")
-# every key that some scenario reads; validate() rejects any other
-CONFIG_KEYS = frozenset((
-    "scenario run.seed run.M run.N run.N_select run.eps run.selection model.dim model.T "
-    "model.b model.sigma model.nu0 model.g model.f model.kappa model.delta model.c "
-    "model.linear model.f_c grid.L grid.nodes grid.safety verdict.band verdict.tol "
-    "probe.nu0 probe.h").split())
+from .potentials import ModelSpec, from_name, make_quadratic
 
 
 # --- configuration ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """kind: "int", "float", "strictly increasing int list", "strictly
+    decreasing float list" or a tuple of choices; bound: ">= k" or "> k" on
+    the value or on each entry of a list.
+    defaults: {"E1 E3": value} for the scenarios that read the key, None where
+    the reader works it out.  A potential's parameter is read only where a
+    key of `via` names one of `potentials`."""
+    kind: object
+    defaults: dict
+    bound: str = ""
+    via: tuple = ()
+    potentials: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "defaults", {s: v for group, v in self.defaults.items()
+                                              for s in group.split()})
+
+    def describe(self) -> str:
+        """Kind and bound, as errors and the README's key table print them."""
+        if isinstance(self.kind, tuple):
+            return "one of " + ", ".join(map(str, self.kind))
+        return ", ".join(filter(None, (self.kind, self.bound)))
+
+
+SCENARIOS = ("E1", "E2", "E3", "E4", "E5", "E6")
+_ALL = " ".join(SCENARIOS)
+_LOGCOSH = ("logcosh", "radial_logcosh")
+_CATALOGUE = ("zero", "quadratic", *_LOGCOSH, "delarue")
+# every key but `scenario`, in the order validate() parses them (model.g, model.f first)
+CONFIG_SCHEMA = {
+    "run.seed": ConfigKey("int", {_ALL: 1234}, ">= 0"),
+    "run.M": ConfigKey("int", {"E1 E3": 500, "E2 E4 E5": 2000}, ">= 1"),
+    "run.N": ConfigKey("strictly increasing int list",
+                       {"E1": [10, 100, 1000], "E2": [25, 100, 200, 400], "E4": [200, 400],
+                        "E6": [25, 100, 400]}, ">= 1"),
+    "run.N_select": ConfigKey("int", {"E3": 100}, ">= 1"),
+    "run.eps": ConfigKey("strictly decreasing float list", {"E5": [0.5, 0.25, 0.1, 0.05]}, "> 0"),
+    "run.selection": ConfigKey(("on", "off"), {"E3": "on"}),
+    "model.dim": ConfigKey((1, 2), {"E1 E2 E3 E5 E6": 1, "E4": 2}),
+    "model.T": ConfigKey("float", {_ALL: 1.0}, "> 0"),
+    "model.b": ConfigKey("float", {_ALL: 0.0}),
+    "model.sigma": ConfigKey("float", {_ALL: 1.0}, ">= 0"),
+    "model.nu0": ConfigKey("float", {_ALL: 0.0}),
+    "model.g": ConfigKey(_CATALOGUE, {"E1": "quadratic", "E2 E5 E6": "logcosh",
+                                      "E3": "delarue", "E4": "radial_logcosh"}),
+    "model.f": ConfigKey((*_CATALOGUE, "cancel"), {"E1 E3": "zero", "E2 E4 E5 E6": "cancel"}),
+    "model.kappa": ConfigKey("float", {_ALL: 4.0}, via=("model.g", "model.f"), potentials=_LOGCOSH),
+    "model.delta": ConfigKey("float", {_ALL: 0.1}, via=("model.g", "model.f"),
+                             potentials=("delarue",)),
+    "model.c": ConfigKey("float", {_ALL: 1.0}, via=("model.g",), potentials=("quadratic",)),
+    "model.linear": ConfigKey("float", {_ALL: 0.0}, via=("model.g",), potentials=("quadratic",)),
+    "model.f_c": ConfigKey("float", {_ALL: -1.0}, via=("model.f",), potentials=("quadratic",)),
+    "grid.L": ConfigKey("float", {"E1 E2 E4 E5 E6": None, "E3": 2.0}, "> 0"),
+    "grid.nodes": ConfigKey("int", {"E1 E2 E4 E5 E6": 201, "E3": 1601}, ">= 3"),
+    "grid.safety": ConfigKey("float", {_ALL: 0.9}, "> 0"),
+    "verdict.band": ConfigKey("float", {"E2 E3 E5": None}, "> 0"),
+    "verdict.tol": ConfigKey("float", {"E1 E6": 5e-2}, "> 0"),
+    "probe.nu0": ConfigKey("float", {"E6": 0.5}),
+    "probe.h": ConfigKey("float", {"E6": 1e-3}, "> 0"),
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -53,15 +104,13 @@ def parse_config_text(text: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, val = line.partition("=")
+        key = key.strip()
+        if not eq or not key:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, val = line.split("=", 1)
-        key, val = key.strip(), val.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = val
+        out[key] = val.strip()
     return out
 
 
@@ -86,14 +135,28 @@ def fnv1a64(text: str) -> str:
     return f"{h:016x}"
 
 
-def _numbers(key: str, val: str, kind, what: str) -> list:
+def _parse(key: str, val: str, spec: ConfigKey):
+    """The value of `key = val`: one of the key's choices, or a finite number
+    or list of numbers of its kind, within its bound, a list in its order."""
+    if isinstance(spec.kind, tuple):
+        for choice in spec.kind:
+            if str(choice) == val:
+                return choice
+        raise ConfigError(f"unknown {key} {val!r}; it must be {spec.describe()}")
+    listed = spec.kind.endswith("list")
     try:
-        nums = [kind(x) for x in val.replace(",", " ").split()]
-        if all(map(math.isfinite, nums)):
-            return nums
+        nums = [(int if "int" in spec.kind else float)(x) for x in val.replace(",", " ").split()]
+        ok = all(map(math.isfinite, nums)) and (len(nums) == 1 or listed and nums)
     except (ValueError, OverflowError):   # unparsable, or an integer too large for a float
-        pass
-    raise ConfigError(f"{key} must be {what}, got {val!r}")
+        ok = False
+    if ok and spec.bound:
+        op, edge = spec.bound.split()
+        ok = all(x > float(edge) or op == ">=" and x == float(edge) for x in nums)
+    if ok and listed:
+        ok = nums == sorted(set(nums), reverse="decreasing" in spec.kind)
+    if not ok:
+        raise ConfigError(f"{key} must be {spec.describe()}, got {val!r}")
+    return nums if listed else nums[0]
 
 
 @dataclass(frozen=True)
@@ -101,7 +164,9 @@ class ScenarioConfig:
     scenario: str
     raw: dict
     config_hash: str
-    # the model, built once by validate()
+    # filled in by validate(): every key the scenario reads, parsed or defaulted,
+    # and the model, built once
+    values: dict = field(default=None, compare=False, repr=False)
     spec: ModelSpec = field(default=None, compare=False, repr=False)
 
     @staticmethod
@@ -110,8 +175,7 @@ class ScenarioConfig:
         scenario = raw.get("scenario")
         if scenario not in SCENARIOS:
             raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
-        cfg = ScenarioConfig(scenario=scenario, raw=raw,
-                             config_hash=fnv1a64(canonical_text(raw)))
+        cfg = ScenarioConfig(scenario, raw, fnv1a64(canonical_text(raw)))
         cfg.validate()
         return cfg
 
@@ -119,107 +183,56 @@ class ScenarioConfig:
     def from_file(path: str) -> "ScenarioConfig":
         return ScenarioConfig.from_text(read_text(path, "config"))
 
-    def get(self, key: str, default=None) -> str:
-        return self.raw.get(key, default)
-
-    def getfloat(self, key: str, default: float) -> float:
-        v = self.raw.get(key)
-        nums = [default] if v is None else _numbers(key, v, float, "a finite number")
-        if len(nums) != 1:
-            raise ConfigError(f"{key} must be a finite number, got {v!r}")
-        return nums[0]
-
-    def getint(self, key: str, default: int) -> int:
-        v = self.raw.get(key)
-        try:
-            return default if v is None else int(v)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {v!r}")
-
-    def getlist_int(self, key: str, default: list) -> list:
-        v = self.raw.get(key)
-        return list(default) if v is None else _numbers(key, v, int, "a list of integers")
-
-    def getlist_float(self, key: str, default: list) -> list:
-        v = self.raw.get(key)
-        return list(default) if v is None else _numbers(key, v, float, "a list of finite numbers")
+    def __getitem__(self, key: str):
+        return self.values[key]
 
     def validate(self):
-        unknown = sorted(set(self.raw) - CONFIG_KEYS)
+        """Parse each key of CONFIG_SCHEMA the scenario reads, or take its
+        default; refuse a key that no scenario or not this one reads."""
+        unknown = sorted(set(self.raw) - set(CONFIG_SCHEMA) - {"scenario"})
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        for key in ("run.N", "run.eps"):
-            if key in self.raw and not self.getlist_float(key, []):
-                raise ConfigError(f"{key} must list at least one value")
-        Ns = self.getlist_int("run.N", [25, 100, 400])
-        if any(b <= a for a, b in zip(Ns, Ns[1:])):
-            raise ConfigError("run.N must be strictly increasing")
-        if Ns[0] < 1:
-            raise ConfigError(f"run.N entries must be at least 1, got {Ns[0]}")
-        if min(self.getlist_float("run.eps", [1.0])) <= 0:
-            raise ConfigError("run.eps entries must be positive")
-        M = self.getint("run.M", 2000)
-        if self.scenario in ("E2", "E4", "E5") and M < 100:
+        values = {}
+        for key, spec in CONFIG_SCHEMA.items():
+            reads = self.scenario in spec.defaults
+            if key not in self.raw:
+                if reads:
+                    values[key] = spec.defaults[self.scenario]
+            elif reads and (not spec.via or any(values[v] in spec.potentials for v in spec.via)):
+                values[key] = _parse(key, self.raw[key], spec)
+            else:
+                model = " and ".join(f"{v} = {values[v]}" for v in spec.via)
+                raise ConfigError(f"scenario {self.scenario} does not read {key}"
+                                  + (f" with {model}" if model else ""))
+        if self.scenario in ("E2", "E4", "E5") and values["run.M"] < 100:
             raise ConfigError("statistical scenarios need run.M >= 100")
-        # keys the runners read only late, parsed here so a bad one fails before any solve
-        self.getfloat("probe.nu0", 0.0)
-        for key in ("verdict.band", "verdict.tol", "grid.safety", "probe.h", "grid.L"):
-            if self.getfloat(key, 1.0) <= 0:
-                raise ConfigError(f"{key} must be positive, got {self.get(key)!r}")
-        for key, least in (("run.M", 1), ("run.N_select", 1), ("grid.nodes", 3), ("run.seed", 0)):
-            if self.getint(key, least) < least:
-                raise ConfigError(f"{key} must be at least {least}, got {self.get(key)!r}")
-        if self.get("run.selection", "on") not in ("on", "off"):
-            raise ConfigError(f"run.selection must be on or off, got {self.get('run.selection')!r}")
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "spec", build_spec(self))
 
 
-_DEFAULT_G = {"E1": "quadratic", "E2": "logcosh", "E3": "delarue",
-              "E4": "radial_logcosh", "E5": "logcosh", "E6": "logcosh"}
-
-
-def _catalogue(key: str, name: str, dim: int, **params):
-    try:
-        return from_name(name, dim, **params)
-    except InvalidParameter as exc:
-        raise ConfigError(f"{key} = {name}: {exc}")
-
-
 def build_spec(cfg: ScenarioConfig) -> ModelSpec:
-    """Model of the run: terminal g from the catalogue, running f either the
-    zero potential or the canceller -|m|^2/2 (which turns off the running
-    state cost entirely), linear drift coefficient b, horizon T.  An invalid
-    model raises ConfigError with its cause."""
-    dim = cfg.getint("model.dim", 2 if cfg.scenario == "E4" else 1)
-    if dim not in (1, 2):
-        raise ConfigError(f"model.dim must be 1 or 2, got {dim}")
-    T = cfg.getfloat("model.T", 1.0)
-    bcoef = cfg.getfloat("model.b", 0.0)
-    params = {"kappa": cfg.getfloat("model.kappa", 4.0), "T": T, "b": bcoef,
-              "delta": cfg.getfloat("model.delta", 0.1)}
-    gname = cfg.get("model.g", _DEFAULT_G[cfg.scenario])
-    g = _catalogue("model.g", gname, dim, c=cfg.getfloat("model.c", 1.0),
-                   linear=np.full(dim, cfg.getfloat("model.linear", 0.0)), **params)
-    fname = cfg.get("model.f", "zero" if cfg.scenario in ("E1", "E3") else "cancel")
-    if fname == "cancel":
-        f = make_quadratic(-1.0, dim)
-    else:
-        f = _catalogue("model.f", fname, dim, c=cfg.getfloat("model.f_c", -1.0), **params)
-    nu0 = np.full(dim, cfg.getfloat("model.nu0", 0.0))
+    """Model of the run: terminal g from the catalogue, running f from the
+    catalogue or the canceller -|m|^2/2 (which turns off the running state
+    cost entirely), linear drift coefficient b, horizon T.  An invalid model
+    raises ConfigError with its cause."""
+    dim, T, bcoef = cfg["model.dim"], cfg["model.T"], cfg["model.b"]
+    params = {"kappa": cfg["model.kappa"], "T": T, "b": bcoef, "delta": cfg["model.delta"]}
     try:
-        return ModelSpec(dim=dim, b=bcoef * np.eye(dim),
-                         sigma=cfg.getfloat("model.sigma", 1.0), T=T, f=f, g=g, nu0=nu0)
+        g = from_name(cfg["model.g"], dim, c=cfg["model.c"],
+                      linear=np.full(dim, cfg["model.linear"]), **params)
+        f = (make_quadratic(-1.0, dim) if cfg["model.f"] == "cancel" else
+             from_name(cfg["model.f"], dim, c=cfg["model.f_c"], **params))
+        return ModelSpec(dim=dim, b=bcoef * np.eye(dim), sigma=cfg["model.sigma"], T=T,
+                         f=f, g=g, nu0=np.full(dim, cfg["model.nu0"]))
     except InvalidParameter as exc:
-        raise ConfigError(str(exc))
+        raise ConfigError(f"model.g = {cfg['model.g']}, model.f = {cfg['model.f']}: {exc}")
 
 
 def build_grid(cfg: ScenarioConfig, spec: ModelSpec) -> SpaceGrid:
-    """Symmetric grid of grid.L and grid.nodes, by default [-2, 2] at 1601
-    nodes for E3's selection run and default_domain_halfwidth at 201 else."""
-    e3 = cfg.scenario == "E3"
-    L = cfg.getfloat("grid.L", 2.0 if e3 else default_domain_halfwidth(spec))
-    n = cfg.getint("grid.nodes", 1601 if e3 else 201)
-    return SpaceGrid.symmetric(L, n, spec.dim)
+    """Symmetric grid of grid.L and grid.nodes; grid.L is worked out by
+    default_domain_halfwidth where it has no default (every scenario but E3)."""
+    L = cfg["grid.L"] or default_domain_halfwidth(spec)   # None, never 0
+    return SpaceGrid.symmetric(L, cfg["grid.nodes"], spec.dim)
 
 
 def default_domain_halfwidth(spec: ModelSpec) -> float:
@@ -284,11 +297,11 @@ def _sign_stats(mT: np.ndarray):
     return pos, se
 
 
-def _sign_band(cfg: ScenarioConfig, M: int) -> float:
+def _sign_band(cfg: ScenarioConfig) -> float:
     """Half-width of the band around 1/2 that a terminal-sign frequency must
-    stay in: verdict.band if set, else 3 binomial sigmas of an ensemble of M
-    paths, never below SIGN_BAND."""
-    return cfg.getfloat("verdict.band", max(SIGN_BAND, 3.0 * math.sqrt(0.25 / M)))
+    stay in: verdict.band if set, else 3 binomial sigmas of an ensemble of
+    run.M paths, never below SIGN_BAND."""
+    return cfg["verdict.band"] or max(SIGN_BAND, 3.0 * math.sqrt(0.25 / cfg["run.M"]))
 
 
 def _target_atom(cfg: ScenarioConfig):
@@ -314,13 +327,12 @@ def _check_domain(grid: SpaceGrid, atom: float):
 def field_for(cfg: ScenarioConfig, grid: SpaceGrid, N: int = None, eps: float = None):
     """Decoupling field of the config's model on `grid`, N-player (N) or
     common-noise (eps), time-stepped at the stability bound times grid.safety."""
-    tgrid = stable_time_grid(cfg.spec, grid, N=N, eps=eps,
-                             safety=cfg.getfloat("grid.safety", 0.9))
+    tgrid = stable_time_grid(cfg.spec, grid, N=N, eps=eps, safety=cfg["grid.safety"])
     return solve_field(cfg.spec, grid, tgrid, N=N, eps=eps)
 
 
 def _report(cfg: ScenarioConfig, columns: list) -> ScenarioReport:
-    return ScenarioReport(cfg.scenario, cfg.config_hash, cfg.getint("run.seed", 1234), columns)
+    return ScenarioReport(cfg.scenario, cfg.config_hash, cfg["run.seed"], columns)
 
 
 def _note_exits(rep: ScenarioReport, ens, label: str):
@@ -392,8 +404,7 @@ def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
         return {"sup_mean_error": float(np.max(np.abs(total / len(ens.paths) - ref))),
                 "mean_T": float(ens.terminal.mean()), "var_T": float(ens.terminal.var())}
 
-    normals = _sweep(rep, cfg, grid, cfg.getint("run.M", 500), "N",
-                     cfg.getlist_int("run.N", [10, 100, 1000]), measure)
+    normals = _sweep(rep, cfg, grid, cfg["run.M"], "N", cfg["run.N"], measure)
     errors = rep.column("sup_mean_error")
 
     # noise-off deterministic run, the N -> infinity analogue: a common-noise
@@ -405,7 +416,7 @@ def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
     rep.add_row(N="inf", sup_mean_error=err_inf, mean_T=float(ens_inf.terminal.mean()),
                 var_T=0.0, exit_fraction=ens_inf.exit_fraction)
 
-    tol = cfg.getfloat("verdict.tol", 5e-2)
+    tol = cfg["verdict.tol"]
     _trend(rep, "mean-error decreasing in N", errors, errors == sorted(errors, reverse=True),
            f"errors {['%.3g' % e for e in errors]}")
     rep.verdict("mean-error below tolerance at largest N", errors[-1] < tol,
@@ -425,7 +436,6 @@ def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
         raise ConfigError("E2 needs the log-cosh terminal with b = 0 and model.f = cancel")
     rep = _report(cfg, ["N", "seed", "config", "freq_pos", "freq_se", "w1", "mean_T",
                         "var_T", "exit_fraction"])
-    M = cfg.getint("run.M", 2000)
     grid = build_grid(cfg, spec)
     _check_domain(grid, atom)
 
@@ -436,9 +446,9 @@ def run_E2_symmetric(cfg: ScenarioConfig) -> ScenarioReport:
         return {"freq_pos": pos, "freq_se": se, "w1": w1, "mean_T": float(mT.mean()),
                 "var_T": float(mT.var())}
 
-    _sweep(rep, cfg, grid, M, "N", cfg.getlist_int("run.N", [25, 100, 200, 400]), measure)
+    _sweep(rep, cfg, grid, cfg["run.M"], "N", cfg["run.N"], measure)
     freqs, w1s = rep.column("freq_pos"), rep.column("w1")
-    band = _sign_band(cfg, M)
+    band = _sign_band(cfg)
     rep.verdict("sign frequency in 0.5 band at every N",
                 all(abs(p - 0.5) <= band for p in freqs),
                 f"freqs {['%.3f' % p for p in freqs]} band ±{band:.3f}")
@@ -488,14 +498,13 @@ def run_E3_delarue(cfg: ScenarioConfig) -> ScenarioReport:
     rep.verdict("(0,0) present and stationary-only with larger cost", ok_zero,
                 "zero branch " + ("found" if zero_sol is not None else "missing"))
 
-    if cfg.get("run.selection", "on") != "off":
-        N = cfg.getint("run.N_select", 100)
-        M = cfg.getint("run.M", 500)
+    if cfg["run.selection"] == "on":
+        N, M = cfg["run.N_select"], cfg["run.M"]
         ens = simulate_ensemble(field_for(cfg, build_grid(cfg, spec), N=N), spec, M=M,
                                 seed=rep.seed)
         _note_exits(rep, ens, f"N={N}")
         pos, _ = _sign_stats(ens.terminal[:, 0])
-        band = _sign_band(cfg, M)
+        band = _sign_band(cfg)
         rep.verdict("terminal-sign frequency in 0.5 band",
                     abs(pos - 0.5) <= band, f"freq {pos:.3f} band ±{band:.3f}")
         rep.notes.append(f"selection run N={N} M={M} exit={ens.exit_fraction:.3g}")
@@ -522,8 +531,7 @@ def run_E4_sphere(cfg: ScenarioConfig) -> ScenarioReport:
         return {"kuiper_V": V, "kuiper_p": p,
                 "median_radius": float(np.median(np.linalg.norm(mT, axis=1)))}
 
-    _sweep(rep, cfg, grid, cfg.getint("run.M", 2000), "N", cfg.getlist_int("run.N", [200, 400]),
-           measure)
+    _sweep(rep, cfg, grid, cfg["run.M"], "N", cfg["run.N"], measure)
     ps, medians = rep.column("kuiper_p"), rep.column("median_radius")
     rep.verdict("terminal angle uniform (Kuiper, 1% level) at every N",
                 all(p > 0.01 for p in ps), f"p-values {['%.3g' % p for p in ps]}")
@@ -536,29 +544,24 @@ def run_E4_sphere(cfg: ScenarioConfig) -> ScenarioReport:
 
 def run_E5_common_noise(cfg: ScenarioConfig) -> ScenarioReport:
     """Vanishing common noise: selection band at nu0 = 0, variance collapse else."""
-    eps_list = cfg.getlist_float("run.eps", [0.5, 0.25, 0.1, 0.05])
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ConfigError("run.eps must be strictly decreasing")
     spec = cfg.spec
     symmetric = spec.even_data and not np.any(spec.nu0 != 0.0)
     rep = _report(cfg, ["eps", "seed", "config", "freq_pos", "w1", "mean_T", "var_T",
                         "exit_fraction"])
-    M = cfg.getint("run.M", 2000)
     grid = build_grid(cfg, spec)
-    atom = _target_atom(cfg)
-    if symmetric and atom is not None:
+    atom = _target_atom(cfg) if symmetric else None
+    if atom is not None:
         _check_domain(grid, atom)
 
     def measure(ens):
         mT = ens.terminal[:, 0]
-        w1 = (wasserstein1_1d(mT, [-atom, atom], [0.5, 0.5])
-              if (symmetric and atom is not None) else "")
+        w1 = "" if atom is None else wasserstein1_1d(mT, [-atom, atom], [0.5, 0.5])
         return {"freq_pos": _sign_stats(mT)[0], "w1": w1, "mean_T": float(mT.mean()),
                 "var_T": float(mT.var())}
 
-    _sweep(rep, cfg, grid, M, "eps", eps_list, measure)
+    _sweep(rep, cfg, grid, cfg["run.M"], "eps", cfg["run.eps"], measure)
     if symmetric:
-        freqs, band = rep.column("freq_pos"), _sign_band(cfg, M)
+        freqs, band = rep.column("freq_pos"), _sign_band(cfg)
         rep.verdict("sign frequency in 0.5 band at every eps",
                     all(abs(p - 0.5) <= band for p in freqs),
                     f"freqs {['%.3f' % p for p in freqs]} band ±{band:.3f}")
@@ -575,37 +578,35 @@ def run_E6_field_convergence(cfg: ScenarioConfig) -> ScenarioReport:
     spec = cfg.spec
     rep = _report(cfg, ["N", "seed", "config", "probe", "field_value", "gradient_estimate",
                         "gap"])
-    Ns = cfg.getlist_int("run.N", [25, 100, 400])
     grid = build_grid(cfg, spec)
-    nu0 = cfg.getfloat("probe.nu0", 0.5)
-    h = cfg.getfloat("probe.h", 1e-3)
+    nu0 = cfg["probe.nu0"]
 
     # the field's first component is compared with the central slope of the
     # value function along the first axis, at the point the probe checks
     point = np.array([nu0] + [0.0] * (spec.dim - 1))
-    probe = differentiability_probe(spec, point, h=h)
+    probe = differentiability_probe(spec, point, h=cfg["probe.h"])
     if probe["verdict"] != "differentiable":
         rep.notes.append(f"probe at {point} is a kink; convergence verdict skipped")
         rep.verdict("probe point differentiable", False, f"verdict {probe['verdict']}")
         return rep
     D = float(probe["central"][0])
 
-    for N in Ns:
+    for N in cfg["run.N"]:
         fld = field_for(cfg, grid, N=N)
         uval = float(fld.evaluate(0.0, point)[0])
         rep.add_row(N=N, probe=nu0, field_value=uval, gradient_estimate=D, gap=abs(uval - D))
     gaps = rep.column("gap")
 
-    tol = cfg.getfloat("verdict.tol", 5e-2)
+    tol = cfg["verdict.tol"]
     _trend(rep, "gap decreasing in N", gaps, gaps == sorted(gaps, reverse=True),
            f"gaps {['%.3g' % g for g in gaps]}")
     rep.verdict("gap below tolerance at largest N", gaps[-1] < tol,
                 f"{gaps[-1]:.3g} < {tol}")
 
     if spec.even_data:
-        # fld is the field of the largest N
+        # fld and N are the loop's last: the field of the largest N
         center = float(np.max(np.abs(fld.evaluate(0.0, np.zeros(spec.dim)))))
-        rep.add_row(N=Ns[-1], probe=0.0, field_value=center)
+        rep.add_row(N=N, probe=0.0, field_value=center)
         rep.verdict("field vanishes exactly at the symmetric kink", center == 0.0,
                     f"u(0,0) = {center}")
         rep.notes.append("at 0 the one-sided slopes are ±a-hat; the field sits at 0")

@@ -283,9 +283,7 @@ def from_name(name: str, dim: int = 1, **params) -> Potential:
         "zero": lambda: make_zero(dim),
         "quadratic": lambda: make_quadratic(params["c"], dim, params.get("linear")),
         "logcosh": lambda: make_logcosh_terminal(params["kappa"]),
-        "delarue": lambda: make_delarue_terminal(
-            params.get("b", 0.0), params.get("T", 1.0), params["delta"],
-            params.get("rho")),
+        "delarue": lambda: make_delarue_terminal(params["b"], params["T"], params["delta"]),
         "radial_logcosh": lambda: make_radial_logcosh(params["kappa"], dim),
     }
     if name not in table:

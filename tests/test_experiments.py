@@ -13,7 +13,7 @@ from mfglab import control, experiments, field, numerics, potentials
 from mfglab.cli import build_parser, main as cli_main
 from mfglab.errors import ConfigError
 from mfglab.experiments import (
-    CONFIG_KEYS,
+    CONFIG_SCHEMA,
     ScenarioConfig,
     build_grid,
     build_spec,
@@ -36,7 +36,12 @@ grid.L = 4.0
 grid.nodes = 201
 """
 GOLDEN = Path(__file__).parent / "data"
-GOLDEN_CONFIG = "scenario = {}\nrun.seed = 5\nrun.M = 100\ngrid.nodes = 61\n"
+
+
+def golden_config(scenario: str) -> str:
+    """Config of the golden reports; E6 reads no run.M."""
+    return (f"scenario = {scenario}\nrun.seed = 5\ngrid.nodes = 61\n"
+            + ("" if scenario == "E6" else "run.M = 100\n"))
 
 
 class TestConfig:
@@ -132,15 +137,16 @@ class TestConfig:
         ("E3", "run.selection", "no"),
         ("E2", "verdict.band", "-1"), ("E6", "verdict.tol", "0"), ("E3", "run.N_select", "0"),
         ("E2", "grid.safety", "-0.5"), ("E6", "probe.h", "0"), ("E1", "run.M", "0"),
-        ("E1", "run.N", "0 10"), ("E5", "run.eps", "0.5 0"),
+        ("E1", "run.N", "0 10"), ("E5", "run.eps", "0.5 0"), ("E5", "run.eps", "0.1 0.5"),
         ("E3", "grid.nodes", "abc"), ("E3", "grid.L", "nan"), ("E3", "grid.L", "-1"),
         ("E3", "grid.nodes", "2"), ("E2", "run.seed", "-1")])
     def test_late_key_rejected_at_parse(self, monkeypatch, scenario, key, value):
         # these keys used to be parsed only when a runner reached them, after
-        # its solves, or (run.selection) never checked at all; the values out
-        # of range used to validate, and a negative band ran E2's whole sweep
-        # before failing its verdict; E3 read grid.L and grid.nodes only after
-        # its shooting, and ran grid.nodes = 2 silently on a 3-node grid
+        # its solves (E5's eps order too), or (run.selection) never checked at
+        # all; the values out of range used to validate, and a negative band ran
+        # E2's whole sweep before failing its verdict; E3 read grid.L and
+        # grid.nodes only after its shooting, and ran grid.nodes = 2 silently
+        # on a 3-node grid
         calls = []
         monkeypatch.setattr(control, "integrate_ode", lambda *args: calls.append(args))
         with pytest.raises(ConfigError, match=re.escape(key)):
@@ -148,16 +154,65 @@ class TestConfig:
         assert calls == []
 
     def test_empty_list_rejected(self):
-        for key in ("run.N", "run.eps"):
+        for scenario, key in (("E2", "run.N"), ("E5", "run.eps")):
             with pytest.raises(ConfigError, match=re.escape(key)):
-                ScenarioConfig.from_text(f"scenario = E5\n{key} =\n")
+                ScenarioConfig.from_text(f"scenario = {scenario}\n{key} =\n")
 
     def test_config_keys_are_the_keys_read(self):
-        # CONFIG_KEYS is exactly the set of keys that src/ reads from a config
+        # CONFIG_SCHEMA declares exactly the keys that src/ reads from a config,
+        # and a validated config holds a value for each key its scenario reads
         src = "".join(p.read_text() for p in Path(experiments.__file__).parent.glob("*.py"))
-        read = set(re.findall(r"\bcfg\.get\w*\(\s*\"([^\"]+)\"", src))
-        read |= set(re.findall(r"\bself\.get\w*\(\s*\"([^\"]+)\"", src))
-        assert read | {"scenario"} == CONFIG_KEYS
+        assert set(re.findall(r"\bcfg\[\"([^\"]+)\"\]", src)) == set(CONFIG_SCHEMA)
+        for scenario in experiments.SCENARIOS:
+            cfg = ScenarioConfig.from_text(f"scenario = {scenario}\n")
+            assert list(cfg.values) == [key for key, spec in CONFIG_SCHEMA.items()
+                                        if scenario in spec.defaults]
+
+    @pytest.mark.parametrize("scenario, key, value", [
+        ("E6", "run.M", "7"), ("E3", "run.N", "5 10"), ("E2", "probe.h", "0.5"),
+        ("E4", "verdict.band", "0.2"), ("E1", "run.eps", "0.3"), ("E2", "model.delta", "7"),
+        ("E3", "model.kappa", "9"), ("E2", "model.c", "2"), ("E1", "model.kappa", "9")])
+    def test_unread_key_rejected(self, tmp_path, capsys, monkeypatch, scenario, key, value):
+        # a key the scenario never reads used to validate and run unread: E6
+        # with run.M = 7, E2 with probe.h or model.delta, E1 with model.kappa
+        calls = []
+        monkeypatch.setattr(control, "integrate_ode", lambda *args: calls.append(args))
+        text = f"scenario = {scenario}\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=f"scenario {scenario} does not read {key}"):
+            ScenarioConfig.from_text(text)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        assert cli_main(["run", str(cfg), "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err
+        assert calls == []
+
+    def test_readme_key_table_is_the_schema(self):
+        # the README's key table and CONFIG_SCHEMA cannot drift apart
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme[readme.index("| key | kind and bound |"):].split("\n\n")[0]
+        rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                for line in table.splitlines()[2:]]
+
+        def scenarios(names):
+            names = sorted(names)
+            return "all" if names == list(experiments.SCENARIOS) else " ".join(names)
+
+        def text(value):   # as a config writes it; None is worked out by the reader
+            if value is None:
+                return "worked out"
+            return " ".join(map(str, value)) if isinstance(value, list) else str(value)
+
+        expected = []
+        for key, spec in CONFIG_SCHEMA.items():
+            groups = {}
+            for scenario, default in spec.defaults.items():
+                groups.setdefault(text(default), []).append(scenario)
+            defaults = "; ".join(f"{scenarios(names)}: {value}" for value, names in groups.items())
+            readers = (" or ".join(f"`{v}`" for v in spec.via) + " = "
+                       + ", ".join(spec.potentials)) if spec.via else scenarios(spec.defaults)
+            expected.append([f"`{key}`", spec.describe(), defaults, readers])
+        assert rows == expected
 
 
 class TestReports:
@@ -250,7 +305,7 @@ class TestReports:
         # per-path streams, E3, E4 and E6 before the scenarios shared one
         # sweep; the current code must reproduce them byte for byte
         out = tmp_path / "report.csv"
-        run_scenario(ScenarioConfig.from_text(GOLDEN_CONFIG.format(scenario))).write_csv(str(out))
+        run_scenario(ScenarioConfig.from_text(golden_config(scenario))).write_csv(str(out))
         assert out.read_bytes() == (GOLDEN / f"{scenario}_seed5.csv").read_bytes()
 
     def test_single_n_skips_cross_n_verdicts(self):
@@ -316,8 +371,8 @@ class TestComputedOnce:
     @pytest.mark.parametrize("scenario", ["E1", "E2", "E5"])
     def test_normals_drawn_once_per_scenario(self, monkeypatch, scenario):
         draws = count_calls(monkeypatch, "_path_normals", field, experiments)
-        text = GOLDEN_CONFIG.format(scenario) + {"E1": "run.N = 10 40\n", "E2": "run.N = 25 100\n",
-                                                  "E5": "run.eps = 0.5 0.25\n"}[scenario]
+        text = golden_config(scenario) + {"E1": "run.N = 10 40\n", "E2": "run.N = 25 100\n",
+                                          "E5": "run.eps = 0.5 0.25\n"}[scenario]
         run_scenario(ScenarioConfig.from_text(text))
         ((seed, M, rows, d),) = draws
         assert (seed, M, d) == (5, 100, 1)
@@ -342,7 +397,7 @@ class TestComputedOnce:
 
         entered("solve_field")
         entered("simulate_ensemble")
-        run_scenario(ScenarioConfig.from_text(GOLDEN_CONFIG.format(scenario)))
+        run_scenario(ScenarioConfig.from_text(golden_config(scenario)))
         assert [name for name, _ in seen] == ["solve_field", "simulate_ensemble"] * calls
         assert not any(any(alive) for _, alive in seen)
 
@@ -510,7 +565,8 @@ class TestCli:
         binp = str(tmp_path / "f.bin")
         assert cli_main(["field", "solve", self.write(tmp_path, text), "--N", "25",
                          "--out", binp]) == 0
-        assert f"({steps} levels" in capsys.readouterr().out
+        # a field of `steps` time steps holds steps + 1 levels
+        assert f"({steps + 1} levels" in capsys.readouterr().out
         assert load_field_binary(binp).tgrid.steps == steps
 
     def test_field_solve_writes_the_run_field(self, tmp_path, capsys, monkeypatch):
