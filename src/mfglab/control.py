@@ -5,8 +5,9 @@ The first-order system is
     mdot   = b m - eta
     etadot = -(b^T eta + m + grad f(m))
 with terminal condition eta_T = m_T + grad g(m_T).  Stationary points are
-found by batched multi-start shooting on the unknown initial adjoint;
-minimizers are the stationary points whose cost ties the minimum.
+found by batched multi-start shooting on the unknown initial adjoint, all
+starts one component-major RK4 state (2d, rows), each with its own Newton
+line search; minimizers are the stationary points whose cost ties the minimum.
 """
 
 from __future__ import annotations
@@ -87,14 +88,15 @@ def _newton(spec: ModelSpec, nu0, starts, steps_per_unit):
     """Damped Newton shooting on the initial adjoint from each row of `starts`.
 
     The starts, each from its row of nu0 (S, d) or all from one nu0 (d,),
-    advance together as one RK4 state, and each start and line-search candidate
-    carries the d forward-difference probes of its Jacobian as d more rows: a
-    Newton round integrates once per line-search try, and the accepted
-    candidate's probe residuals give the next round's Jacobian with no
-    integration of their own.  Each start keeps its own residual, trajectory
-    and step length, halved until its residual decreases, so its result does
-    not depend on the other starts.  Returns per start an OCSolution, or None
-    when Newton stagnates or the integration diverges.
+    advance together as one component-major RK4 state (2d, rows), and each
+    evaluation carries the d forward-difference probes of its Jacobian as d
+    more rows, so the accepted candidate's probe residuals give the next
+    Jacobian with no integration of their own.  Each integration carries
+    every live start's next evaluation, a fresh Newton candidate or a halving
+    of its step, and each start keeps its own residual, trajectory, step
+    count and step length, halved until its residual decreases, so its
+    result does not depend on the other starts.  Returns per start an
+    OCSolution, or None when Newton stagnates or the integration diverges.
     """
     S, d = starts.shape
     nu0 = np.broadcast_to(np.asarray(nu0, dtype=float), (S, d))
@@ -102,65 +104,82 @@ def _newton(spec: ModelSpec, nu0, starts, steps_per_unit):
     drift = bool(np.any(b != 0.0))
     grid = TimeGrid(0.0, spec.T, max(int(round(steps_per_unit * spec.T)), 16))
 
-    def rhs(t, z):
-        m, eta = z[:, :d], z[:, d:]
-        if drift:   # row-wise product-sums round alike at any batch size, unlike BLAS
-            bm, bte = (m[:, None] * b).sum(axis=2), (eta[:, None] * b.T).sum(axis=2)
-            return np.concatenate([bm - eta, -(bte + m + spec.f.gradient(m))], axis=1)
-        return np.concatenate([-eta, -(m + spec.f.gradient(m))], axis=1)
+    def rhs(t, z, out):
+        """(b m - eta, -(b^T eta + m + grad f(m))) of the component-major state
+        z = (m, eta), written into the views of out; ufunc outs are positional,
+        the cheapest call."""
+        m, eta, dm, deta = z[:d], z[d:], out[:d], out[d:]
+        grad_f = spec.f.gradient(m.T).T
+        if drift:   # product-sums in the order of j round alike at any batch size, unlike BLAS
+            np.multiply(m[0], b[:, :1], dm)
+            np.multiply(eta[0], b.T[:, :1], deta)
+            for j in range(1, d):
+                dm += m[j] * b[:, j:j + 1]
+                deta += eta[j] * b.T[:, j:j + 1]
+            dm -= eta
+            deta += m
+            deta += grad_f
+        else:
+            np.negative(eta, dm)
+            np.add(m, grad_f, deta)
+        np.negative(deta, deta)
+        return out
 
     def residual(rows, e0):
         """Terminal residuals (n, d), probe residuals (n, d, d) and trajectories
-        of the n starts `rows` from e0, where probe j of a start moves component
-        j of its e0 by FD_STEP; a row whose integration overflows has a residual
-        that is not finite."""
+        (steps+1, 2d, n) of the n starts `rows` from e0, where probe j of a start
+        moves component j of its e0 by FD_STEP; a row whose integration overflows
+        has a residual that is not finite."""
         n = len(rows)
         e = np.concatenate([e0, (e0[:, None] + FD_STEP * np.eye(d)).reshape(-1, d)])
         traj = integrate_ode(rhs, np.concatenate([nu0[np.r_[rows, np.repeat(rows, d)]], e],
-                                                 axis=1), grid)
-        mT, etaT = traj[-1, :, :d], traj[-1, :, d:]
+                                                 axis=1).T, grid)
+        zT = traj[-1].T.copy()
+        mT, etaT = zT[:, :d], zT[:, d:]
         with np.errstate(invalid="ignore"):     # inf - inf in g's gradient of such a row
             r = etaT - (mT + spec.g.gradient(mT))
-        # a copy of the starts' own rows, so that no stored path keeps the probes'
-        return r[:n], r[n:].reshape(n, d, d), traj[:, :n].copy()
+        return r[:n], r[n:].reshape(n, d, d), traj[:, :, :n]
 
-    eta0 = starts.copy()
-    res, res_p, traj = residual(np.arange(S), eta0)
-    alive = np.isfinite(res).all(axis=1)
+    # per start: the accepted adjoint and its residuals, the Newton step and its
+    # length, the steps taken, and the next adjoint to evaluate
+    eta0, cand = starts.copy(), starts.copy()
+    res, res_p, nrm = np.empty((S, d)), np.empty((S, d, d)), np.full(S, np.inf)
+    traj = np.empty((grid.steps + 1, 2 * d, S))
+    step, lam, taken = np.empty((S, d)), np.zeros(S), np.zeros(S, dtype=int)
     converged = np.zeros(S, dtype=bool)
-    for _ in range(NEWTON_MAX_ITER):
+    live = np.arange(S)
+    while live.size:
+        res_c, res_pc, traj_c = residual(live, cand[live])
+        fresh = lam[live] == 0.0        # a start's own adjoint, not yet evaluated
         with np.errstate(over="ignore"):    # a norm past 1e308 is inf, and that start fails
-            nrm = np.linalg.norm(res, axis=1)
-        converged |= alive & (nrm < NEWTON_TOL)
-        act = np.flatnonzero(alive & ~converged)
-        if act.size == 0:
-            break
-        jac = np.swapaxes(res_p[act] - res[act, None], 1, 2) / FD_STEP
-        step = _solve_each(jac, -res[act])
+            nrm_c = np.linalg.norm(res_c, axis=1)
+        # a start's own residual must be finite; a candidate's norm must fall
+        # below the start's, which a non-finite norm never does
+        ok = np.where(fresh, np.isfinite(res_c).all(axis=1), nrm_c < nrm[live])
+        s = live[ok]
+        eta0[s], res[s], res_p[s], nrm[s] = cand[s], res_c[ok], res_pc[ok], nrm_c[ok]
+        traj[:, :, s] = traj_c[:, :, ok]
+        taken[s] += ~fresh[ok]
+        # a rejected candidate halves its step, until the step is spent
+        halve = live[~ok & ~fresh]
+        lam[halve] *= 0.5
+        halve = halve[lam[halve] > 1e-6]
+        # an accepted adjoint converges, runs out of steps or takes a new step
+        converged[s] = nrm[s] < NEWTON_TOL
+        s = s[~converged[s] & (taken[s] < NEWTON_MAX_ITER)]
+        jac = np.swapaxes(res_p[s] - res[s, None], 1, 2) / FD_STEP
+        new = _solve_each(jac, -res[s])
         # a non-finite probe or a singular Jacobian fails the start, and so does
         # a non-finite step, which leaves every candidate non-finite
-        ok = np.isfinite(res_p[act]).all(axis=(1, 2)) & np.isfinite(step).all(axis=1)
-        alive[act[~ok]] = False
-        act, step = act[ok], step[ok]
-        lam, todo = np.ones(act.size), np.arange(act.size)
-        while todo.size:
-            s = act[todo]
-            cand = eta0[s] + lam[todo, None] * step[todo]
-            res_c, res_pc, traj_c = residual(s, cand)
-            # a non-finite residual norm is never below nrm
-            with np.errstate(over="ignore"):
-                ok = np.linalg.norm(res_c, axis=1) < nrm[s]
-            eta0[s[ok]], res[s[ok]], res_p[s[ok]] = cand[ok], res_c[ok], res_pc[ok]
-            traj[:, s[ok]] = traj_c[:, ok]
-            lam[todo] *= 0.5
-            todo = todo[~ok]
-            spent = lam[todo] <= 1e-6
-            alive[act[todo[spent]]] = False
-            todo = todo[~spent]
+        good = np.isfinite(res_p[s]).all(axis=(1, 2)) & np.isfinite(new).all(axis=1)
+        s = s[good]
+        step[s], lam[s] = new[good], 1.0
+        live = np.sort(np.concatenate([halve, s]))
+        cand[live] = eta0[live] + lam[live, None] * step[live]
 
     sols = [None] * S
     for k in np.flatnonzero(converged):
-        path = traj[:, k].copy()
+        path = traj[:, :, k].copy()
         m, eta = path[:, :d], path[:, d:]
         sols[k] = OCSolution(grid=grid, m=m, eta=eta, cost=trajectory_cost(spec, grid, m, -eta),
                              terminal_residual=float(np.linalg.norm(res[k])))

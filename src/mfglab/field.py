@@ -10,8 +10,10 @@ common-noise variant has nu = eps^2 / 2 and the reminder-free source m +
 grad f with terminal m + grad g.  The scheme is explicit (Heun in time)
 on a truncated tensor grid with linear-extrapolation ghost nodes: one stencil
 per axis, two coefficient products of one raw difference, gives upwinded
-transport and centered diffusion, and every step writes into buffers
-allocated once per solve.  One implicit-in-diffusion step at the first
+transport and centered diffusion.  Every step writes into buffers allocated
+once per solve and updates the state in place, so the stencil, ghost and
+right-hand-side views of its two (input, output) pairs are built once per
+solve too.  One implicit-in-diffusion step at the first
 backward level damps terminal-layer roughness; it is solved directly, in
 every dimension, by fast diagonalization of the interior in the sine basis,
 the end faces of each axis solved first by the same recursion.  2-d
@@ -171,15 +173,18 @@ def _unfold(part: np.ndarray, shape) -> np.ndarray:
     return part
 
 
-def _stencil(u: np.ndarray, c: np.ndarray, nu: float, spacings, out: np.ndarray, bufs: list):
-    """out = sum_ax (c_ax D_ax u + nu D2_ax u) for component-major u and c, (d, *shape).
+def _stencil(u: np.ndarray, c: np.ndarray, spacings, out: np.ndarray, bufs: list):
+    """The plan of out = sum_ax (c_ax D_ax u + nu D2_ax u) for component-major u
+    and c, (d, *shape): a function of nu that reruns it on views built here, once.
 
     Per axis one raw difference D = v[1:] - v[:-1] gives upwinded transport
     (forward where c > 0, backward where c < 0) plus centered diffusion as
     (c+/dx + nu/dx^2) D_i + (c-/dx - nu/dx^2) D_{i-1} at interior nodes and the
     one-sided c/dx D at the ends, whose extrapolation ghosts add no diffusion.
-    The first call fills `bufs` with per-axis buffers laid out as u; later calls reuse them.
+    The first plan fills `bufs` with per-axis scratch laid out as u; plans of
+    arrays of that shape share it.
     """
+    plan = []
     for ax, dx in enumerate(spacings, start=1):
         if len(bufs) < ax:
             s = u.shape[:ax] + (u.shape[ax] - 1,) + u.shape[ax + 1:]
@@ -188,18 +193,28 @@ def _stencil(u: np.ndarray, c: np.ndarray, nu: float, spacings, out: np.ndarray,
         # over the component axis; cp scales D_i at nodes 0..n-2, cm D_{i-1} at 1..n-1
         diff, prod, cp, cm = (b.swapaxes(0, ax) for b in bufs[ax - 1])
         v, o, s = u.swapaxes(0, ax), out.swapaxes(0, ax), c[ax - 1:ax].swapaxes(0, ax)
-        np.subtract(v[1:], v[:-1], out=diff)
-        np.divide(np.maximum(s[:-1], 0.0, out=cp), dx, out=cp)
-        np.divide(np.minimum(s[1:], 0.0, out=cm), dx, out=cm)
-        cp[1:] += nu / dx**2
-        cm[:-1] -= nu / dx**2
-        cp[0], cm[-1] = s[0] / dx, s[-1] / dx     # the one-sided end nodes
-        if ax == 1:         # the first axis writes out, later axes add to it
-            np.multiply(cp, diff, out=o[:-1])
-            o[-1] = 0.0
-        else:
-            o[:-1] += np.multiply(cp, diff, out=prod)
-        o[1:] += np.multiply(cm, diff, out=prod)
+        plan.append((dx**2, dx, v[1:], v[:-1], diff, s[:-1], cp, s[1:], cm, cp[1:], cm[:-1],
+                     s[0], cp[0], s[-1], cm[-1], o[:-1], o[1:], o[-1], prod))
+
+    def apply(nu: float) -> np.ndarray:
+        for ax, (dx2, dx, v_hi, v_lo, diff, s_lo, cp, s_hi, cm, cp_in, cm_in,
+                 s_first, cp_first, s_last, cm_last, o_lo, o_hi, o_last, prod) in enumerate(plan):
+            np.subtract(v_hi, v_lo, out=diff)
+            np.divide(np.maximum(s_lo, 0.0, out=cp), dx, out=cp)
+            np.divide(np.minimum(s_hi, 0.0, out=cm), dx, out=cm)
+            np.add(cp_in, nu / dx2, out=cp_in)
+            np.subtract(cm_in, nu / dx2, out=cm_in)
+            np.divide(s_first, dx, out=cp_first)    # the one-sided end nodes
+            np.divide(s_last, dx, out=cm_last)
+            if ax == 0:     # the first axis writes out, later axes add to it
+                np.multiply(cp, diff, out=o_lo)
+                o_last.fill(0.0)
+            else:
+                np.add(o_lo, np.multiply(cp, diff, out=prod), out=o_lo)
+            np.add(o_hi, np.multiply(cm, diff, out=prod), out=o_hi)
+        return out
+
+    return apply
 
 
 def _sine_transform(x: np.ndarray, axes) -> np.ndarray:
@@ -328,55 +343,64 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
     levels = np.moveaxis(values, -1, 1)     # (steps+1, d, *stored) views of the levels
     levels[steps] = u[keep]
 
-    # stepping buffers, allocated once: per-step temporaries cost page faults
-    c, k1, k2, stage, unext = (np.empty_like(u) for _ in range(5))
+    # stepping buffers, allocated once: per-step temporaries cost page faults;
+    # u is updated in place, so its slope goes to k1 and the stage's to k2
+    c, speed, k1, k2, stage = (np.empty_like(u) for _ in range(5))
     bufs = []
 
-    def at(ax, i, comp=slice(None)):
-        """Index i of space axis ax in a (d, *block) array, of one component or all."""
-        return (comp,) + (slice(None),) * ax + (i,)
+    def at(ax, i, comp=None):
+        """Index i of space axis ax in a (d, *block) array, of component comp or
+        all, as slices, so that indexing gives a view even in 1-d."""
+        comp = slice(None) if comp is None else slice(comp, comp + 1)
+        return (comp,) + (slice(None),) * ax + (slice(i, i + 1),)
 
     # per axis its ghost h + 1 and the source h - 1, all components and the
     # axis's own (the last axis's ghost first, so the corner ghost reflects
     # through both), and the center line of the axis's own component
     ghosts = [(at(ax, h[ax] + 1), at(ax, h[ax] - 1), at(ax, h[ax] + 1, ax), at(ax, h[ax] - 1, ax))
               for ax in reversed(range(d))] if folded else []
-    centers = [at(ax, h[ax], ax) for ax in range(d)] if folded else []
+    centers = [u[at(ax, h[ax], ax)] for ax in range(d)] if folded else []
 
-    def rhs(u, diffusion, out):
-        """((transport + diffusion Lap u) + b^T u) + source, into out; sets u's ghosts."""
-        for ghost, src, ghost_own, src_own in ghosts:     # index h - 1, own component negated
-            u[ghost] = u[src]
-            u[ghost_own] = -u[src_own]
-        np.subtract(bm, u, out=c)
-        cmax = max(float(c.max()), -float(c.min()))
-        for dx in spacings:
-            if cmax * dt / dx > CFL_ADV + 1e-12:
-                raise CflViolation("advection", cmax * dt / dx, CFL_ADV)
-        _stencil(u, c, diffusion, spacings, out, bufs)
-        if drift:
-            out += np.einsum("ji,j...->i...", spec.b, u)
-        out += source
-        return out
+    def slope(x, out):
+        """The function of the diffusion that writes ((transport + diffusion Lap x)
+        + b^T x) + source into out and sets x's ghosts, on views built here, once."""
+        reflect = [tuple(x[i] for i in ghost) for ghost in ghosts]
+        stencil = _stencil(x, c, spacings, out, bufs)
 
+        def rhs(diffusion):
+            for ghost, src, ghost_own, src_own in reflect:  # index h - 1, own component negated
+                np.copyto(ghost, src)
+                np.negative(src_own, out=ghost_own)
+            np.subtract(bm, x, out=c)
+            cmax = float(np.abs(c, out=speed).max())    # exact: max(max c, -min c)
+            for dx in spacings:
+                if cmax * dt / dx > CFL_ADV + 1e-12:
+                    raise CflViolation("advection", cmax * dt / dx, CFL_ADV)
+            stencil(diffusion)
+            if drift:
+                np.add(out, np.einsum("ji,j...->i...", spec.b, x), out=out)
+            return np.add(out, source, out=out)
+
+        return rhs
+
+    slope_u, slope_stage, stored_u = slope(u, k1), slope(stage, k2), u[keep]
     for k in range(steps - 1, -1, -1):
         # explicit Euler stage; the first level then solves diffusion implicitly, the rest Heun
         first = k == steps - 1
-        np.add(u, np.multiply(dt, rhs(u, 0.0 if first else nu, k1), out=stage), out=stage)
+        np.add(u, np.multiply(dt, slope_u(0.0 if first else nu), out=stage), out=stage)
         if first:   # the implicit solve couples all nodes, so a folded stage is unfolded
             full = (np.moveaxis(_unfold(np.moveaxis(stage, 0, -1), grid.shape), -1, 0)
                     if folded else stage)
-            unext[...] = _implicit_solve(full, nu * dt, spacings)[tuple(map(slice, u.shape))]
+            u[...] = _implicit_solve(full, nu * dt, spacings)[tuple(map(slice, u.shape))]
         else:       # u + 0.5 dt (k1 + k2), k2 the slope at the stage
-            k1 += rhs(stage, nu, k2)
+            k1 += slope_stage(nu)
             k1 *= 0.5 * dt
-            np.add(u, k1, out=unext)
-        u, unext = unext, u
+            np.add(u, k1, out=u)
         for line in centers:    # there the component is its own negative: 0.5 (x - x)
-            u[line] = 0.5 * (u[line] - u[line])
-        if not np.all(np.isfinite(u)):
+            np.multiply(0.5, np.subtract(line, line, out=line), out=line)
+        if not np.isfinite(u).all():
             raise PdeDiverged(tgrid.nodes[k])
-        levels[k] = u[keep]
+        levels[k] = stored_u
 
     return DecouplingField(grid=grid, tgrid=tgrid, values=values, metadata=meta)
 

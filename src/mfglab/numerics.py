@@ -114,24 +114,28 @@ class RngStream:
 def integrate_ode(rhs, x0, grid: TimeGrid) -> np.ndarray:
     """Classical RK4 on a uniform grid, forward from x0 at t0; shooting's stepper.
 
-    The state x0 may be an array of any shape; rhs(t, x) returns the same
-    shape.  Returns the state at every grid node.  An entry that overflows
-    runs on silently: a non-finite value stays non-finite under the RK4
-    update, so the last state shows every divergence.
+    The state x0 may be an array of any shape; rhs(t, x, out) writes the
+    slope at x into `out`, an array of that shape, and returns it.  The stage
+    and slope buffers are allocated once per call.  Returns the state at every
+    grid node.  An entry that overflows runs on silently: a non-finite value
+    stays non-finite under the RK4 update, so the last state shows every
+    divergence.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    nodes, h = grid.nodes, grid.dt
-    out = np.empty((grid.steps + 1,) + x.shape)
-    out[0] = x
+    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    h = grid.dt
+    out = np.empty((grid.steps + 1,) + x0.shape)
+    out[0] = x0
+    # in out's C order whatever x0's layout: ufuncs on mixed layouts run slower
+    stage, k1, k2, k3, k4 = (np.empty(x0.shape) for _ in range(5))
+    # the ufuncs below take their out positionally, the cheapest call
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(grid.steps):
-            t = nodes[k]
-            k1 = np.asarray(rhs(t, x))
-            k2 = np.asarray(rhs(t + h / 2, x + h / 2 * k1))
-            k3 = np.asarray(rhs(t + h / 2, x + h / 2 * k2))
-            k4 = np.asarray(rhs(t + h, x + h * k3))
-            x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            out[k + 1] = x
+        for k, t in enumerate(grid.nodes[:-1].tolist()):
+            x = out[k]
+            rhs(t, x, k1)
+            rhs(t + h / 2, np.add(x, np.multiply(h / 2, k1, stage), stage), k2)
+            rhs(t + h / 2, np.add(x, np.multiply(h / 2, k2, stage), stage), k3)
+            rhs(t + h, np.add(x, np.multiply(h, k3, stage), stage), k4)
+            np.add(x, np.multiply(h / 6, k1 + 2 * k2 + 2 * k3 + k4, stage), out[k + 1])
     return out
 
 

@@ -179,14 +179,15 @@ def assert_same_solutions(a, b):
 
 @pytest.fixture
 def integrations(monkeypatch):
-    """(rows, diverged) of each integrate_ode call that control makes; a call
-    diverged when its last state is not finite."""
+    """(rows, diverged) of each integrate_ode call that control makes; the state
+    is component-major, (2d, rows), and a call diverged when its last state is
+    not finite."""
     calls = []
     inner = control.integrate_ode
 
     def integrate(rhs, x0, grid, *args, **kwargs):
         out = inner(rhs, x0, grid, *args, **kwargs)
-        calls.append((len(x0), not np.isfinite(out[-1]).all()))
+        calls.append((x0.shape[-1], not np.isfinite(out[-1]).all()))
         return out
 
     monkeypatch.setattr(control, "integrate_ode", integrate)
@@ -246,14 +247,43 @@ class TestBatchedShooting:
         assert len(integrations) < sset.starts
 
     def test_one_integration_per_newton_round(self, integrations):
-        # the candidates carry their Jacobian probes, so a Newton round costs one
-        # integration per line-search try and none for its Jacobian: E6's
-        # default probe and E3's enumeration
+        # the candidates carry their Jacobian probes, so an evaluation costs no
+        # integration for its Jacobian, and each integration carries every live
+        # start's next evaluation: E6's default probe and E3's enumeration
         differentiability_probe(logcosh_model(nu0=0.5), [0.5], h=1e-3, steps_per_unit=1000)
-        assert len(integrations) == 8
+        assert len(integrations) == 7
         integrations.clear()
         enumerate_stationary(delarue_model(), [0.0])
         assert len(integrations) == 3
+
+    def test_line_search_does_not_wait_across_starts(self, integrations):
+        # each integration carries every live start's next evaluation, so a
+        # batch takes as many integrations as its slowest start alone, and
+        # each start's solution is the one it finds alone
+        spec, nu0 = logcosh_model(nu0=0.5), [0.5]
+        starts = default_start_grid(spec, nu0)
+        sset = enumerate_stationary(spec, nu0, start_grid=starts, steps_per_unit=250)
+        batch = len(integrations)
+        alone = []
+        for start in starts:
+            integrations.clear()
+            enumerate_stationary(spec, nu0, start_grid=[start], steps_per_unit=250)
+            alone.append(len(integrations))
+        assert (sset.starts, len(alone)) == (21, 21)
+        assert batch == max(alone)
+        assert_same_solutions(sset.solutions, shoot_each(spec, nu0, starts, 250))
+
+    def test_convergence_on_the_last_allowed_step(self, monkeypatch):
+        # this start converges on its third Newton step: a cap of 3 steps must
+        # find it, a cap of 2 must not
+        spec, kwargs = logcosh_model(nu0=0.5), {"steps_per_unit": 250}
+        full = shoot(spec, [0.5], [-2.0], **kwargs)
+        monkeypatch.setattr(control, "NEWTON_MAX_ITER", 3)
+        capped = shoot(spec, [0.5], [-2.0], **kwargs)
+        assert capped is not None
+        assert_same_solutions([capped], [full])
+        monkeypatch.setattr(control, "NEWTON_MAX_ITER", 2)
+        assert shoot(spec, [0.5], [-2.0], **kwargs) is None
 
 
 class TestSolveEach:
