@@ -16,8 +16,12 @@ right-hand-side views of its two (input, output) pairs are built once per
 solve too.  One implicit-in-diffusion step at the first
 backward level damps terminal-layer roughness; it is solved directly, in
 every dimension, by fast diagonalization of the interior in the sine basis,
-the end faces of each axis solved first by the same recursion.  2-d
-evaluation gathers each point's corners.  With even data (unchanged under
+the end faces of each axis solved first by the same recursion.  Lookups run
+through a plan built once for n points and a list of times
+(`DecouplingField.lookup_plan`): its buffers, each axis's constants and each
+time's (level, weight) pair.  A 1-d plan blends the levels of 8 consecutive
+times in one pass and gathers from one time's blended row; a 2-d lookup
+gathers each point's corners.  With even data (unchanged under
 each coordinate sign flip), a diagonal b and a symmetric grid, flipping one
 coordinate maps the field to itself with that coordinate's component
 negated.  Such a field is mirror-folded: it steps and stores only indices
@@ -40,13 +44,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CflViolation, InvalidInput, InvalidOracle, InvalidParameter, PdeDiverged
-from .numerics import RngStream, SpaceGrid, TimeGrid, riccati_backward
+from .numerics import SpaceGrid, TimeGrid, riccati_backward, stream_generators
 from .potentials import ModelSpec, corrected_gradient
 
 # stability bounds of the explicit scheme: nu dt / dx^2 and |c| dt / dx
 CFL_DIFF = 0.25
 CFL_ADV = 0.5
 VELOCITY_MARGIN = 2.0    # stable_time_grid's factor on the terminal advection speed
+_BLOCK = 8      # a 1-d lookup plan blends the levels of this many times in one pass
 
 
 @dataclass
@@ -83,78 +88,109 @@ class DecouplingField:
         """Level k on the whole grid, (*grid.shape, d): a folded field's is unfolded."""
         return _unfold(self.values[k], self.grid.shape) if self._folded else self.values[k]
 
-    def evaluate_batch(self, t: float, points: np.ndarray, out: np.ndarray = None,
-                       bufs: dict = None) -> np.ndarray:
-        """Multilinear in space, linear in time, at query points (n, d), into `out` if given.
+    def lookup_plan(self, n: int, times):
+        """run(j, points, out): the field at times[j] and points (n, d), multilinear
+        in space and linear in time, written into out (n, d) and returned.
 
-        The first call fills `bufs`, a dict, with the lookup's scratch arrays;
-        later calls on as many points reuse them, so a loop of lookups
-        allocates nothing.
+        Built once for n points and the list of times: the scratch buffers,
+        each axis's constants and each time's (level, weight) pair.  Times
+        outside [t0, T] take the nearest end level, never extrapolate.  A 1-d
+        plan blends and unfolds the levels of _BLOCK consecutive times in one
+        pass, and each call gathers from its row; a 2-d call gathers each
+        point's corners from its two levels and blends only those.
         """
-        tg, grid = self.tgrid, self.grid
-        # times outside [t0, T] take the nearest end level, never extrapolate
-        s = min(max((t - tg.t0) / tg.dt, 0.0), tg.steps)
-        k = min(int(s), tg.steps - 1)
-        w = s - k
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n, d = pts.shape
-        b = {} if bufs is None else bufs
-        if not b:   # per axis a cell index and the weights of its nodes i, i + 1; 2^d corners
-            b.update(idx=np.empty((d, n), np.intp), w=np.empty((d, 2, n, 1)),
-                     c=np.empty((2**d, n, d)))
-            if d == 1:
-                b.update(level=np.empty(grid.shape + (1,)), blend=np.empty(self.values.shape[1:]))
-            else:
-                b.update(blend=np.empty((4, n, d)), ends=np.empty((2, 2, n), np.intp),
-                         rows=np.empty((2, 2, n), np.intp), sign=np.empty((2, 2, n)),
-                         prod=np.empty((2, 2, n)), weight=np.empty((2, 2, n, d)))
-        out = np.empty((n, d)) if out is None else out
-        for ax, (lo, hi, nodes) in enumerate(grid.axes):
-            i, f = b["idx"][ax], b["w"][ax, 1, :, 0]
-            np.subtract(pts[:, ax], lo, out=f)
-            f /= (hi - lo) / (nodes - 1)
-            np.minimum(np.maximum(f, 0.0, out=f), nodes - 1 - 1e-12, out=f)
-            i[...] = f      # f >= 0, so truncation is the floor
-            f -= i
-            np.subtract(1.0, f, out=b["w"][ax, 0, :, 0])
+        tg, grid, d = self.tgrid, self.grid, self.grid.dim
+        ws = np.subtract(times, tg.t0, dtype=float)
+        ws /= tg.dt
+        if np.isnan(ws).any():
+            raise InvalidParameter("a lookup time is NaN")
+        np.minimum(np.maximum(ws, 0.0, out=ws), tg.steps, out=ws)
+        ks = ws.astype(np.intp)
+        np.minimum(ks, tg.steps - 1, out=ks)
+        ws -= ks
+        # per axis a cell index and the weights of its nodes i, i + 1; 2^d corners
+        idx, wts, c = np.empty((d, n), np.intp), np.empty((d, 2, n, 1)), np.empty((2**d, n, d))
+        cells = [(ax, lo, (hi - lo) / (nodes - 1), nodes - 1 - 1e-12, idx[ax], wts[ax, 1, :, 0],
+                  wts[ax, 0, :, 0]) for ax, (lo, hi, nodes) in enumerate(grid.axes)]
+
+        def locate(points):
+            for ax, lo, dx, top, i, f, g in cells:
+                np.subtract(points[:, ax], lo, out=f)
+                f /= dx
+                np.minimum(np.maximum(f, 0.0, out=f), top, out=f)
+                i[...] = f      # f >= 0, so truncation is the floor
+                f -= i
+                np.subtract(1.0, f, out=g)
+
         # every index is in range but a NaN point's, whose weights are NaN; so
         # take's "clip" mode, which writes straight into its buffer, clips nothing
-        c = b["c"]
-        if d == 1:      # a 1-d level is small: blend it whole
-            level, rows, i = b["level"], self.values.shape[1], b["idx"][0]
-            np.multiply(self.values[k], 1.0 - w, out=level[:rows])
-            level[:rows] += np.multiply(self.values[k + 1], w, out=b["blend"])
-            if self._folded:    # rows h + 1.. are minus rows h - 1..0
-                np.negative(level[rows - 2::-1], out=level[rows:])
-            level.take(i, axis=0, out=c[0], mode="clip")
-            level[1:].take(i, axis=0, out=c[1], mode="clip")      # rows i + 1
-            c[0] *= b["w"][0, 0]
-            c[1] *= b["w"][0, 1]
-            return np.add(c[0], c[1], out=out)
+        if d == 1:      # a table of up to _BLOCK blended levels, each unfolded whole
+            size, rows, nodes = min(_BLOCK, len(ks)), self.values.shape[1], grid.shape[0]
+            part, table = np.empty((size, rows, 1)), np.empty((size, nodes, 1))
+            pairs = [(level, level[1:]) for level in table]     # rows i and i + 1
+            block, (i,), (c0, c1), (w0, w1) = -1, idx, c, wts[0]
+
+            def run(j, points, out):
+                nonlocal block
+                if j // size != block:      # blend the levels of this time's block
+                    block = j // size
+                    sel = slice(block * size, (block + 1) * size)
+                    k = ks[sel]
+                    level, buf = table[:len(k)], part[:len(k)]     # levels k, then k + 1
+                    np.multiply(self.values.take(k, axis=0, out=buf, mode="clip"),
+                                1.0 - ws[sel, None, None], out=level[:, :rows])
+                    level[:, :rows] += np.multiply(
+                        self.values[1:].take(k, axis=0, out=buf, mode="clip"), ws[sel, None, None],
+                        out=buf)
+                    if rows < nodes:    # folded: rows h + 1.. are minus rows h - 1..0
+                        np.negative(level[:, rows - 2::-1], out=level[:, rows:])
+                locate(points)
+                level, shifted = pairs[j % size]
+                level.take(i, axis=0, out=c0, mode="clip")
+                shifted.take(i, axis=0, out=c1, mode="clip")
+                np.multiply(c0, w0, out=c0)
+                np.multiply(c1, w1, out=c1)
+                return np.add(c0, c1, out=out)
+
+            return run
         # 2-d: blend in time only each point's corners (i, j), (i+1, j), (i, j+1)
         # and (i+1, j+1).  Corner a + 2 b is stored at flat index ends[0][a] +
         # ends[1][b], and its weight is w[0][a] w[1][b]; a negated corner value
         # is a negated weight, exactly, so each component's weight takes the
         # sign of the axis that reflects that component
-        ends, sign = b["ends"], b["sign"]
-        for ax, (index, signs) in enumerate(self._corners):
-            index.take(b["idx"][ax], axis=1, out=ends[ax], mode="clip")
-            signs.take(b["idx"][ax], axis=1, out=sign[ax], mode="clip")
-        rows = np.add(ends[0], ends[1][:, None], out=b["rows"]).reshape(4, n)
-        prod = np.multiply(b["w"][0, ..., 0], b["w"][1, :, None, :, 0], out=b["prod"])
-        weight = b["weight"]
-        np.multiply(prod, sign[0], out=weight[..., 0])
-        np.multiply(prod, sign[1][:, None], out=weight[..., 1])
+        (ends, rows), (sign, prod) = np.empty((2, 2, 2, n), np.intp), np.empty((2, 2, 2, n))
+        weight, blend = np.empty((2, 2, n, d)), np.empty((4, n, d))
+        flat_rows, flat_weight = rows.reshape(4, n), weight.reshape(4, n, d)
+        gathers = [(index, signs, idx[ax], ends[ax], sign[ax])
+                   for ax, (index, signs) in enumerate(self._corners)]
         flat = self.values.reshape(tg.steps + 1, -1, d)
-        flat[k].take(rows, axis=0, out=c, mode="clip")
-        c *= 1.0 - w
-        c += np.multiply(flat[k + 1].take(rows, axis=0, out=b["blend"], mode="clip"), w,
-                         out=b["blend"])
-        c *= weight.reshape(4, n, d)
-        np.add(c[0], c[1], out=out)
-        out += c[2]
-        out += c[3]
-        return out
+
+        def run(j, points, out):
+            k, w = ks[j], ws[j]
+            locate(points)
+            for index, signs, i, e, sg in gathers:
+                index.take(i, axis=1, out=e, mode="clip")
+                signs.take(i, axis=1, out=sg, mode="clip")
+            np.add(ends[0], ends[1][:, None], out=rows)
+            np.multiply(wts[0, ..., 0], wts[1, :, None, :, 0], out=prod)
+            np.multiply(prod, sign[0], out=weight[..., 0])
+            np.multiply(prod, sign[1][:, None], out=weight[..., 1])
+            corner = flat[k].take(flat_rows, axis=0, out=c, mode="clip")
+            corner *= 1.0 - w
+            corner += np.multiply(flat[k + 1].take(flat_rows, axis=0, out=blend, mode="clip"), w,
+                                  out=blend)
+            corner *= flat_weight
+            np.add(c[0], c[1], out=out)
+            out += c[2]
+            out += c[3]
+            return out
+
+        return run
+
+    def evaluate_batch(self, t: float, points: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+        """The field at time t and query points (n, d), into `out` if given."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return self.lookup_plan(len(pts), [t])(0, pts, np.empty(pts.shape) if out is None else out)
 
     def evaluate(self, t: float, m) -> np.ndarray:
         return self.evaluate_batch(t, np.atleast_2d(np.asarray(m, dtype=float)))[0]
@@ -485,13 +521,14 @@ def _sim_steps(duration: float) -> int:
 def _path_normals(seed: int, M: int, rows: int, d: int) -> np.ndarray:
     """(M, rows, d) standard normals, row p the first of RngStream(seed, p).
 
-    The memory is time-major, (rows, M, d), so an ensemble step reads one
-    contiguous slice.  A stream's numbers do not depend on how its draws are
+    The M streams are seeded in one batch (`stream_generators`).  The memory
+    is time-major, (rows, M, d), so an ensemble step reads one contiguous
+    slice.  A stream's numbers do not depend on how its draws are
     split, so an array with more rows serves every ensemble that reads fewer.
     """
     z = np.empty((rows, M, d))
-    for p in range(M):
-        z[:, p] = RngStream(seed, p).generator().normal(size=(rows, d))
+    for p, gen in enumerate(stream_generators(seed, np.arange(M))):
+        z[:, p] = gen.normal(size=(rows, d))
     return z.transpose(1, 0, 2)
 
 
@@ -510,8 +547,9 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
     paths that ever exited is reported (> 1% earns a domain-too-small flag).
 
     The paths are stepped time-major, (steps+1, M, d), each step writing one
-    contiguous slice with a field lookup into buffers allocated once;
-    `paths` is their (M, steps+1, d) view.
+    contiguous slice; `paths` is their (M, steps+1, d) view.  The field
+    lookups of all steps run through one plan over the step times
+    (`DecouplingField.lookup_plan`), built once per ensemble.
     """
     if M < 1:
         raise InvalidParameter("need at least one path")
@@ -542,11 +580,11 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
     np.minimum(np.maximum(m0, lows, out=m0), highs, out=paths[0])
     zt = z.transpose(1, 0, 2)
     nodes, scale = tg.nodes, meta["noise_scale"]
-    eta, step, bufs = np.empty((M, d)), np.empty((M, d)), {}
+    eta, step, lookup = np.empty((M, d)), np.empty((M, d)), fld.lookup_plan(M, nodes[:-1])
     drift = bool(np.any(spec.b))    # with b == 0, m + dt (0 - eta) is m - dt eta
     for k in range(tg.steps):
         m, new = paths[k], paths[k + 1]
-        fld.evaluate_batch(nodes[k], m, out=eta, bufs=bufs)
+        lookup(k, m, eta)
         if drift:
             np.subtract(np.matmul(m, spec.b.T, out=step), eta, out=step)
             step *= dt

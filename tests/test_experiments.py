@@ -448,6 +448,18 @@ class TestImportCost:
         """)
         assert self.fresh_interpreter(probe).strip() == "[]"
 
+    def test_setup_loads_no_rng(self):
+        # numpy.random is imported at the first draw: importing the CLI and
+        # parsing and validating a default E2 config leave sys.modules free of it
+        probe = textwrap.dedent("""
+            import sys
+            import mfglab.cli
+            from mfglab.experiments import ScenarioConfig
+            ScenarioConfig.from_text("scenario = E2\\n")
+            print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+        """)
+        assert self.fresh_interpreter(probe).strip() == "[]"
+
 
 def save_tiny_field(path):
     """A valid field file on a 3-node grid with 2 time steps."""

@@ -401,13 +401,35 @@ class TestEvaluate:
                             [-9.0, -9.0]])
         edges = np.array([[2.0, 0.3], [-1.2, 4.0], [2.0, 4.0], [-3.0, -1.0], [-3.0, 4.0]])
         pts = np.vstack([inside, outside, edges])
-        out, bufs = np.empty_like(pts), {}
-        for t in (0.2, 0.5, 0.5 + 3 * tg.dt, 0.917, 1.5, 1.9):
+        times = (0.2, 0.5, 0.5 + 3 * tg.dt, 0.917, 1.5, 1.9)
+        out, run = np.empty_like(pts), fld.lookup_plan(len(pts), times)
+        for j, t in enumerate(times):
             ref = blend_then_interpolate(fld, t, pts)
             assert np.array_equal(fld.evaluate_batch(t, pts), ref)
-            assert np.array_equal(fld.evaluate_batch(t, pts, out=out, bufs=bufs), ref)
+            assert np.array_equal(run(j, pts, out), ref)
         for t, m in ((0.73, [0.4, 1.1]), (1.5, [2.0, 4.0]), (0.1, [-5.0, 0.0])):
             assert np.array_equal(fld.evaluate(t, m), blend_then_interpolate(fld, t, m)[0])
+
+    @pytest.mark.parametrize("grid", [SpaceGrid.symmetric(3.0, 41, 1),
+                                      SpaceGrid(((-3.0, 2.0, 41),))], ids=["folded", "unfolded"])
+    def test_1d_plan_across_blend_blocks(self, grid):
+        # a 1-d plan blends the levels of 8 times at once: 8 * 3 + 5 times, the
+        # first and last outside [t0, T], cross its blocks' boundaries, in order
+        # and then jumping back and forth between blocks
+        fld = odd_field(grid)
+        assert fld._folded == grid.is_symmetric()
+        tg, gen = fld.tgrid, np.random.default_rng(23)
+        times = np.linspace(tg.t0 - 0.1, tg.T + 0.1, 8 * 3 + 5)
+        pts = np.vstack([gen.uniform(-4.0, 3.0, size=(60, 1)), [[np.nan]]])
+        out, run = np.empty_like(pts), fld.lookup_plan(len(pts), times)
+        with np.errstate(invalid="ignore"):     # the NaN point's cell index is a NaN cast
+            for j in list(range(len(times))) + [28, 3, 17, 8, 7, 24, 0]:
+                ref = fld.evaluate_batch(times[j], pts)
+                assert run(j, pts, out) is out
+                assert np.array_equal(out, ref, equal_nan=True)
+                assert np.isnan(out[-1, 0]) and np.isfinite(out[:-1]).all()
+        with pytest.raises(InvalidParameter):
+            fld.lookup_plan(len(pts), [tg.t0, np.nan])
 
 
 def rebuilt_full(fld):
@@ -475,11 +497,12 @@ class TestFoldedStorage:
                              np.where(gen.uniform(size=(20, dim)) < 0.5, lo - 1.0, hi + 1.0)])
         pts = np.vstack([random, nodes] + lines + [outside])
         tg = fld.tgrid
-        out, bufs = np.empty_like(pts), {}      # reused across times, as an ensemble does
-        for t in (tg.t0 + 0.3 * tg.dt, tg.T - 0.4 * tg.dt, tg.T, tg.t0 - 0.5, tg.T + 0.5):
+        times = (tg.t0 + 0.3 * tg.dt, tg.T - 0.4 * tg.dt, tg.T, tg.t0 - 0.5, tg.T + 0.5)
+        out, run = np.empty_like(pts), fld.lookup_plan(len(pts), times)    # as an ensemble has
+        for j, t in enumerate(times):
             ref = full.evaluate_batch(t, pts)
             assert np.array_equal(fld.evaluate_batch(t, pts), ref)
-            assert fld.evaluate_batch(t, pts, out=out, bufs=bufs) is out
+            assert run(j, pts, out) is out
             assert np.array_equal(out, ref)
 
     @pytest.mark.parametrize("grid, f, g, b", [
@@ -591,6 +614,17 @@ class TestSimulate:
         # ensemble coincide with the small ensemble regardless of scheduling
         c = simulate_ensemble(fld, spec, M=16, seed=99)
         assert np.array_equal(c.paths[:8], a.paths)
+
+    @pytest.mark.parametrize("seed", [11, 2**70 + 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_path_normals_are_seed_sequence_streams(self, seed, d):
+        # path p reads numpy's own Generator over SeedSequence((seed, p))
+        M, rows = 7, 40
+        z = _path_normals(seed, M, rows, d)
+        assert z.shape == (M, rows, d)
+        for p in range(M):
+            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, p))))
+            assert np.array_equal(z[p], gen.normal(size=(rows, d)))
 
     def test_shared_normals_match_fresh_draws(self):
         # normals drawn once for a larger N serve every smaller N and every

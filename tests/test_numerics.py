@@ -20,6 +20,7 @@ from mfglab.numerics import (
     integrate_ode,
     kuiper_uniformity,
     riccati_backward,
+    stream_states,
     wasserstein1_1d,
 )
 
@@ -323,6 +324,27 @@ class TestRng:
         a = RngStream(seed, index).generator().normal(size=50)
         b = np.random.default_rng(np.random.SeedSequence((seed, index))).normal(size=50)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 7, 2**70 + 3, 2**130 + 11])
+    def test_batch_states_are_seed_sequence_states(self, seed):
+        # multi-word seeds and indices; 2**130 + 11 and a two-word index make
+        # more than the 4 words of SeedSequence's pool
+        indices = [0, 1, 4095, 2**32 + 5]
+        states = stream_states(seed, indices)
+        assert states.dtype == np.uint64 and states.shape == (len(indices), 4)
+        for row, index in zip(states, indices):
+            ref = np.random.SeedSequence((seed, index)).generate_state(4, np.uint64)
+            assert np.array_equal(row, ref)
+
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (1.5, 0), (0, -1), (0, 2.0), (None, 0)])
+    def test_refused_seeds_are_typed(self, seed, index):
+        # SeedSequence refuses each of these with a ValueError or a TypeError
+        with pytest.raises((ValueError, TypeError)):
+            np.random.SeedSequence((seed, index))
+        with pytest.raises(InvalidParameter):
+            RngStream(seed, index).generator()
+        with pytest.raises(InvalidParameter):
+            stream_states(seed, [index])
 
 
 class TestWasserstein:
