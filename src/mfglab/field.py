@@ -10,19 +10,20 @@ common-noise variant has nu = eps^2 / 2 and the reminder-free source m +
 grad f with terminal m + grad g.  The scheme is explicit (Heun in time)
 on a truncated tensor grid with linear-extrapolation ghost nodes: one stencil
 per axis, two coefficient products of one raw difference, gives upwinded
-transport and centered diffusion.  Every step writes into buffers allocated
-once per solve and updates the state in place, so the stencil, ghost and
-right-hand-side views of its two (input, output) pairs are built once per
-solve too.  One implicit-in-diffusion step at the first
-backward level damps terminal-layer roughness; it is solved directly, in
-every dimension, by fast diagonalization of the interior in the sine basis,
-the end faces of each axis solved first by the same recursion.  Lookups run
-through a plan built once for n points and a list of times
-(`DecouplingField.lookup_plan`): its buffers, each axis's constants and each
-time's (level, weight) pair.  A 1-d plan blends the levels of 8 consecutive
-times in one pass and gathers from one time's blended row; a 2-d lookup
-gathers each point's corners.  With even data (unchanged under
-each coordinate sign flip), a diagonal b and a symmetric grid, flipping one
+transport and centered diffusion, every axis on flattened (d, L) views
+shifted by its stride, so each ufunc is one long loop.  Every step writes into
+buffers allocated once per solve, updates the state in place and writes each
+level per component, so the stencil, ghost and right-hand-side views of its
+two (input, output) pairs are built once per solve too.  One
+implicit-in-diffusion step at the first backward level damps terminal-layer
+roughness; it is solved directly, in every dimension, by fast diagonalization
+of the interior in the sine basis, the end faces of each axis solved first by
+the same recursion.  Lookups run through a plan built once for n points and a
+list of times (`DecouplingField.lookup_plan`): its buffers, each axis's
+constants and each time's (level, weight) pair.  A 1-d plan blends the
+levels of 8 consecutive times in one pass and gathers from one time's blended
+row; a 2-d lookup gathers each point's corners.  With even data (unchanged
+under each coordinate sign flip), a diagonal b and a symmetric grid, flipping one
 coordinate maps the field to itself with that coordinate's component
 negated.  Such a field is mirror-folded: it steps and stores only indices
 0..h of each axis, h the center (half of a 1-d grid, a quarter of a 2-d one),
@@ -190,10 +191,12 @@ class DecouplingField:
     def evaluate_batch(self, t: float, points: np.ndarray, out: np.ndarray = None) -> np.ndarray:
         """The field at time t and query points (n, d), into `out` if given."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != self.grid.dim:
+            raise InvalidParameter(f"points must be (n, {self.grid.dim}), got {pts.shape}")
         return self.lookup_plan(len(pts), [t])(0, pts, np.empty(pts.shape) if out is None else out)
 
     def evaluate(self, t: float, m) -> np.ndarray:
-        return self.evaluate_batch(t, np.atleast_2d(np.asarray(m, dtype=float)))[0]
+        return self.evaluate_batch(t, m)[0]
 
 
 def _unfold(part: np.ndarray, shape) -> np.ndarray:
@@ -210,44 +213,57 @@ def _unfold(part: np.ndarray, shape) -> np.ndarray:
 
 
 def _stencil(u: np.ndarray, c: np.ndarray, spacings, out: np.ndarray, bufs: list):
-    """The plan of out = sum_ax (c_ax D_ax u + nu D2_ax u) for component-major u
-    and c, (d, *shape): a function of nu that reruns it on views built here, once.
+    """The plan of out = sum_ax (c_ax D_ax u + nu D2_ax u) for component-major,
+    C-contiguous u, c and out, (d, *shape): a function of nu that reruns it on
+    views built here, once.
 
-    Per axis one raw difference D = v[1:] - v[:-1] gives upwinded transport
-    (forward where c > 0, backward where c < 0) plus centered diffusion as
-    (c+/dx + nu/dx^2) D_i + (c-/dx - nu/dx^2) D_{i-1} at interior nodes and the
-    one-sided c/dx D at the ends, whose extrapolation ghosts add no diffusion.
-    The first plan fills `bufs` with per-axis scratch laid out as u; plans of
-    arrays of that shape share it.
+    Per axis one raw difference D_i = v_{i+s} - v_i, s the axis's stride in the
+    flattened (d, L) views, gives upwinded transport (forward where c > 0,
+    backward where c < 0) plus centered diffusion as (c+/dx + nu/dx^2) D_i +
+    (c-/dx - nu/dx^2) D_{i-s} at interior nodes and the one-sided c/dx D at the
+    ends, whose extrapolation ghosts add no diffusion; each ufunc is one long
+    loop.  On an inner axis the shift also pairs each line's last node with the
+    next line's first, terms that land on the axis's end faces only, so each
+    face is kept before its sum and restored after.  The first plan fills
+    `bufs` with one scratch set for all axes; plans of that shape share it.
     """
-    plan = []
-    for ax, dx in enumerate(spacings, start=1):
-        if len(bufs) < ax:
-            s = u.shape[:ax] + (u.shape[ax] - 1,) + u.shape[ax + 1:]
-            bufs.append([np.empty(lead + s[1:]) for lead in (s[:1], s[:1], (1,), (1,))])
-        # views with the difference axis first; the speed c[ax - 1:ax] broadcasts
-        # over the component axis; cp scales D_i at nodes 0..n-2, cm D_{i-1} at 1..n-1
-        diff, prod, cp, cm = (b.swapaxes(0, ax) for b in bufs[ax - 1])
-        v, o, s = u.swapaxes(0, ax), out.swapaxes(0, ax), c[ax - 1:ax].swapaxes(0, ax)
-        plan.append((dx**2, dx, v[1:], v[:-1], diff, s[:-1], cp, s[1:], cm, cp[1:], cm[:-1],
-                     s[0], cp[0], s[-1], cm[-1], o[:-1], o[1:], o[-1], prod))
+    d, L, shape = len(u), u[0].size, u.shape[1:]
+    if not bufs:    # D, the products, the two coefficients and a kept face
+        bufs += [np.empty((k, L)) for k in (d, d, 1, 1)] + [np.empty(d * L // min(shape))]
+    diff, prod, cp, cm, kept = bufs
+    v, o, plan = u.reshape(d, L), out.reshape(d, L), []
+    for ax, dx in enumerate(spacings):
+        s = math.prod(shape[ax + 1:])      # the axis's stride
+        speed = c[ax:ax + 1].reshape(1, L)     # broadcasts over the component axis
+        (s_0, s_n), (cp_0, _), (_, cm_n), (o_0, o_n) = (     # each array's end faces
+            (x[:, :, 0].squeeze(), x[:, :, -1].squeeze())
+            for x in (a.reshape(len(a), -1, shape[ax], s) for a in (speed, cp, cm, o)))
+        # cp scales D_i at nodes i, cm D_{i-s} at nodes i + s; on an inner axis the
+        # wrap-around terms of each sum land on one face, kept in a buffer
+        sums = [(o_x, coef, f, kept[:f.size].reshape(f.shape)) for o_x, coef, f in
+                ((o[:, :L - s], cp[:, :L - s], o_n), (o[:, s:], cm[:, s:], o_0))]
+        plan.append((dx, dx**2, v[:, s:], v[:, :-s], diff[:, :L - s], prod[:, :L - s], speed,
+                     s_0, cp_0, s_n, cm_n, ax > 0, sums))
 
     def apply(nu: float) -> np.ndarray:
-        for ax, (dx2, dx, v_hi, v_lo, diff, s_lo, cp, s_hi, cm, cp_in, cm_in,
-                 s_first, cp_first, s_last, cm_last, o_lo, o_hi, o_last, prod) in enumerate(plan):
-            np.subtract(v_hi, v_lo, out=diff)
-            np.divide(np.maximum(s_lo, 0.0, out=cp), dx, out=cp)
-            np.divide(np.minimum(s_hi, 0.0, out=cm), dx, out=cm)
-            np.add(cp_in, nu / dx2, out=cp_in)
-            np.subtract(cm_in, nu / dx2, out=cm_in)
-            np.divide(s_first, dx, out=cp_first)    # the one-sided end nodes
-            np.divide(s_last, dx, out=cm_last)
-            if ax == 0:     # the first axis writes out, later axes add to it
-                np.multiply(cp, diff, out=o_lo)
-                o_last.fill(0.0)
-            else:
-                np.add(o_lo, np.multiply(cp, diff, out=prod), out=o_lo)
-            np.add(o_hi, np.multiply(cm, diff, out=prod), out=o_hi)
+        for dx, dx2, v_hi, v_lo, d_ax, p_ax, speed, s_0, cp_0, s_n, cm_n, inner, sums in plan:
+            np.subtract(v_hi, v_lo, out=d_ax)
+            np.divide(np.maximum(speed, 0.0, out=cp), dx, out=cp)
+            np.divide(np.minimum(speed, 0.0, out=cm), dx, out=cm)
+            np.add(cp, nu / dx2, out=cp)
+            np.subtract(cm, nu / dx2, out=cm)
+            np.divide(s_0, dx, out=cp_0)    # the one-sided end nodes
+            np.divide(s_n, dx, out=cm_n)
+            if inner:   # later axes add to out, each wrap-around face kept and restored
+                for o_x, coef, face, keep in sums:
+                    np.copyto(keep, face)
+                    np.add(o_x, np.multiply(coef, d_ax, out=p_ax), out=o_x)
+                    np.copyto(face, keep)
+                continue
+            (o_lo, cp_lo, o_n, _), (o_hi, cm_hi, _, _) = sums   # the first axis writes out
+            np.multiply(cp_lo, d_ax, out=o_lo)
+            o_n.fill(0.0)
+            np.add(o_hi, np.multiply(cm_hi, d_ax, out=p_ax), out=o_hi)
         return out
 
     return apply
@@ -373,11 +389,10 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
     # the terminal layer stays exactly the corrected gradient at the nodes
     u = np.moveaxis(cost_gradient(spec.g, mgrid), -1, 0).copy()
     stored = tuple(x + 1 for x in h) if folded else grid.shape
-    keep = tuple(map(slice, (d,) + stored))
-    steps = tgrid.steps
+    steps, stored_u = tgrid.steps, u[tuple(map(slice, (d,) + stored))]
     values = np.empty((steps + 1,) + stored + (d,))
-    levels = np.moveaxis(values, -1, 1)     # (steps+1, d, *stored) views of the levels
-    levels[steps] = u[keep]
+    values[steps] = np.moveaxis(stored_u, 0, -1)
+    writes = [(values[..., j], stored_u[j]) for j in range(d)]     # per component: long loops
 
     # stepping buffers, allocated once: per-step temporaries cost page faults;
     # u is updated in place, so its slope goes to k1 and the stage's to k2
@@ -419,7 +434,7 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
 
         return rhs
 
-    slope_u, slope_stage, stored_u = slope(u, k1), slope(stage, k2), u[keep]
+    slope_u, slope_stage = slope(u, k1), slope(stage, k2)
     for k in range(steps - 1, -1, -1):
         # explicit Euler stage; the first level then solves diffusion implicitly, the rest Heun
         first = k == steps - 1
@@ -432,11 +447,12 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
             k1 += slope_stage(nu)
             k1 *= 0.5 * dt
             np.add(u, k1, out=u)
-        for line in centers:    # there the component is its own negative: 0.5 (x - x)
-            np.multiply(0.5, np.subtract(line, line, out=line), out=line)
+        for line in centers:    # there the component is its own negative: x - x, +0 or NaN
+            np.subtract(line, line, out=line)
         if not np.isfinite(u).all():
             raise PdeDiverged(tgrid.nodes[k])
-        levels[k] = stored_u
+        for level, comp in writes:
+            level[k] = comp
 
     return DecouplingField(grid=grid, tgrid=tgrid, values=values, metadata=meta)
 
@@ -574,10 +590,12 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
         del block, x    # freed before the paths are allocated
 
     lows, highs = np.array([ax[:2] for ax in fld.grid.axes]).T
+    low, high = np.empty((M, d)), np.empty((M, d))     # (M, d) bounds: one long loop each
+    low[:], high[:] = lows, highs
     paths = np.empty((tg.steps + 1, M, d))
     # each path's extremes before clamping: it exited iff they leave the domain
     smallest, largest = m0.copy(), m0.copy()
-    np.minimum(np.maximum(m0, lows, out=m0), highs, out=paths[0])
+    np.minimum(np.maximum(m0, low, out=m0), high, out=paths[0])
     zt = z.transpose(1, 0, 2)
     nodes, scale = tg.nodes, meta["noise_scale"]
     eta, step, lookup = np.empty((M, d)), np.empty((M, d)), fld.lookup_plan(M, nodes[:-1])
@@ -596,7 +614,7 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
         new += step
         np.fmin(smallest, new, out=smallest)       # fmin and fmax pass over NaN, as
         np.fmax(largest, new, out=largest)         # the comparisons below do
-        np.minimum(np.maximum(new, lows, out=new), highs, out=new)
+        np.minimum(np.maximum(new, low, out=new), high, out=new)
 
     outside = (smallest < lows) | (largest > highs)
     exit_fraction = float(np.mean(np.any(outside, axis=1)))

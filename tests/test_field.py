@@ -234,6 +234,47 @@ def laplacian_reference(u, spacings):
     return out
 
 
+def per_line_stencil(u, c, spacings, out):
+    """The stencil of `_stencil` as a per-axis plan on swapped-axis views, each
+    ufunc one short loop per grid line: the reference the flattened plan must
+    equal bit for bit.  Scratch is per axis, laid out as u."""
+    plan = []
+    for ax, dx in enumerate(spacings, start=1):
+        s = u.shape[:ax] + (u.shape[ax] - 1,) + u.shape[ax + 1:]
+        bufs = [np.empty(lead + s[1:]) for lead in (s[:1], s[:1], (1,), (1,))]
+        diff, prod, cp, cm = (b.swapaxes(0, ax) for b in bufs)
+        v, o, sp = u.swapaxes(0, ax), out.swapaxes(0, ax), c[ax - 1:ax].swapaxes(0, ax)
+        plan.append((dx, v, o, sp, diff, prod, cp, cm))
+
+    def apply(nu):
+        for ax, (dx, v, o, sp, diff, prod, cp, cm) in enumerate(plan):
+            np.subtract(v[1:], v[:-1], out=diff)
+            np.divide(np.maximum(sp[:-1], 0.0, out=cp), dx, out=cp)
+            np.divide(np.minimum(sp[1:], 0.0, out=cm), dx, out=cm)
+            np.add(cp[1:], nu / dx**2, out=cp[1:])
+            np.subtract(cm[:-1], nu / dx**2, out=cm[:-1])
+            np.divide(sp[0], dx, out=cp[0])
+            np.divide(sp[-1], dx, out=cm[-1])
+            if ax == 0:
+                np.multiply(cp, diff, out=o[:-1])
+                o[-1].fill(0.0)
+            else:
+                np.add(o[:-1], np.multiply(cp, diff, out=prod), out=o[:-1])
+            np.add(o[1:], np.multiply(cm, diff, out=prod), out=o[1:])
+        return out
+
+    return apply
+
+
+def signed_zero_speeds(gen, shape):
+    """Normal speeds with every 5th node +0.0 and every 7th from the second -0.0."""
+    c = gen.normal(size=shape)
+    flat = c.reshape(shape[0], -1)
+    flat[:, ::5] = 0.0
+    flat[:, 1::7] = -0.0
+    return c
+
+
 class TestTransport:
     @pytest.mark.parametrize("shape, spacings", [((1, 101), (0.05,)), ((2, 41, 37), (0.1, 0.07))],
                              ids=["1d", "2d"])
@@ -251,6 +292,49 @@ class TestTransport:
             got.fill(np.nan)        # a node the stencil skips shows as NaN
             assert plan(nu) is got
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("shape, spacings", [
+        ((1, 2), (0.3,)),
+        ((1, 101), (0.05,)),
+        ((2, 7, 5), (0.1, 0.2)),
+        ((2, 41, 37), (0.1, 0.07)),
+        ((2, 12, 12), (0.3, 0.3)),      # a folded 21x21 solve's block: indices 0..h + 1
+    ], ids=["1d-2", "1d-101", "2d-7x5", "2d-41x37", "2d-folded-12x12"])
+    def test_equals_per_line_plan_bit_for_bit(self, shape, spacings):
+        # the flattened plan only reorders memory traversal, so every node sees
+        # the same float operations: equal to the bit, ±0 included, for two
+        # plans that share one scratch set
+        gen = np.random.default_rng(17)
+        u, c = gen.normal(size=shape), signed_zero_speeds(gen, shape)
+        x, cx = gen.normal(size=shape), signed_zero_speeds(gen, shape)
+        bufs, got, got_x = [], np.empty_like(u), np.empty_like(u)
+        plans = [(_stencil(u, c, spacings, got, bufs), per_line_stencil(u, c, spacings,
+                                                                          np.empty_like(u))),
+                 (_stencil(x, cx, spacings, got_x, bufs), per_line_stencil(x, cx, spacings,
+                                                                            np.empty_like(x)))]
+        for nu in (0.0, 0.37):
+            for plan, ref in plans:
+                out = plan(nu)
+                assert np.array_equal(out.view(np.int64), ref(nu).view(np.int64))
+
+    def test_wrap_around_terms_do_not_leak(self):
+        # the flattened shift of the second axis pairs each line's last node
+        # with the next line's first; an inf at line 5's last node makes both
+        # of those terms non-finite, so a face left unrestored shows in line 6
+        gen = np.random.default_rng(29)
+        shape, spacings = (2, 41, 37), (0.1, 0.07)
+        u, c = gen.normal(size=shape), signed_zero_speeds(gen, shape)
+        u[:, 5, -1] = np.inf
+        got = np.empty_like(u)
+        plan, ref = _stencil(u, c, spacings, got, []), per_line_stencil(u, c, spacings,
+                                                                        np.empty_like(u))
+        other = np.arange(shape[1]) != 5
+        with np.errstate(invalid="ignore"):
+            for nu in (0.0, 0.37):
+                want = ref(nu)
+                assert np.isfinite(want[:, 6, 0]).all()
+                assert np.array_equal(plan(nu)[:, other].view(np.int64),
+                                      want[:, other].view(np.int64))
 
 
 def implicit_operator(shape, spacings, coef):
@@ -409,6 +493,18 @@ class TestEvaluate:
             assert np.array_equal(run(j, pts, out), ref)
         for t, m in ((0.73, [0.4, 1.1]), (1.5, [2.0, 4.0]), (0.1, [-5.0, 0.0])):
             assert np.array_equal(fld.evaluate(t, m), blend_then_interpolate(fld, t, m)[0])
+
+    @pytest.mark.parametrize("dim, cols", [(1, 2), (2, 1), (2, 3)])
+    def test_points_of_the_wrong_dimension_refused(self, dim, cols):
+        # a 1-d field used to read [[0.5, 3.0]] as 0.5 twice; a 2-d field raised
+        # IndexError or a broadcast ValueError
+        grid = SpaceGrid(((-1.0, 1.0, 5),) * dim)
+        fld = DecouplingField(grid, TimeGrid(0.0, 1.0, 8), np.zeros((9,) + grid.shape + (dim,)))
+        with pytest.raises(InvalidParameter, match=f"points must be \\(n, {dim}\\)"):
+            fld.evaluate_batch(0.0, np.full((4, cols), 0.5))
+        with pytest.raises(InvalidParameter):
+            fld.evaluate(0.0, [0.5] * cols)
+        assert np.array_equal(fld.evaluate_batch(0.0, np.full((4, dim), 0.5)), np.zeros((4, dim)))
 
     @pytest.mark.parametrize("grid", [SpaceGrid.symmetric(3.0, 41, 1),
                                       SpaceGrid(((-3.0, 2.0, 41),))], ids=["folded", "unfolded"])
@@ -733,6 +829,35 @@ class TestSimulate:
                                 normals=zero_normals(fld, M=4))
         assert ens.exit_fraction == 1.0
         assert np.all(ens.paths[:, 0, 0] == 4.0)  # clamped to the boundary
+
+    def test_clamp_per_axis_on_asymmetric_domain(self):
+        # a zero field on [-1, 2] x [-3, 0.5] with unequal node counts: paths are
+        # clamped random walks, each coordinate to its own axis's bounds, and a
+        # path has exited iff its unclamped walk left the domain (until its
+        # first exit the clamp changes nothing)
+        grid = SpaceGrid(((-1.0, 2.0, 13), (-3.0, 0.5, 9)))
+        tg = TimeGrid(0.0, 1.0, 8)
+        fld = DecouplingField(grid, tg, np.zeros((9, 13, 9, 2)),
+                              {"kind": "common-noise", "eps": 1.2, "noise_scale": 1.2,
+                               "diffusion": 0.72})
+        spec = model(make_zero(2), make_zero(2), dim=2)
+        spec = dataclasses.replace(spec, nu0=np.array([0.5, -1.25]))
+        M, steps = 300, _sim_steps(1.0)
+        z = np.random.default_rng(41).normal(size=(M, steps, 2))
+        ens = simulate_ensemble(fld, spec, M=M, seed=0, normals=z)
+        lows, highs = np.array([-1.0, -3.0]), np.array([2.0, 0.5])
+        inc = z * np.sqrt(1.0 / steps) * 1.2
+        m = walk = spec.nu0 + np.zeros((M, 2))
+        ref, exited = [m], np.zeros(M, bool)
+        for k in range(steps):
+            m, walk = np.clip(m + inc[:, k], lows, highs), walk + inc[:, k]
+            ref.append(m)
+            exited |= np.any((walk < lows) | (walk > highs), axis=1)
+        assert np.array_equal(ens.paths, np.stack(ref, axis=1))
+        for ax in range(2):     # each coordinate reaches both of its own bounds
+            assert ens.paths[..., ax].min() == lows[ax] and ens.paths[..., ax].max() == highs[ax]
+        assert 0 < exited.sum() < M
+        assert ens.exit_fraction == exited.mean()
 
     def test_m_needs_paths(self):
         fld = solve(logcosh_spec(), N=50)
