@@ -34,7 +34,6 @@ from .field import (
     stable_time_grid,
 )
 from .numerics import (
-    RngStream,
     SpaceGrid,
     TimeGrid,
     delarue_riccati,

@@ -423,7 +423,7 @@ def solve_field(spec: ModelSpec, grid: SpaceGrid, tgrid: TimeGrid,
                 np.copyto(ghost, src)
                 np.negative(src_own, out=ghost_own)
             np.subtract(bm, x, out=c)
-            cmax = float(np.abs(c, out=speed).max())    # exact: max(max c, -min c)
+            cmax = float(np.maximum.reduce(np.abs(c, out=speed), None))  # max(max c, -min c)
             for dx in spacings:
                 if cmax * dt / dx > CFL_ADV + 1e-12:
                     raise CflViolation("advection", cmax * dt / dx, CFL_ADV)
@@ -535,16 +535,25 @@ def _sim_steps(duration: float) -> int:
 
 
 def _path_normals(seed: int, M: int, rows: int, d: int) -> np.ndarray:
-    """(M, rows, d) standard normals, row p the first of RngStream(seed, p).
+    """(M, rows, d) standard normals, row p the first of stream (seed, p)
+    (`stream_generators`).
 
-    The M streams are seeded in one batch (`stream_generators`).  The memory
-    is time-major, (rows, M, d), so an ensemble step reads one contiguous
-    slice.  A stream's numbers do not depend on how its draws are
-    split, so an array with more rows serves every ensemble that reads fewer.
+    The memory is time-major, (rows, M, d), so an ensemble step reads one
+    contiguous slice.  Each block of 64 paths is drawn path by path into one
+    C-order buffer and copied in by one transposed assignment, which moves
+    each row's d normals as one void element.  A stream's numbers do not
+    depend on how its draws are split, so an array with more rows serves
+    every ensemble that reads fewer.
     """
     z = np.empty((rows, M, d))
-    for p, gen in enumerate(stream_generators(seed, np.arange(M))):
-        z[:, p] = gen.normal(size=(rows, d))
+    block = np.empty((min(M, 64), rows, d))
+    zv, bv = (a.view(f"V{8 * d}")[..., 0] for a in (z, block))
+    gens = stream_generators(seed, range(M))
+    for lo in range(0, M, 64):
+        x = block[:min(M - lo, 64)]
+        for row, gen in zip(x, gens):
+            gen.standard_normal(out=row)
+        zv[:, lo:lo + 64] = bv[:len(x)].T
     return z.transpose(1, 0, 2)
 
 
@@ -553,14 +562,15 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
     """Euler-Maruyama ensemble of the mean process driven by the field.
 
     Path p reads row p of `normals` (M, rows, d), drawn from the stream
-    RngStream(seed, p): for the N-player variant its first N rows are the
-    initial states nu0 + clip(z, ±6), whose mean is m_0, the next its increments;
-    a common-noise path starts at nu0 and reads increments only.  Zero normals
-    give the deterministic path.  A scenario draws the normals once, sized for
-    its largest N, and passes them to each ensemble; without them the call
-    draws the rows it needs.  So a path depends on (seed, p) alone, not on
-    scheduling.  States are clamped to the field's domain; the fraction of
-    paths that ever exited is reported (> 1% earns a domain-too-small flag).
+    (seed, p) of `stream_generators`: for the N-player variant its first N
+    rows are the initial states nu0 + clip(z, ±6), whose mean is m_0, the next
+    its increments; a common-noise path starts at nu0 and reads increments
+    only.  Zero normals give the deterministic path.  A scenario draws the
+    normals once, sized for its largest N, and passes them to each ensemble;
+    without them the call draws the rows it needs.  So a path depends on
+    (seed, p) alone, not on scheduling.  States are clamped to the field's
+    domain; the fraction of paths that ever exited is reported (> 1% earns a
+    domain-too-small flag).
 
     The paths are stepped time-major, (steps+1, M, d), each step writing one
     contiguous slice; `paths` is their (M, steps+1, d) view.  The field

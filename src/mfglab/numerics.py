@@ -3,13 +3,11 @@
 Everything here is a pure function of its inputs.  Randomness is addressed by
 (master seed, stream index) pairs so that ensembles are reproducible no matter
 how work is scheduled: stream (seed, p) is numpy's PCG64 over
-SeedSequence((seed, p)), whose hash runs vectorized over a batch of indices
-here.  numpy.random is imported at the first draw.
+SeedSequence((seed, p)).  numpy.random is imported at the first draw.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -102,134 +100,21 @@ class SpaceGrid:
         return SpaceGrid(tuple((-L, L, n) for _ in range(dim)))
 
 
-# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
-# uint32 words, the hashmix constants of the pool (A) and of the output (B),
-# the mix multipliers and the xorshift
-_POOL, _XSHIFT = 4, 16
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# streams seeded per pass of the hash: its temporaries stay a few tens of kB
-_SEED_BATCH = 256
-_WORD = np.uint64(1 << 32)
-
-
-def _hashmix(init: int, mult: int):
-    """SeedSequence's hashmix on uint32 words held in uint64 arrays: each call
-    xors in the running constant, steps it by `mult`, multiplies by it modulo
-    2^32 and xorshifts.  The constants do not depend on the data."""
-    const = init
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint64(const)
-        const = const * mult & 0xFFFFFFFF
-        value *= np.uint64(const)
-        value %= _WORD
-        value ^= value >> np.uint64(_XSHIFT)
-        return value
-
-    return hashmix
-
-
-def _seed_states(entropy: list, n: int) -> np.ndarray:
-    """(n, 4) uint64: SeedSequence(entropy).generate_state(4, np.uint64) for
-    each of n lanes, each entropy word a uint64 array (n,) below 2^32 or an int
-    shared by all lanes.
-
-    The words are uint32 but held in uint64, so a product of two is exact.
-    Each ufunc loop is library code that a process pages in at its first use,
-    so the hash keeps to uint64 loops and reduces by % rather than by &, whose
-    loop a run does not otherwise use.
-    """
-    def mix(x, y):
-        r = np.uint64(_MIX_L) * x - np.uint64(_MIX_R) * y     # exact modulo 2^32
-        r %= _WORD
-        r ^= r >> np.uint64(_XSHIFT)
-        return r
-
-    words = [np.full(n, w, np.uint64) if isinstance(w, int) else w for w in entropy]
-    words += [np.zeros(n, np.uint64)] * (_POOL - len(words))    # a short entropy runs on zeros
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in words[:_POOL]]
-    for src in range(_POOL):        # mix every word into every other
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL:]:      # then the entropy beyond the pool
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out = _hashmix(_INIT_B, _MULT_B)    # generate_state cycles through the pool
-    words = [out(pool[i % _POOL]) for i in range(2 * _POOL)]
-    state = np.empty((n, _POOL), np.uint64)
-    for i in range(_POOL):      # word pairs, low word first, make the uint64 words
-        np.bitwise_xor(words[2 * i], words[2 * i + 1] * _WORD, out=state[:, i])
-    return state
-
-
-def stream_states(seed: int, indices) -> np.ndarray:
-    """(len(indices), 4) uint64: row i is SeedSequence((seed, indices[i]))
-    .generate_state(4, np.uint64), the PCG64 seed of stream (seed, indices[i]).
-
-    One vectorized pass of NumPy's SeedSequence hash per entropy length.  A
-    seed is any non-negative integer, an index one below 2^64; an integer of
-    2^32 or more is several entropy words, least significant first.  Whatever
-    SeedSequence refuses raises InvalidParameter.
-    """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidParameter(f"a seed must be a non-negative integer, got {seed!r}")
-    head = [int(seed) >> b & 0xFFFFFFFF for b in range(0, max(int(seed).bit_length(), 1), 32)]
-    idx = np.asarray(indices)
-    if idx.ndim != 1 or (idx.size and (idx.dtype.kind not in "iu" or idx.min() < 0)):
-        raise InvalidParameter("stream indices must be a list of integers in [0, 2^64)")
-    idx = idx.astype(np.uint64)
-    high = idx >> np.uint64(32)
-    wide = high.astype(bool)
-    out = np.empty((idx.size, 4), np.uint64)
-    for sel in (~wide, wide):
-        if sel.any():
-            words = [idx[sel] % _WORD] + ([high[sel]] if sel is wide else [])
-            out[sel] = _seed_states(head + words, len(words[0]))
-    return out
-
-
-@functools.cache
-def _seeded_type():
-    """An ISeedSequence that hands PCG64 its precomputed state words; built at
-    the first draw, since mfglab does not import numpy.random."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class Seeded(ISeedSequence):
-        def __init__(self, state: np.ndarray):
-            self.state = state
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
-
-    return Seeded
-
-
 def stream_generators(seed: int, indices):
-    """Yield a Generator over PCG64 for each stream (seed, index) of a list of
-    indices, in order: the numbers of np.random.default_rng(SeedSequence((seed,
-    index))), seeded in batches of _SEED_BATCH and built one at a time."""
-    from numpy.random import PCG64, Generator
+    """Yield np.random.default_rng(SeedSequence((seed, index))), numpy's PCG64
+    over that SeedSequence, for each index in turn.  A seed other than an
+    integer, a bool seed, and whatever SeedSequence refuses raise
+    InvalidParameter."""
+    from numpy.random import PCG64, Generator, SeedSequence
 
-    seeded = _seeded_type()
-    for lo in range(0, len(indices), _SEED_BATCH):
-        for row in stream_states(seed, indices[lo:lo + _SEED_BATCH]):
-            yield Generator(PCG64(seeded(row)))
-
-
-@dataclass(frozen=True)
-class RngStream:
-    """Counter-addressed Gaussian stream: (seed, index) fixes the sequence."""
-
-    seed: int
-    index: int = 0
-
-    def generator(self) -> np.random.Generator:
-        """default_rng's own PCG64 over SeedSequence((seed, index))."""
-        return next(stream_generators(self.seed, [self.index]))
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise InvalidParameter(f"a seed must be a non-negative integer, got {seed!r}")
+    for index in indices:
+        try:
+            seq = SeedSequence((seed, index))
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameter(f"no stream ({seed!r}, {index!r}): {exc}") from None
+        yield Generator(PCG64(seq))
 
 
 def integrate_ode(rhs, x0, grid: TimeGrid) -> np.ndarray:

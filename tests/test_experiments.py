@@ -317,6 +317,16 @@ class TestReports:
         assert name not in [v[0] for v in rep.verdicts]
         assert f"one sweep value: verdict '{name}' skipped" in rep.notes
 
+    def test_median_is_numpy_median(self):
+        # E4's median radius: np.partition's middle value, or the mean of the
+        # middle pair, equals np.median bit for bit at odd and even sizes
+        gen = np.random.default_rng(23)
+        for k in range(1000):
+            x = np.abs(gen.normal(size=gen.integers(1, 400))) * gen.uniform(0.1, 10.0)
+            if k % 4 == 0:
+                x = np.round(x, 1)      # ties
+            assert experiments._median(x) == np.median(x)
+
     def test_e5_eps_must_decrease(self):
         with pytest.raises(ConfigError):
             run_scenario(ScenarioConfig.from_text(
@@ -445,6 +455,18 @@ class TestImportCost:
                                            nu0=np.zeros(1)), TimeGrid(0.0, 1.0, 100), eps=1.0)
             make_delarue_terminal(0.0, 1.0, 0.1)
             print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """)
+        assert self.fresh_interpreter(probe).strip() == "[]"
+
+    def test_e4_loads_no_masked_arrays(self):
+        # np.median's NaN check imports numpy.ma (10.7 ms); E4 takes its
+        # median radius without it
+        probe = textwrap.dedent("""
+            import sys
+            from mfglab.experiments import ScenarioConfig, run_scenario
+            run_scenario(ScenarioConfig.from_text(
+                "scenario = E4\\nrun.M = 100\\nrun.N = 25\\ngrid.L = 3\\ngrid.nodes = 41\\n"))
+            print(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]))
         """)
         assert self.fresh_interpreter(probe).strip() == "[]"
 

@@ -714,13 +714,16 @@ class TestSimulate:
     @pytest.mark.parametrize("seed", [11, 2**70 + 3])
     @pytest.mark.parametrize("d", [1, 2])
     def test_path_normals_are_seed_sequence_streams(self, seed, d):
-        # path p reads numpy's own Generator over SeedSequence((seed, p))
-        M, rows = 7, 40
-        z = _path_normals(seed, M, rows, d)
-        assert z.shape == (M, rows, d)
-        for p in range(M):
-            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, p))))
-            assert np.array_equal(z[p], gen.normal(size=(rows, d)))
+        # path p reads numpy's own Generator over SeedSequence((seed, p)); the
+        # paths are drawn in blocks of 64, so M = 64, 65 and 130 put paths on
+        # both sides of a block edge
+        rows = 40
+        for M in (1, 7, 64, 65, 130):
+            z = _path_normals(seed, M, rows, d)
+            assert z.shape == (M, rows, d)
+            for p in range(M):
+                gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, p))))
+                assert np.array_equal(z[p], gen.normal(size=(rows, d)))
 
     def test_shared_normals_match_fresh_draws(self):
         # normals drawn once for a larger N serve every smaller N and every

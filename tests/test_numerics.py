@@ -13,14 +13,13 @@ from mfglab.errors import InvalidInput, InvalidParameter, RiccatiEscape
 from mfglab.experiments import ScenarioConfig
 from mfglab.field import riccati_field_oracle
 from mfglab.numerics import (
-    RngStream,
     SpaceGrid,
     TimeGrid,
     delarue_riccati,
     integrate_ode,
     kuiper_uniformity,
     riccati_backward,
-    stream_states,
+    stream_generators,
     wasserstein1_1d,
 )
 
@@ -126,15 +125,16 @@ class TestSingleStepper:
                 if p.name != "__init__.py"}
 
     def test_public_functions_have_src_callers(self):
-        # a public top-level function that nothing in the package calls is
-        # dead weight; the exceptions are used from outside the package
+        # a public top-level function or class that nothing in the package
+        # uses is dead weight; the exceptions are used from outside the package
         allowed = {
             "control.shoot": "perfbench/spans.py counts control.shoots through it, and "
                              "without it the benchmark self-test raises TypeError on None > 0",
         }
         trees = self.package_trees()
         public = {(mod, node.name): node for mod, tree in trees.items() for node in tree.body
-                  if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")}
 
         def referenced(name, own):
             inside = {id(n) for n in ast.walk(own)}
@@ -305,36 +305,37 @@ class TestDelarueRiccati:
             delarue_riccati(0.0, TimeGrid(0, 1, 100), 0.0)
 
 
+def stream(seed, index):
+    """The generator of stream (seed, index)."""
+    return next(stream_generators(seed, [index]))
+
+
 class TestRng:
     def test_reproducible(self):
-        a = RngStream(42, 3).generator().normal(size=(50, 2))
-        b = RngStream(42, 3).generator().normal(size=(50, 2))
+        a = stream(42, 3).normal(size=(50, 2))
+        b = stream(42, 3).normal(size=(50, 2))
         assert np.array_equal(a, b)
 
     def test_streams_differ(self):
-        a = RngStream(42, 3).generator().normal(size=50)
-        b = RngStream(42, 4).generator().normal(size=50)
-        c = RngStream(43, 3).generator().normal(size=50)
+        a = stream(42, 3).normal(size=50)
+        b = stream(42, 4).normal(size=50)
+        c = stream(43, 3).normal(size=50)
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("seed, index", [(1, 0), (1, 10**6), (42, 3), (0, 0), (2**40, 17)])
-    def test_stream_is_default_rng_of_seed_sequence(self, seed, index):
-        # the addressing that every recorded ensemble was drawn with
-        a = RngStream(seed, index).generator().normal(size=50)
-        b = np.random.default_rng(np.random.SeedSequence((seed, index))).normal(size=50)
-        assert np.array_equal(a, b)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 + 7, 2**70 + 3, 2**130 + 11])
-    def test_batch_states_are_seed_sequence_states(self, seed):
+    @pytest.mark.parametrize("seed, index", [
+        (1, 0), (1, 10**6), (42, 3), (0, 0), (2**40, 17),
         # multi-word seeds and indices; 2**130 + 11 and a two-word index make
         # more than the 4 words of SeedSequence's pool
-        indices = [0, 1, 4095, 2**32 + 5]
-        states = stream_states(seed, indices)
-        assert states.dtype == np.uint64 and states.shape == (len(indices), 4)
-        for row, index in zip(states, indices):
-            ref = np.random.SeedSequence((seed, index)).generate_state(4, np.uint64)
-            assert np.array_equal(row, ref)
+        *(pytest.param(seed, 2**32 + 5, id=f"{name}-2**32+5") for seed, name in [
+            (0, "0"), (1, "1"), (2**32 + 7, "2**32+7"), (2**70 + 3, "2**70+3"),
+            (2**130 + 11, "2**130+11")]),
+    ])
+    def test_stream_is_default_rng_of_seed_sequence(self, seed, index):
+        # the addressing that every recorded ensemble was drawn with
+        a = stream(seed, index).normal(size=50)
+        b = np.random.default_rng(np.random.SeedSequence((seed, index))).normal(size=50)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed, index", [(-1, 0), (1.5, 0), (0, -1), (0, 2.0), (None, 0)])
     def test_refused_seeds_are_typed(self, seed, index):
@@ -342,9 +343,13 @@ class TestRng:
         with pytest.raises((ValueError, TypeError)):
             np.random.SeedSequence((seed, index))
         with pytest.raises(InvalidParameter):
-            RngStream(seed, index).generator()
+            stream(seed, index)
+
+    @pytest.mark.parametrize("seed", [True, "0x10", np.float64(3.0)])
+    def test_non_integer_seeds_are_refused(self, seed):
+        # SeedSequence would take the first two; a seed is an integer, not a bool
         with pytest.raises(InvalidParameter):
-            stream_states(seed, [index])
+            stream(seed, 0)
 
 
 class TestWasserstein:
