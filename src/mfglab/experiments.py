@@ -7,7 +7,8 @@ report always yields the same pass/fail outcome, read back from its columns.
 
 E1, E2, E4 and E5 run one sweep (`_sweep`): per N or eps it solves the
 field with `field_for`, which `mfglab field solve` uses too, runs the
-Euler-Maruyama ensemble on it and measures the terminal law.
+Euler-Maruyama ensemble on it and measures the terminal law; only E1, which
+measures the mean path, keeps every node of the paths.
 """
 
 from __future__ import annotations
@@ -351,17 +352,19 @@ def _trend(rep: ScenarioReport, name: str, values: list, ok: bool, detail: str):
 
 
 def _sweep(rep: ScenarioReport, cfg: ScenarioConfig, grid: SpaceGrid, M: int, key: str,
-           values: list, measure) -> np.ndarray:
+           values: list, measure, history: bool = False) -> np.ndarray:
     """One report row per value of `key` ("N" or "eps"): solve its field, run
     the M-path ensemble and add its exit fraction and the scalars of
-    measure(ensemble).  Every ensemble reads one draw of normals, sized for
-    the largest N, which is returned; each is dropped before the next solve."""
+    measure(ensemble).  The ensembles keep their terminal states only, unless
+    `history` asks for every node.  Every ensemble reads one draw of normals,
+    sized for the largest N, which is returned; each is dropped before the
+    next solve."""
     spec = cfg.spec
     rows = (max(values) if key == "N" else 0) + _sim_steps(spec.T)
     normals = _path_normals(rep.seed, M, rows, spec.dim)
     for v in values:
         ens = simulate_ensemble(field_for(cfg, grid, **{key: v}), spec, M=M, seed=rep.seed,
-                                normals=normals)
+                                normals=normals, history=history)
         _note_exits(rep, ens, f"{key}={v}")
         rep.add_row(**{key: v}, exit_fraction=ens.exit_fraction, **measure(ens))
         del ens
@@ -404,7 +407,7 @@ def run_E1_unique(cfg: ScenarioConfig) -> ScenarioReport:
         return {"sup_mean_error": float(np.max(np.abs(total / len(ens.paths) - ref))),
                 "mean_T": float(ens.terminal.mean()), "var_T": float(ens.terminal.var())}
 
-    normals = _sweep(rep, cfg, grid, cfg["run.M"], "N", cfg["run.N"], measure)
+    normals = _sweep(rep, cfg, grid, cfg["run.M"], "N", cfg["run.N"], measure, history=True)
     errors = rep.column("sup_mean_error")
 
     # noise-off deterministic run, the N -> infinity analogue: a common-noise
@@ -501,7 +504,7 @@ def run_E3_delarue(cfg: ScenarioConfig) -> ScenarioReport:
     if cfg["run.selection"] == "on":
         N, M = cfg["run.N_select"], cfg["run.M"]
         ens = simulate_ensemble(field_for(cfg, build_grid(cfg, spec), N=N), spec, M=M,
-                                seed=rep.seed)
+                                seed=rep.seed, history=False)
         _note_exits(rep, ens, f"N={N}")
         pos, _ = _sign_stats(ens.terminal[:, 0])
         band = _sign_band(cfg)

@@ -518,8 +518,10 @@ def riccati_field_oracle(spec: ModelSpec, tgrid: TimeGrid, N: int = None, eps: f
 
 @dataclass
 class PathEnsemble:
+    """M paths on `tgrid`: `paths` is (M, steps+1, d) with history and (M, 1, d),
+    the terminal states alone, without; `terminal` is (M, d) either way."""
     tgrid: TimeGrid
-    paths: np.ndarray        # (M, steps+1, d)
+    paths: np.ndarray
     seed: int
     exit_fraction: float
     metadata: dict = field(default_factory=dict)
@@ -558,7 +560,7 @@ def _path_normals(seed: int, M: int, rows: int, d: int) -> np.ndarray:
 
 
 def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
-                      normals: np.ndarray = None) -> PathEnsemble:
+                      normals: np.ndarray = None, history: bool = True) -> PathEnsemble:
     """Euler-Maruyama ensemble of the mean process driven by the field.
 
     Path p reads row p of `normals` (M, rows, d), drawn from the stream
@@ -572,15 +574,22 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
     domain; the fraction of paths that ever exited is reported (> 1% earns a
     domain-too-small flag).
 
-    The paths are stepped time-major, (steps+1, M, d), each step writing one
-    contiguous slice; `paths` is their (M, steps+1, d) view.  The field
-    lookups of all steps run through one plan over the step times
+    The states are stepped time-major in `slots` rows of (M, d), step k reading
+    row k % slots and writing the next, so each step writes one contiguous
+    slice: with history, slots = steps + 1 and `paths` is their (M, steps+1, d)
+    view; without it, two rows, and `paths` is the terminal row, (M, 1, d).
+    Both do the same arithmetic, so their terminal states agree bit for bit.
+    The field lookups of all steps run through one plan over the step times
     (`DecouplingField.lookup_plan`), built once per ensemble.
     """
     if M < 1:
         raise InvalidParameter("need at least one path")
     meta = fld.metadata
     d = spec.dim
+    need = ("kind", "noise_scale") + (("N",) if meta.get("kind") == "nplayer" else ())
+    if fld.grid.dim != d or not all(key in meta for key in need):
+        raise InvalidParameter(f"a {d}-d model needs a {d}-d field with metadata {need}, "
+                               f"got a {fld.grid.dim}-d field with {sorted(meta)}")
     tg = TimeGrid(fld.tgrid.t0, fld.tgrid.T, _sim_steps(fld.tgrid.T - fld.tgrid.t0))
     dt, sq = tg.dt, np.sqrt(tg.dt)
     n0 = meta["N"] if meta["kind"] == "nplayer" else 0
@@ -602,16 +611,17 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
     lows, highs = np.array([ax[:2] for ax in fld.grid.axes]).T
     low, high = np.empty((M, d)), np.empty((M, d))     # (M, d) bounds: one long loop each
     low[:], high[:] = lows, highs
-    paths = np.empty((tg.steps + 1, M, d))
+    slots = tg.steps + 1 if history else 2
+    state = np.empty((slots, M, d))
     # each path's extremes before clamping: it exited iff they leave the domain
     smallest, largest = m0.copy(), m0.copy()
-    np.minimum(np.maximum(m0, low, out=m0), high, out=paths[0])
+    np.minimum(np.maximum(m0, low, out=m0), high, out=state[0])
     zt = z.transpose(1, 0, 2)
     nodes, scale = tg.nodes, meta["noise_scale"]
     eta, step, lookup = np.empty((M, d)), np.empty((M, d)), fld.lookup_plan(M, nodes[:-1])
     drift = bool(np.any(spec.b))    # with b == 0, m + dt (0 - eta) is m - dt eta
     for k in range(tg.steps):
-        m, new = paths[k], paths[k + 1]
+        m, new = state[k % slots], state[(k + 1) % slots]
         lookup(k, m, eta)
         if drift:
             np.subtract(np.matmul(m, spec.b.T, out=step), eta, out=step)
@@ -630,7 +640,8 @@ def simulate_ensemble(fld: DecouplingField, spec: ModelSpec, M: int, seed: int,
     exit_fraction = float(np.mean(np.any(outside, axis=1)))
     meta_out = dict(meta)
     meta_out["domain_too_small"] = exit_fraction > 0.01
-    return PathEnsemble(tgrid=tg, paths=paths.transpose(1, 0, 2), seed=seed,
+    kept = state if history else state[tg.steps % slots][None]
+    return PathEnsemble(tgrid=tg, paths=kept.transpose(1, 0, 2), seed=seed,
                         exit_fraction=exit_fraction, metadata=meta_out)
 
 

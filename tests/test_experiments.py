@@ -411,6 +411,25 @@ class TestComputedOnce:
         assert [name for name, _ in seen] == ["solve_field", "simulate_ensemble"] * calls
         assert not any(any(alive) for _, alive in seen)
 
+    def test_only_e1_keeps_every_node(self, monkeypatch):
+        # E2-E5 measure the terminal law, so their ensembles store one node;
+        # E1 measures the mean path, so each of its ensembles stores all
+        stored = []
+        original = experiments.simulate_ensemble
+
+        def recorded(*args, **kwargs):
+            ens = original(*args, **kwargs)
+            stored.append((ens.paths.shape[1], ens.tgrid.steps))
+            return ens
+
+        monkeypatch.setattr(experiments, "simulate_ensemble", recorded)
+        for scenario, ensembles in (("E1", 4), ("E2", 4), ("E3", 1), ("E4", 2), ("E5", 4)):
+            stored.clear()
+            run_scenario(ScenarioConfig.from_text(golden_config(scenario)))
+            assert len(stored) == ensembles
+            for nodes, steps in stored:
+                assert nodes == (steps + 1 if scenario == "E1" else 1)
+
     def test_e3_solves_riccati_once(self, monkeypatch):
         solves = count_calls(monkeypatch, "delarue_riccati", numerics, potentials, experiments)
         run_scenario(ScenarioConfig.from_text("scenario = E3\nrun.selection = off\n"))

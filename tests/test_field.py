@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from mfglab.cli import main as cli_main
 from mfglab.control import shoot
 from mfglab.errors import CflViolation, InvalidInput, InvalidOracle, InvalidParameter
-from mfglab.experiments import ScenarioConfig
+from mfglab.experiments import ScenarioConfig, build_grid, field_for
 from mfglab.field import (
     CFL_DIFF,
     DecouplingField,
@@ -699,6 +700,17 @@ class TestOracle:
             riccati_field_oracle(logcosh_spec(), TimeGrid(0, 1, 100), N=10)
 
 
+# an odd, a common-noise, a drifting (b != 0, the matmul branch) and a 2-d field
+FOUR_FIELDS = [
+    (logcosh_spec(), SpaceGrid.symmetric(3.0, 41, 1), {"N": 20}),
+    (logcosh_spec(), SpaceGrid.symmetric(3.0, 41, 1), {"eps": 0.5}),
+    (lq_spec(b=0.3, nu0=0.2), SpaceGrid(((-3.0, 2.0, 41),)), {"N": 20}),
+    (model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2),
+     SpaceGrid.symmetric(3.0, 41, 2), {"N": 20}),
+]
+FOUR_FIELD_IDS = ["1d-odd", "1d-common-noise", "1d-drift", "2d-odd"]
+
+
 class TestSimulate:
     def test_determinism_and_thread_independence(self):
         fld = solve(logcosh_spec(), N=50)
@@ -741,13 +753,7 @@ class TestSimulate:
             assert sliced.exit_fraction == fresh.exit_fraction
         assert np.array_equal(shared, before)
 
-    @pytest.mark.parametrize("spec, grid, variant", [
-        (logcosh_spec(), SpaceGrid.symmetric(3.0, 41, 1), {"N": 20}),
-        (logcosh_spec(), SpaceGrid.symmetric(3.0, 41, 1), {"eps": 0.5}),
-        (lq_spec(b=0.3, nu0=0.2), SpaceGrid(((-3.0, 2.0, 41),)), {"N": 20}),
-        (model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2),
-         SpaceGrid.symmetric(3.0, 41, 2), {"N": 20}),
-    ], ids=["1d-odd", "1d-common-noise", "1d-drift", "2d-odd"])
+    @pytest.mark.parametrize("spec, grid, variant", FOUR_FIELDS, ids=FOUR_FIELD_IDS)
     def test_normals_layout_does_not_matter(self, spec, grid, variant):
         # the drawn normals are time-major; a C-order copy, read path by path,
         # must step the same paths bit for bit.  M > 256 spans two blocks of m_0
@@ -762,6 +768,62 @@ class TestSimulate:
         assert np.array_equal(a.paths, b.paths)
         assert a.exit_fraction == b.exit_fraction
         assert np.array_equal(drawn, copy)
+
+    @pytest.mark.parametrize("T", [1.0, 0.017], ids=["1000-steps", "17-steps"])
+    @pytest.mark.parametrize("spec, grid, variant", FOUR_FIELDS, ids=FOUR_FIELD_IDS)
+    def test_terminal_only_equals_history(self, spec, grid, variant, T):
+        # two rows stepped in turn give the terminal states of the full history
+        # bit for bit; the terminal row depends on the parity of the step count
+        spec = dataclasses.replace(spec, T=T)
+        fld = solve(spec, grid=grid, **variant)
+        for M in (1, 300):      # 300 paths span two blocks of m_0
+            z = _path_normals(8, M, variant.get("N", 0) + _sim_steps(T), spec.dim)
+            for normals in (None, z):
+                full = simulate_ensemble(fld, spec, M=M, seed=8, normals=normals)
+                last = simulate_ensemble(fld, spec, M=M, seed=8, normals=normals,
+                                         history=False)
+                assert full.paths.shape == (M, _sim_steps(T) + 1, spec.dim)
+                assert last.paths.shape == (M, 1, spec.dim)
+                assert np.array_equal(last.terminal.view(np.int64),
+                                      full.terminal.view(np.int64))
+                assert last.exit_fraction == full.exit_fraction
+                assert last.metadata == full.metadata
+
+    @pytest.mark.parametrize("history, bound", [(True, 32e6), (False, 4e6)])
+    def test_terminal_only_memory(self, history, bound):
+        # a default-E4 ensemble over caller normals (41 x 41 grid): its history
+        # is (1001, 2000, 2) floats, 32 MB; two rows are 64 kB
+        cfg = ScenarioConfig.from_text("scenario = E4\ngrid.nodes = 41\n")
+        spec = cfg.spec
+        fld = field_for(cfg, build_grid(cfg, spec), N=50)
+        M = 2000
+        z = _path_normals(1, M, 50 + _sim_steps(spec.T), 2)
+        tracemalloc.start()
+        try:
+            simulate_ensemble(fld, spec, M=M, seed=1, normals=z, history=history)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak > bound) if history else (peak < bound)
+
+    def test_field_must_fit_the_model(self):
+        # a field of another dimension, or without the metadata that sets the
+        # noise, is refused before the normals or the paths are allocated
+        spec2, grid2, _ = FOUR_FIELDS[3]
+        one, fld2 = solve(logcosh_spec(), N=20), solve(spec2, grid=grid2, N=20)
+        cases = [(one, spec2), (fld2, logcosh_spec())]
+        for meta in ({}, {"kind": "common-noise"}, {"kind": "nplayer", "noise_scale": 0.1},
+                     {"noise_scale": 0.1}):
+            cases.append((dataclasses.replace(one, metadata=meta), logcosh_spec()))
+        for fld, spec in cases:
+            tracemalloc.start()
+            try:
+                with pytest.raises(InvalidParameter, match="needs a"):
+                    simulate_ensemble(fld, spec, M=2000, seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1e6
 
     def test_normals_shape_checked(self):
         spec = logcosh_spec()
