@@ -8,6 +8,8 @@ with terminal condition eta_T = m_T + grad g(m_T).  Stationary points are
 found by batched multi-start shooting on the unknown initial adjoint, all
 starts one component-major RK4 state (2d, rows), each with its own Newton
 line search; minimizers are the stationary points whose cost ties the minimum.
+In the static reduction (f = -|m|^2/2 exactly, b = 0) one RK4 step per
+integration, accumulated, gives the full loop's trajectory bit for bit.
 """
 
 from __future__ import annotations
@@ -95,13 +97,16 @@ def _newton(spec: ModelSpec, nu0, starts, steps_per_unit):
     every live start's next evaluation, a fresh Newton candidate or a halving
     of its step, and each start keeps its own residual, trajectory, step
     count and step length, halved until its residual decreases, so its
-    result does not depend on the other starts.  Returns per start an
+    result does not depend on the other starts.  A static model
+    (spec.running_state_cost_vanishes, b = 0) integrates one RK4 step and
+    accumulates its increment over the grid.  Returns per start an
     OCSolution, or None when Newton stagnates or the integration diverges.
     """
     S, d = starts.shape
     nu0 = np.broadcast_to(np.asarray(nu0, dtype=float), (S, d))
     b = spec.b
     drift = bool(np.any(b != 0.0))
+    static = spec.running_state_cost_vanishes and not drift
     grid = TimeGrid(0.0, spec.T, max(int(round(steps_per_unit * spec.T)), 16))
 
     def rhs(t, z, out):
@@ -132,8 +137,18 @@ def _newton(spec: ModelSpec, nu0, starts, steps_per_unit):
         has a residual that is not finite."""
         n = len(rows)
         e = np.concatenate([e0, (e0[:, None] + FD_STEP * np.eye(d)).reshape(-1, d)])
-        traj = integrate_ode(rhs, np.concatenate([nu0[np.r_[rows, np.repeat(rows, d)]], e],
-                                                 axis=1).T, grid)
+        z0 = np.concatenate([nu0[np.r_[rows, np.repeat(rows, d)]], e], axis=1).T
+        if static:
+            # eta's slope -(m + grad f(m)) is -0.0 at finite m: eta stays eta0, and each
+            # RK4 step adds to m the increment of one step from m = -0.0 (-0.0 + delta is
+            # delta), added in sequence by accumulate, silent on overflow like the loop
+            traj = np.broadcast_to(z0, (grid.steps + 1,) + z0.shape).copy()
+            traj[1:, :d] = integrate_ode(rhs, np.concatenate([np.full_like(z0[:d], -0.0), z0[d:]]),
+                                         TimeGrid(0.0, grid.dt, 1))[1, :d]
+            with np.errstate(over="ignore"):
+                np.add.accumulate(traj[:, :d], axis=0, out=traj[:, :d])
+        else:
+            traj = integrate_ode(rhs, z0, grid)
         zT = traj[-1].T.copy()
         mT, etaT = zT[:, :d], zT[:, d:]
         with np.errstate(invalid="ignore"):     # inf - inf in g's gradient of such a row

@@ -332,9 +332,9 @@ class ModelSpec:
 
     @property
     def running_state_cost_vanishes(self) -> bool:
-        """True when |m|^2/2 + f(m) = 0, i.e. f = quadratic(c=-1)."""
+        """True when |m|^2/2 + f(m) = 0 to the bit: f = quadratic(c=-1), C = -I, k = 0."""
         qc = self.f.quad_coeffs
         if qc is None:
             return False
         C, k = qc
-        return bool(np.allclose(C, -np.eye(self.dim)) and np.allclose(k, 0.0))
+        return bool(np.array_equal(C, -np.eye(self.dim)) and not np.any(k))

@@ -16,6 +16,7 @@ from mfglab.control import (
     value_function,
 )
 from mfglab.errors import InvalidParameter, NoStationaryPoint
+from mfglab.numerics import integrate_ode
 from mfglab.potentials import (
     ModelSpec,
     make_delarue_terminal,
@@ -179,15 +180,15 @@ def assert_same_solutions(a, b):
 
 @pytest.fixture
 def integrations(monkeypatch):
-    """(rows, diverged) of each integrate_ode call that control makes; the state
-    is component-major, (2d, rows), and a call diverged when its last state is
-    not finite."""
+    """(rows, diverged, steps) of each integrate_ode call that control makes; the
+    state is component-major, (2d, rows), a call diverged when its last state is
+    not finite, and a static model's call takes one step."""
     calls = []
     inner = control.integrate_ode
 
     def integrate(rhs, x0, grid, *args, **kwargs):
         out = inner(rhs, x0, grid, *args, **kwargs)
-        calls.append((x0.shape[-1], not np.isfinite(out[-1]).all()))
+        calls.append((x0.shape[-1], not np.isfinite(out[-1]).all(), grid.steps))
         return out
 
     monkeypatch.setattr(control, "integrate_ode", integrate)
@@ -211,18 +212,20 @@ class TestBatchedShooting:
 
     # the residual norm of the 1e300 start overflows to inf, without a warning
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("spec, nu0", [(logcosh_model(nu0=0.5), 0.5), (delarue_model(), 0.0)])
-    def test_diverging_start_changes_nothing(self, spec, nu0, integrations):
+    @pytest.mark.parametrize("spec, nu0, steps", [
+        pytest.param(logcosh_model(nu0=0.5), 0.5, 1, id="spec0-0.5"),
+        pytest.param(delarue_model(), 0.0, 250, id="spec1-0.0")])
+    def test_diverging_start_changes_nothing(self, spec, nu0, steps, integrations):
         starts = default_start_grid(spec, [nu0])
         base = enumerate_stationary(spec, [nu0], start_grid=starts, steps_per_unit=250)
-        assert not any(diverged for _, diverged in integrations)
+        assert not any(diverged for _, diverged, _ in integrations)
         # at 1e300 a probe's FD_STEP vanishes, so the Jacobian is singular;
         # at 1e308 the RK4 update overflows in its first step
         grown = np.vstack([starts, [[1e300], [1e308]]])
         integrations.clear()
         sset = enumerate_stationary(spec, [nu0], start_grid=grown, steps_per_unit=250)
         # each start carries its d Jacobian probes
-        assert integrations[0] == ((spec.dim + 1) * len(grown), True)
+        assert integrations[0] == ((spec.dim + 1) * len(grown), True, steps)
         assert_same_solutions(sset.solutions, base.solutions)
         assert (sset.starts, sset.failed) == (base.starts + 2, base.failed + 2)
 
@@ -249,12 +252,13 @@ class TestBatchedShooting:
     def test_one_integration_per_newton_round(self, integrations):
         # the candidates carry their Jacobian probes, so an evaluation costs no
         # integration for its Jacobian, and each integration carries every live
-        # start's next evaluation: E6's default probe and E3's enumeration
+        # start's next evaluation: E6's default probe and E3's enumeration. E6's
+        # static model takes one RK4 step per integration, E3's every step
         differentiability_probe(logcosh_model(nu0=0.5), [0.5], h=1e-3, steps_per_unit=1000)
-        assert len(integrations) == 7
+        assert [steps for *_, steps in integrations] == [1] * 7
         integrations.clear()
         enumerate_stationary(delarue_model(), [0.0])
-        assert len(integrations) == 3
+        assert [steps for *_, steps in integrations] == [1000] * 3
 
     def test_line_search_does_not_wait_across_starts(self, integrations):
         # each integration carries every live start's next evaluation, so a
@@ -284,6 +288,81 @@ class TestBatchedShooting:
         assert_same_solutions([capped], [full])
         monkeypatch.setattr(control, "NEWTON_MAX_ITER", 2)
         assert shoot(spec, [0.5], [-2.0], **kwargs) is None
+
+
+def static_rhs(spec):
+    """(-eta, -(m + grad f(m))) of a component-major state (2d, n): the shooting
+    system at b = 0, written apart from control's."""
+    d = spec.dim
+
+    def rhs(t, z, out):
+        np.negative(z[d:], out[:d])
+        np.negative(z[:d] + spec.f.gradient(z[:d].T).T, out[d:])
+        return out
+
+    return rhs
+
+
+def radial_model(nu0=0.0):
+    # the E4 model: radial log-cosh terminal, the running potential cancels
+    return model(make_quadratic(-1.0, 2), make_radial_logcosh(4.0, 2), dim=2, nu0=nu0)
+
+
+class TestStaticShooting:
+    # with f = -|m|^2/2 and b = 0 the adjoint is constant, so shooting takes one
+    # RK4 step per integration and accumulates it; the trajectories must be those
+    # of the full RK4 loop, bit for bit
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("steps_per_unit", [1000, 250])
+    @pytest.mark.parametrize("spec, starts", [
+        (logcosh_model(nu0=0.5), np.linspace(-5.0, 5.0, 9)[:, None]),
+        # from nu0 = -0.0 the start eta0 = +0.0 converges at once, and the full
+        # loop keeps m at -0.0: -0.0 + -0.0 is -0.0, where -0.0 + +0.0 is +0.0
+        (logcosh_model(nu0=-0.0), np.linspace(-5.0, 5.0, 9)[:, None]),
+        (radial_model(nu0=0.3), np.stack(np.meshgrid(*[np.linspace(-3.0, 3.0, 4)] * 2,
+                                                     indexing="ij"), -1).reshape(-1, 2)),
+    ], ids=["1d", "1d-signed-zero", "2d"])
+    def test_trajectories_equal_full_rk4(self, spec, starts, steps_per_unit):
+        base = enumerate_stationary(spec, spec.nu0, start_grid=starts,
+                                    steps_per_unit=steps_per_unit)
+        assert base.solutions
+        for sol in base.solutions:
+            ref = integrate_ode(static_rhs(spec), np.concatenate([spec.nu0, sol.eta0])[:, None],
+                                sol.grid)[..., 0]
+            assert np.array_equal(sol.m.view(np.int64), ref[:, :spec.dim].view(np.int64))
+            assert np.array_equal(sol.eta.view(np.int64), ref[:, spec.dim:].view(np.int64))
+        # at 1e300 a probe's FD_STEP vanishes and at 1e308 the first step overflows:
+        # both starts fail and change nothing else
+        grown = np.vstack([starts, np.full((1, spec.dim), 1e300), np.full((1, spec.dim), 1e308)])
+        sset = enumerate_stationary(spec, spec.nu0, start_grid=grown, steps_per_unit=steps_per_unit)
+        assert_same_solutions(sset.solutions, base.solutions)
+        assert (sset.starts, sset.failed) == (base.starts + 2, base.failed + 2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_in_the_accumulation_is_silent(self):
+        # over T = 10 the increments of a start at 2e307 are finite but sum past
+        # the largest float, as the full RK4 loop's states do: the start fails quietly
+        spec = model(make_quadratic(-1.0, 1), make_logcosh_terminal(4.0), T=10.0)
+        starts = np.linspace(-5.0, 5.0, 9)[:, None]
+        base = enumerate_stationary(spec, [0.0], start_grid=starts, steps_per_unit=2)
+        sset = enumerate_stationary(spec, [0.0], start_grid=np.vstack([starts, [[2e307]]]),
+                                    steps_per_unit=2)
+        assert_same_solutions(sset.solutions, base.solutions)
+        assert sset.failed == base.failed + 1
+
+    @pytest.mark.parametrize("spec, steps", [
+        (logcosh_model(nu0=0.5), 1),
+        (radial_model(nu0=0.3), 1),
+        (drift_model(), 25),
+        (model(make_quadratic(-1.0, 1), make_logcosh_terminal(4.0), b=0.5, nu0=0.5), 100),
+        (model(make_quadratic(-(1.0 + 2.0**-52), 1), make_logcosh_terminal(4.0), nu0=0.5), 100),
+    ], ids=["cancel-1d", "cancel-2d", "drift-2d", "cancel-drift", "near-cancel"])
+    def test_one_step_only_under_exact_cancellation(self, spec, steps, integrations):
+        # a drift, or an f one ulp away from -|m|^2/2, keeps the full RK4 loop
+        enumerate_stationary(spec, spec.nu0, start_grid=np.ones((1, spec.dim)), steps_per_unit=100)
+        assert integrations
+        assert {n for *_, n in integrations} == {steps}
 
 
 class TestSolveEach:

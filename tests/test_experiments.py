@@ -276,6 +276,14 @@ class TestReports:
                 "scenario = E2\nmodel.g = quadratic\nrun.M = 100\nrun.N = 25\n"
                 "grid.nodes = 41\n"))
 
+    def test_e2_requires_exact_cancellation(self):
+        # a running potential within 1e-12 of -|m|^2/2 leaves a running state
+        # cost, so the static two-atom target does not apply
+        with pytest.raises(ConfigError, match="model.f = cancel"):
+            run_scenario(ScenarioConfig.from_text(
+                "scenario = E2\nmodel.f = quadratic\nmodel.f_c = -0.999999999999\n"
+                "run.M = 100\nrun.N = 25\ngrid.nodes = 41\n"))
+
     def test_sign_band_calibrated_to_m(self):
         # at M = 100 three binomial sigmas are 0.15, far wider than the
         # 0.034 that is 3 sigma only at M = 2000

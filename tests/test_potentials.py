@@ -308,3 +308,16 @@ class TestCatalogueAndModelSpec:
         spec2 = ModelSpec(dim=1, b=np.zeros((1, 1)), sigma=1.0, T=1.0,
                           f=make_zero(1), g=make_zero(1), nu0=np.zeros(1))
         assert not spec2.running_state_cost_vanishes
+
+    @pytest.mark.parametrize("c", [-1.0 + 1e-12, -(1.0 + 2.0**-52)])
+    def test_cancellation_is_exact(self, c):
+        # an f within rounding of -|m|^2/2 leaves m + grad f(m) nonzero, so it
+        # does not cancel the running state cost
+        for dim in (1, 2):
+            spec = ModelSpec(dim=dim, b=np.zeros((dim, dim)), sigma=1.0, T=1.0,
+                             f=make_quadratic(c, dim), g=make_zero(dim), nu0=np.zeros(dim))
+            assert not spec.running_state_cost_vanishes
+        tilted = ModelSpec(dim=1, b=np.zeros((1, 1)), sigma=1.0, T=1.0,
+                           f=make_quadratic(-1.0, 1, kappa=[1e-300]), g=make_zero(1),
+                           nu0=np.zeros(1))
+        assert not tilted.running_state_cost_vanishes
