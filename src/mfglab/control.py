@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,14 +93,15 @@ def _newton(spec: ModelSpec, nu0, starts, steps_per_unit):
     advance together as one component-major RK4 state (2d, rows), and each
     evaluation carries the d forward-difference probes of its Jacobian as d
     more rows, so the accepted candidate's probe residuals give the next
-    Jacobian with no integration of their own.  Each integration carries
-    every live start's next evaluation, a fresh Newton candidate or a halving
-    of its step, and each start keeps its own residual, trajectory, step
-    count and step length, halved until its residual decreases, so its
-    result does not depend on the other starts.  A static model
-    (spec.running_state_cost_vanishes, b = 0) integrates one RK4 step and
-    accumulates its increment over the grid.  Returns per start an
-    OCSolution, or None when Newton stagnates or the integration diverges.
+    Jacobian with no integration of their own.  Each integration carries every
+    live start's next evaluation, a fresh Newton candidate or a halving of its
+    step, and each start keeps its own residual, step count and step length,
+    halved until its residual decreases, so its result does not depend on the
+    other starts.  Nothing is stored per round: a start's path is copied out
+    of the round it converges in.  A static model (running_state_cost_vanishes,
+    b = 0) takes one RK4 step, accumulates its increment into m alone and reads
+    eta as a view of eta0.  Returns per start an OCSolution, or None when
+    Newton stagnates or the integration diverges.
     """
     S, d = starts.shape
     nu0 = np.broadcast_to(np.asarray(nu0, dtype=float), (S, d))
@@ -131,10 +132,10 @@ def _newton(spec: ModelSpec, nu0, starts, steps_per_unit):
         return out
 
     def residual(rows, e0):
-        """Terminal residuals (n, d), probe residuals (n, d, d) and trajectories
-        (steps+1, 2d, n) of the n starts `rows` from e0, where probe j of a start
-        moves component j of its e0 by FD_STEP; a row whose integration overflows
-        has a residual that is not finite."""
+        """Terminal residuals (n, d), probe residuals (n, d, d) and m and eta, views
+        (steps+1, d, rows) of this round's own arrays, of the n starts `rows` from e0
+        and their probes, where probe j moves component j of e0 by FD_STEP; a row
+        whose integration overflows has a residual that is not finite."""
         n = len(rows)
         e = np.concatenate([e0, (e0[:, None] + FD_STEP * np.eye(d)).reshape(-1, d)])
         z0 = np.concatenate([nu0[np.r_[rows, np.repeat(rows, d)]], e], axis=1).T
@@ -142,29 +143,28 @@ def _newton(spec: ModelSpec, nu0, starts, steps_per_unit):
             # eta's slope -(m + grad f(m)) is -0.0 at finite m: eta stays eta0, and each
             # RK4 step adds to m the increment of one step from m = -0.0 (-0.0 + delta is
             # delta), added in sequence by accumulate, silent on overflow like the loop
-            traj = np.broadcast_to(z0, (grid.steps + 1,) + z0.shape).copy()
-            traj[1:, :d] = integrate_ode(rhs, np.concatenate([np.full_like(z0[:d], -0.0), z0[d:]]),
-                                         TimeGrid(0.0, grid.dt, 1))[1, :d]
+            delta = integrate_ode(rhs, np.concatenate([np.full_like(z0[:d], -0.0), z0[d:]]),
+                                  TimeGrid(0.0, grid.dt, 1))[1, :d]
+            m = np.concatenate([z0[None, :d], np.broadcast_to(delta, (grid.steps,) + delta.shape)])
             with np.errstate(over="ignore"):
-                np.add.accumulate(traj[:, :d], axis=0, out=traj[:, :d])
+                np.add.accumulate(m, axis=0, out=m)
+            eta = np.broadcast_to(z0[d:], m.shape)
         else:
             traj = integrate_ode(rhs, z0, grid)
-        zT = traj[-1].T.copy()
-        mT, etaT = zT[:, :d], zT[:, d:]
+            m, eta = traj[:, :d], traj[:, d:]
         with np.errstate(invalid="ignore"):     # inf - inf in g's gradient of such a row
-            r = etaT - (mT + spec.g.gradient(mT))
-        return r[:n], r[n:].reshape(n, d, d), traj[:, :, :n]
+            r = eta[-1].T - (m[-1].T + spec.g.gradient(m[-1].T))
+        return r[:n], r[n:].reshape(n, d, d), m, eta
 
     # per start: the accepted adjoint and its residuals, the Newton step and its
     # length, the steps taken, and the next adjoint to evaluate
     eta0, cand = starts.copy(), starts.copy()
     res, res_p, nrm = np.empty((S, d)), np.empty((S, d, d)), np.full(S, np.inf)
-    traj = np.empty((grid.steps + 1, 2 * d, S))
     step, lam, taken = np.empty((S, d)), np.zeros(S), np.zeros(S, dtype=int)
-    converged = np.zeros(S, dtype=bool)
+    sols = [None] * S
     live = np.arange(S)
     while live.size:
-        res_c, res_pc, traj_c = residual(live, cand[live])
+        res_c, res_pc, m, eta = residual(live, cand[live])
         fresh = lam[live] == 0.0        # a start's own adjoint, not yet evaluated
         with np.errstate(over="ignore"):    # a norm past 1e308 is inf, and that start fails
             nrm_c = np.linalg.norm(res_c, axis=1)
@@ -173,15 +173,19 @@ def _newton(spec: ModelSpec, nu0, starts, steps_per_unit):
         ok = np.where(fresh, np.isfinite(res_c).all(axis=1), nrm_c < nrm[live])
         s = live[ok]
         eta0[s], res[s], res_p[s], nrm[s] = cand[s], res_c[ok], res_pc[ok], nrm_c[ok]
-        traj[:, :, s] = traj_c[:, :, ok]
         taken[s] += ~fresh[ok]
         # a rejected candidate halves its step, until the step is spent
         halve = live[~ok & ~fresh]
         lam[halve] *= 0.5
         halve = halve[lam[halve] > 1e-6]
-        # an accepted adjoint converges, runs out of steps or takes a new step
-        converged[s] = nrm[s] < NEWTON_TOL
-        s = s[~converged[s] & (taken[s] < NEWTON_MAX_ITER)]
+        # an accepted adjoint converges, its path copied out of this round's
+        # arrays, runs out of steps or takes a new step
+        done = nrm[s] < NEWTON_TOL
+        for k, i in zip(s[done], np.flatnonzero(ok)[done]):
+            m_k, eta_k = m[:, :, i].copy(), eta[:, :, i].copy()
+            sols[k] = OCSolution(grid, m_k, eta_k, trajectory_cost(spec, grid, m_k, -eta_k),
+                                 float(np.linalg.norm(res[k])))
+        s = s[~done & (taken[s] < NEWTON_MAX_ITER)]
         jac = np.swapaxes(res_p[s] - res[s, None], 1, 2) / FD_STEP
         new = _solve_each(jac, -res[s])
         # a non-finite probe or a singular Jacobian fails the start, and so does
@@ -192,12 +196,6 @@ def _newton(spec: ModelSpec, nu0, starts, steps_per_unit):
         live = np.sort(np.concatenate([halve, s]))
         cand[live] = eta0[live] + lam[live, None] * step[live]
 
-    sols = [None] * S
-    for k in np.flatnonzero(converged):
-        path = traj[:, :, k].copy()
-        m, eta = path[:, :d], path[:, d:]
-        sols[k] = OCSolution(grid=grid, m=m, eta=eta, cost=trajectory_cost(spec, grid, m, -eta),
-                             terminal_residual=float(np.linalg.norm(res[k])))
     return sols
 
 

@@ -691,9 +691,14 @@ def load_field_binary(path: str) -> DecouplingField:
         axes = tuple(struct.unpack("<ddi", read(20)) for _ in range(dim))
         t0, T, steps = struct.unpack("<ddi", read(20))
         kind_flag, param = struct.unpack("<bd", read(9))
+        if kind_flag not in (0, 1):
+            raise InvalidInput(f"{path} stores variant flag {kind_flag}, not 0 or 1")
         noise = struct.unpack("<dd", read(16))
         (mlen,) = struct.unpack("<i", read(4))
-        model = read(mlen).decode()
+        try:
+            model = read(mlen).decode()
+        except UnicodeDecodeError:
+            raise InvalidInput(f"{path} stores a model name that is not UTF-8") from None
         grid = SpaceGrid(axes)
         tgrid = TimeGrid(t0, T, steps)
         shape = (steps + 1,) + grid.shape + (dim,)
@@ -703,11 +708,8 @@ def load_field_binary(path: str) -> DecouplingField:
             raise InvalidInput(f"{path} holds {left} bytes of field values, "
                                f"its header counts {size}")
         values = np.frombuffer(fh.read(size), dtype="<f8").reshape(shape).copy()
-    meta = {"kind": "nplayer" if kind_flag == 0 else "common-noise", "model": model}
-    if kind_flag == 0:
-        meta["N"] = int(param)
-    else:
-        meta["eps"] = param
+    meta = ({"kind": "nplayer", "model": model, "N": int(param)} if kind_flag == 0
+            else {"kind": "common-noise", "model": model, "eps": param})
     if not all(0 <= v < np.inf for v in noise):
         raise InvalidInput(f"{path} stores a noise scale or diffusion outside [0, inf)")
     meta["noise_scale"], meta["diffusion"] = noise

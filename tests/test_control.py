@@ -351,6 +351,22 @@ class TestStaticShooting:
         assert_same_solutions(sset.solutions, base.solutions)
         assert sset.failed == base.failed + 1
 
+    @pytest.mark.parametrize("spec, static", [
+        (logcosh_model(nu0=0.5), True), (radial_model(nu0=0.3), True),
+        (delarue_model(), False), (drift_model(), False),
+    ], ids=["static-1d", "static-2d", "rk4-1d", "rk4-2d"])
+    def test_solutions_own_their_paths(self, spec, static):
+        # each converged start's path is copied out of its Newton round, so no
+        # solution keeps a round's arrays alive; a static model's eta is eta0
+        starts = default_start_grid(spec, spec.nu0)[::1 if spec.dim == 1 else 7]
+        sset = enumerate_stationary(spec, spec.nu0, start_grid=starts, steps_per_unit=100)
+        assert sset.solutions
+        for sol in sset.solutions:
+            assert sol.m.base is None and sol.eta.base is None
+            assert sol.m.shape == sol.eta.shape == (sol.grid.steps + 1, spec.dim)
+            if static:
+                assert (sol.eta.view(np.int64) == sol.eta0.view(np.int64)).all()
+
     @pytest.mark.parametrize("spec, steps", [
         (logcosh_model(nu0=0.5), 1),
         (radial_model(nu0=0.3), 1),

@@ -654,6 +654,22 @@ class TestCli:
         assert cli_main(["field", "export", str(binp), "--out", str(tmp_path / "f.csv")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    # in a 1-d field file the variant flag is byte 49 and the model name starts at 78
+    @pytest.mark.parametrize("offset, byte", [(49, 2), (78, 0xFF)],
+                             ids=["variant-flag", "model-not-utf8"])
+    def test_field_export_corrupt_header_exit_one(self, tmp_path, capsys, offset, byte):
+        cfg = self.write(tmp_path, E2_SMALL)
+        binp = tmp_path / "f.bin"
+        assert cli_main(["field", "solve", cfg, "--N", "50", "--out", str(binp)]) == 0
+        data = bytearray(binp.read_bytes())
+        assert data[offset] != byte
+        data[offset] = byte
+        binp.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert cli_main(["field", "export", str(binp), "--out", str(tmp_path / "f.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(binp) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("config, argv", [
         ("scenario = E2\nrun.N = 0 25\n", ["run", "{cfg}", "--out-dir", "{dir}"]),
         ("scenario = E2\n", ["field", "solve", "{cfg}", "--N", "0", "--out", "{dir}/f.bin"]),

@@ -147,6 +147,20 @@ class TestSingleStepper:
                         if not referenced(name, node))
         assert unused == sorted(allowed)
 
+    def test_imports_are_used(self):
+        # a name a module imports and never reads is dead weight; __init__.py's
+        # re-exports and `from __future__` imports bind names nothing reads
+        unused = []
+        for mod, tree in self.package_trees().items():
+            read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    unused += [f"{mod}: {alias.name}" for alias in node.names
+                               if (alias.asname or alias.name.split(".")[0]) not in read]
+        assert unused == []
+
     def test_error_types_are_raised_in_src(self):
         # an error type that no package code raises is dead weight, like one
         # left behind when the code that raised it moved out of the package
