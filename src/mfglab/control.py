@@ -86,10 +86,19 @@ def _solve_each(jac, rhs):
     return x
 
 
-def _newton(spec: ModelSpec, nu0, starts, steps_per_unit):
+def _initial_means(spec: ModelSpec, nu0):
+    """nu0 as a nonempty batch of finite float points of shape (..., d)."""
+    nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
+    if nu0.shape[-1] != spec.dim or not nu0.size or not np.all(np.isfinite(nu0)):
+        raise InvalidParameter(f"nu0 must be nonempty and finite, of dimension {spec.dim}: "
+                               f"{nu0.tolist()}")
+    return nu0
+
+
+def shoot(spec: ModelSpec, nu0, starts, steps_per_unit: int = 1000) -> list:
     """Damped Newton shooting on the initial adjoint from each row of `starts`.
 
-    The starts, each from its row of nu0 (S, d) or all from one nu0 (d,),
+    The starts (S, d), each from its row of nu0 (S, d) or all from one nu0 (d,),
     advance together as one component-major RK4 state (2d, rows), and each
     evaluation carries the d forward-difference probes of its Jacobian as d
     more rows, so the accepted candidate's probe residuals give the next
@@ -101,10 +110,17 @@ def _newton(spec: ModelSpec, nu0, starts, steps_per_unit):
     of the round it converges in.  A static model (running_state_cost_vanishes,
     b = 0) takes one RK4 step, accumulates its increment into m alone and reads
     eta as a view of eta0.  Returns per start an OCSolution, or None when
-    Newton stagnates or the integration diverges.
+    Newton stagnates or the integration diverges; a malformed nu0 or `starts`
+    raises InvalidParameter before any integration.
     """
+    nu0, starts = _initial_means(spec, nu0), np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] != spec.dim or not len(starts):
+        raise InvalidParameter(f"starts must be a nonempty (S, {spec.dim}) array, "
+                               f"got shape {starts.shape}")
     S, d = starts.shape
-    nu0 = np.broadcast_to(np.asarray(nu0, dtype=float), (S, d))
+    if nu0.shape not in ((d,), (S, d)):
+        raise InvalidParameter(f"nu0 must be of shape ({d},) or ({S}, {d}), got {nu0.shape}")
+    nu0 = np.broadcast_to(nu0, (S, d))
     b = spec.b
     drift = bool(np.any(b != 0.0))
     static = spec.running_state_cost_vanishes and not drift
@@ -199,17 +215,6 @@ def _newton(spec: ModelSpec, nu0, starts, steps_per_unit):
     return sols
 
 
-def shoot(spec: ModelSpec, nu0, eta0_guess, steps_per_unit: int = 1000):
-    """Newton shooting on the initial adjoint from one guess.
-
-    Returns an OCSolution on success, None when Newton stagnates or the
-    integration diverges.  It is the one-start case of the Newton that
-    enumerate_stationary runs on all of its starts at once.
-    """
-    guess = np.atleast_1d(np.asarray(eta0_guess, dtype=float))
-    return _newton(spec, nu0, guess[None, :], steps_per_unit)[0]
-
-
 def default_start_grid(spec: ModelSpec, nu0):
     """Lattice of initial-adjoint guesses sized by the a-priori bounds."""
     nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
@@ -218,14 +223,6 @@ def default_start_grid(spec: ModelSpec, nu0):
     axes = [np.linspace(-R, R, START_POINTS_PER_AXIS) for _ in range(spec.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.column_stack([g.ravel() for g in mesh])
-
-
-def _initial_means(spec: ModelSpec, nu0):
-    """nu0 as finite float points of shape (..., d)."""
-    nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
-    if nu0.shape[-1] != spec.dim or not np.all(np.isfinite(nu0)):
-        raise InvalidParameter(f"nu0 must be finite, of dimension {spec.dim}: {nu0.tolist()}")
-    return nu0
 
 
 def _stationary_sets(spec: ModelSpec, points, start_grid, steps_per_unit) -> list:
@@ -241,7 +238,7 @@ def _stationary_sets(spec: ModelSpec, points, start_grid, steps_per_unit) -> lis
         # independent of the order the guesses came in
         grids.append(starts[np.lexsort(starts.T[::-1])])
     sizes = [len(g) for g in grids]
-    sols = _newton(spec, np.repeat(points, sizes, axis=0), np.concatenate(grids), steps_per_unit)
+    sols = shoot(spec, np.repeat(points, sizes, axis=0), np.concatenate(grids), steps_per_unit)
 
     ssets = []
     for lo, n in zip(np.cumsum([0] + sizes), sizes):

@@ -49,13 +49,13 @@ FAST = {"steps_per_unit": 250, "start_grid": np.linspace(-5.0, 5.0, 9)[:, None]}
 class TestShoot:
     def test_null_system(self):
         spec = model(make_zero(1), make_zero(1))
-        sol = shoot(spec, [0.0], [0.0])
+        sol = shoot(spec, [0.0], [[0.0]])[0]
         assert sol is not None
         assert np.all(sol.m == 0.0) and np.all(sol.eta == 0.0)
         assert sol.terminal_residual == 0.0
 
     def test_logcosh_constant_adjoint(self):
-        sol = shoot(logcosh_model(), [0.0], [-2.0])
+        sol = shoot(logcosh_model(), [0.0], [[-2.0]])[0]
         assert sol is not None
         assert sol.eta0[0] == pytest.approx(-AHAT, abs=1e-8)
         assert np.max(np.abs(sol.eta - sol.eta0)) < 1e-8
@@ -79,7 +79,7 @@ class TestShoot:
             symmetric_minimizer_root(kappa)
 
     def test_dynamics_residual(self):
-        sol = shoot(logcosh_model(nu0=0.5), [0.5], [-2.0])
+        sol = shoot(logcosh_model(nu0=0.5), [0.5], [[-2.0]])[0]
         dt = sol.grid.dt
         mdot = np.diff(sol.m, axis=0) / dt
         beta_mid = -0.5 * (sol.eta[1:] + sol.eta[:-1])
@@ -88,11 +88,39 @@ class TestShoot:
     def test_delarue_closed_form(self):
         g = make_delarue_terminal(0.0, 1.0, 0.1)
         spec = model(make_zero(1), g)
-        sol = shoot(spec, [0.0], [-0.5])
+        sol = shoot(spec, [0.0], [[-0.5]])[0]
         ref = math.exp(-1.0) * np.sinh(sol.grid.nodes)  # w_t int_0^t w^-2, b=0
         assert sol is not None
         assert np.max(np.abs(sol.m[:, 0] - ref)) < 1e-3
         assert sol.m[-1, 0] == pytest.approx((1 - math.exp(-2)) / 2, abs=1e-3)
+
+    @pytest.mark.parametrize("nu0, starts", [
+        ([0.0, 1.0], [0.0]),
+        ([0.0, 1.0], [[0.0]]),
+        ([math.nan], [[0.0]]),
+        ([math.inf], [[0.0]]),
+        ([[0.0], [0.5]], [[0.0], [1.0], [2.0]]),
+        (np.zeros((1, 1, 1)), [[0.0]]),
+        (np.zeros((0, 1)), np.zeros((0, 1))),
+        ([0.0], [0.0]),
+        ([0.0], np.zeros((0, 1))),
+        ([0.0], [[0.0, 1.0]]),
+        ([0.0], np.zeros((1, 1, 1))),
+    ], ids=["both-malformed", "nu0-wrong-dim", "nu0-nan", "nu0-inf", "nu0-rows-mismatch",
+            "nu0-3d", "empty-batch", "starts-1d", "starts-empty", "starts-wide", "starts-3d"])
+    def test_malformed_input_fails_before_shooting(self, nu0, starts, integrations):
+        with pytest.raises(InvalidParameter, match="nu0|starts"):
+            shoot(logcosh_model(), nu0, starts)
+        assert integrations == []
+
+    def test_non_finite_start_fails_its_own_row(self):
+        # the input checks look at the starts' shape only: a non-finite start is
+        # shot, and fails alone inside the Newton
+        spec, kwargs = logcosh_model(nu0=0.5), {"steps_per_unit": 250}
+        alone = shoot(spec, [0.5], [[-2.0]], **kwargs)
+        sols = shoot(spec, [0.5], [[math.nan], [-2.0], [math.inf]], **kwargs)
+        assert sols[0] is None and sols[2] is None
+        assert_same_solutions(sols[1:2], alone)
 
 
 class TestEnumerate:
@@ -163,7 +191,7 @@ def shoot_each(spec, nu0, starts, steps_per_unit):
     lexicographic start order and sorted by cost, as enumerate_stationary does."""
     found = []
     for guess in starts[np.lexsort(starts.T[::-1])]:
-        sol = shoot(spec, nu0, guess, steps_per_unit=steps_per_unit)
+        sol = shoot(spec, nu0, [guess], steps_per_unit=steps_per_unit)[0]
         if sol is not None and not any(
                 np.linalg.norm(sol.eta0 - s.eta0) < DEDUP_TOL for s in found):
             found.append(sol)
@@ -281,13 +309,13 @@ class TestBatchedShooting:
         # this start converges on its third Newton step: a cap of 3 steps must
         # find it, a cap of 2 must not
         spec, kwargs = logcosh_model(nu0=0.5), {"steps_per_unit": 250}
-        full = shoot(spec, [0.5], [-2.0], **kwargs)
+        full = shoot(spec, [0.5], [[-2.0]], **kwargs)[0]
         monkeypatch.setattr(control, "NEWTON_MAX_ITER", 3)
-        capped = shoot(spec, [0.5], [-2.0], **kwargs)
+        capped = shoot(spec, [0.5], [[-2.0]], **kwargs)[0]
         assert capped is not None
         assert_same_solutions([capped], [full])
         monkeypatch.setattr(control, "NEWTON_MAX_ITER", 2)
-        assert shoot(spec, [0.5], [-2.0], **kwargs) is None
+        assert shoot(spec, [0.5], [[-2.0]], **kwargs)[0] is None
 
 
 def static_rhs(spec):
@@ -434,6 +462,11 @@ class TestValueFunction:
         assert all(isinstance(x, float) for x in single)
         assert v.tolist() == single
 
+    def test_empty_batch_fails_before_shooting(self, integrations):
+        with pytest.raises(InvalidParameter, match="nu0"):
+            value_function(logcosh_model(), np.zeros((0, 1)))
+        assert integrations == []
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan-horizon", "inf-horizon"])
     def test_non_finite_nu0_fails_before_shooting(self, bad, integrations):
         with pytest.raises(InvalidParameter, match="nu0"):
@@ -467,7 +500,7 @@ class TestDiscreteDescent:
         # the discrete functional's own optimum sits within a short polish of
         # the sampled continuous optimum
         spec = logcosh_model(nu0=0.5)
-        sol = shoot(spec, [0.5], [-2.0], steps_per_unit=200)
+        sol = shoot(spec, [0.5], [[-2.0]], steps_per_unit=200)[0]
         beta0 = -sol.eta[:-1]
         _, cost, grad = descend_discrete(spec, [0.5], beta0)
         assert float(np.linalg.norm(grad)) < 1e-6

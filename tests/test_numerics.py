@@ -126,11 +126,7 @@ class TestSingleStepper:
 
     def test_public_functions_have_src_callers(self):
         # a public top-level function or class that nothing in the package
-        # uses is dead weight; the exceptions are used from outside the package
-        allowed = {
-            "control.shoot": "perfbench/spans.py counts control.shoots through it, and "
-                             "without it the benchmark self-test raises TypeError on None > 0",
-        }
+        # uses is dead weight
         trees = self.package_trees()
         public = {(mod, node.name): node for mod, tree in trees.items() for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -145,7 +141,7 @@ class TestSingleStepper:
 
         unused = sorted(f"{mod}.{name}" for (mod, name), node in public.items()
                         if not referenced(name, node))
-        assert unused == sorted(allowed)
+        assert unused == []
 
     def test_imports_are_used(self):
         # a name a module imports and never reads is dead weight; __init__.py's
